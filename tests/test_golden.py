@@ -1,0 +1,35 @@
+"""Byte-for-byte regression against checked-in CLI outputs.
+
+Each file under ``tests/golden/`` is the stdout of the listed command at
+the default settings. Regenerate one with, for example,
+``PYTHONPATH=src python -m platoonshare.cli sweep fig2 > tests/golden/sweep_fig2.csv``
+and only when an output change is intended.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from platoonshare.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+GOLDEN = {
+    "sweep_fig2.csv": ["sweep", "fig2"],
+    "sweep_fig3.csv": ["sweep", "fig3"],
+    "sweep_fig5.csv": ["sweep", "fig5"],
+    "sweep_fig6.csv": ["sweep", "fig6"],
+    "table1.csv": ["table1"],
+    "allocate_stable.txt": ["allocate", "--scheme", "stable"],
+    "allocate_shapley.txt": ["allocate", "--scheme", "shapley"],
+    "allocate_even-split.txt": ["allocate", "--scheme", "even-split"],
+    "allocate_deviation-min.txt": ["allocate", "--scheme", "deviation-min",
+                                   "--epsilon-f", "0.72", "--ne", "1", "--nf", "14"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden(name, tmp_path):
+    out_path = tmp_path / name
+    assert main(GOLDEN[name] + ["--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == (GOLDEN_DIR / name).read_bytes()

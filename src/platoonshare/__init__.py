@@ -36,7 +36,6 @@ from .fairness import (
     mean_relative_deviation,
 )
 from .game import (
-    Coalition,
     Composition,
     Fleet,
     SavingsParams,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "BothTypesRequired",
-    "Coalition",
     "ConditionHolds",
     "Composition",
     "CoreReport",

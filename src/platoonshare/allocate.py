@@ -29,8 +29,8 @@ from .game import (
     TruckType,
     coalition_value,
     optimal_leader_type,
-    value_per_km,
 )
+from .stability import shapley_core_condition_ratio
 
 SCHEME_STABLE = "stable"
 SCHEME_SHAPLEY = "shapley-closed-form"
@@ -186,8 +186,6 @@ def deviation_minimizing_allocation(
     when it holds the type-fair payoff itself is core-stable and should
     be used instead.
     """
-    from .stability import shapley_core_condition_ratio
-
     comp = fleet.composition()
     if comp.n_e < 1 or comp.n_f < 1:
         raise BothTypesRequired("fallback scheme needs both truck types")
@@ -208,12 +206,3 @@ def _check_fleet_size(fleet: Fleet, params: SavingsParams) -> None:
         raise FleetTooLarge(
             f"fleet of {fleet.size} exceeds max platoon size {params.max_platoon_size}"
         )
-
-
-def grand_value(fleet: Fleet, params: SavingsParams) -> float:
-    """Value of the grand coalition, the amount every scheme distributes."""
-    return coalition_value(fleet.composition(), params)
-
-
-def value_rate(fleet: Fleet, params: SavingsParams) -> float:
-    return value_per_km(fleet.composition(), params)

@@ -11,7 +11,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 from . import allocate as alloc_mod
@@ -24,7 +24,6 @@ EXIT_PRECONDITION = 3
 
 TABLE_MAX_TRUCKS = 10
 
-SWEEP_KINDS = ("fig2", "fig3", "fig5", "fig6")
 ALLOCATE_SCHEMES = ("stable", "shapley", "even-split", "deviation-min")
 
 
@@ -44,14 +43,12 @@ class RunConfig:
     output_path: Optional[str] = None
 
     def validate(self) -> None:
-        if self.epsilon_f <= 0 or self.epsilon_e <= 0:
-            raise ConfigError("epsilon_f and epsilon_e must be positive")
-        if self.distance <= 0:
-            raise ConfigError("distance must be positive")
-        if self.max_platoon_size < 2:
-            raise ConfigError("max_platoon_size must be at least 2")
-        if self.n_e < 0 or self.n_f < 0:
-            raise ConfigError("n_e and n_f must be non-negative")
+        """Reject values the domain types reject, as a config error."""
+        try:
+            self.params()
+            self.composition()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def params(self) -> game.SavingsParams:
         return game.SavingsParams(
@@ -111,20 +108,11 @@ def build_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
         for key, value in parse_config_file(args.config).items():
             setattr(cfg, key, value)
             explicit.add(key)
-    overrides = {
-        "epsilon_f": args.epsilon_f,
-        "epsilon_e": args.epsilon_e,
-        "distance": args.distance,
-        "n_e": args.ne,
-        "n_f": args.nf,
-        "max_platoon_size": args.max_platoon_size,
-        "xi": getattr(args, "xi", None),
-        "output_path": args.out,
-    }
-    for key, value in overrides.items():
+    for field in fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(cfg, key, value)
-            explicit.add(key)
+            setattr(cfg, field.name, value)
+            explicit.add(field.name)
     cfg.validate()
     return cfg, explicit
 
@@ -158,10 +146,6 @@ class _Output:
             sys.stdout.write(self.buffer.getvalue())
 
 
-def _leader_code(kind: Optional[game.TruckType]) -> str:
-    return kind.value if kind is not None else "none"
-
-
 def cmd_value(cfg: RunConfig) -> int:
     params = cfg.params()
     comp = cfg.composition()
@@ -175,7 +159,7 @@ def cmd_value(cfg: RunConfig) -> int:
     if leader is None:
         out.line(f"value={money(value)}")
     else:
-        out.line(f"value={money(value)} leader={_leader_code(leader)}")
+        out.line(f"value={money(value)} leader={leader.value}")
     out.flush()
     return EXIT_OK
 
@@ -256,126 +240,100 @@ def cmd_table1(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _heterogeneous_rows(cfg: RunConfig, xi_grid: Sequence[float]):
-    params = cfg.params()
-    n = cfg.max_platoon_size
-    for n_e in range(1, n):
-        comp = game.Composition(n_e, n - n_e)
+_XI_GRID = [i * 0.005 for i in range(1, 31)]
+_RATIO_GRID = [i * 0.05 for i in range(1, 20)]
+
+
+def _mixed_compositions(n: int):
+    return (game.Composition(n_e, n - n_e) for n_e in range(1, n))
+
+
+def _fuel_compositions(n: int):
+    return (game.Composition(0, m) for m in range(2, n + 1))
+
+
+def _leader_share_rows(compositions, key):
+    """Stability probability of x(xi) per (composition, xi), plus the bound."""
+
+    def rows(cfg: RunConfig):
+        params = cfg.params()
+        for comp in compositions(cfg.max_platoon_size):
+            fleet = game.Fleet.from_composition(comp)
+            bound = ratio6(alloc_mod.xi_upper_bound(comp, params))
+            for xi in _XI_GRID:
+                allocation = alloc_mod.stable_allocation(fleet, params, xi)
+                prob = stability.stability_probability(allocation, fleet, params)
+                yield [*key(comp), ratio6(xi), ratio6(prob), bound]
+
+    return rows
+
+
+def _type_fair_rows(cfg: RunConfig):
+    base = cfg.params()
+    for comp in _mixed_compositions(cfg.max_platoon_size):
         fleet = game.Fleet.from_composition(comp)
-        bound = alloc_mod.xi_upper_bound(comp, params)
-        for xi in xi_grid:
-            allocation = alloc_mod.stable_allocation(fleet, params, xi)
-            prob = stability.stability_probability(allocation, fleet, params)
-            yield comp, xi, prob, bound
-
-
-def sweep_fig2(cfg: RunConfig, out: _Output) -> None:
-    out.line(
-        "# leader-share allocation in mixed fleets of size "
-        f"{cfg.max_platoon_size}: stability probability per (n_e, xi); "
-        "xi_upper_bound is the certified threshold"
-    )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n_e", "n_f", "xi", "stability_probability", "xi_upper_bound"])
-    xi_grid = [i * 0.005 for i in range(1, 31)]
-    for comp, xi, prob, bound in _heterogeneous_rows(cfg, xi_grid):
-        writer.writerow([comp.n_e, comp.n_f, ratio6(xi), ratio6(prob), ratio6(bound)])
-
-
-def sweep_fig3(cfg: RunConfig, out: _Output) -> None:
-    out.line(
-        "# leader-share allocation in all-FPT fleets: stability probability "
-        "per (fleet size n, xi); xi_upper_bound = 1/(n-1)"
-    )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "xi", "stability_probability", "xi_upper_bound"])
-    params = cfg.params()
-    xi_grid = [i * 0.005 for i in range(1, 31)]
-    for n in range(2, cfg.max_platoon_size + 1):
-        comp = game.Composition(0, n)
-        fleet = game.Fleet.from_composition(comp)
-        bound = alloc_mod.xi_upper_bound(comp, params)
-        for xi in xi_grid:
-            allocation = alloc_mod.stable_allocation(fleet, params, xi)
-            prob = stability.stability_probability(allocation, fleet, params)
-            writer.writerow([n, ratio6(xi), ratio6(prob), ratio6(bound)])
-
-
-def sweep_fig5(cfg: RunConfig, out: _Output) -> None:
-    out.line(
-        "# type-fair allocation in mixed fleets of size "
-        f"{cfg.max_platoon_size}: stability probability per (n_e, rate ratio); "
-        "certified when ratio >= ratio_threshold = n_f/n"
-    )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n_e", "n_f", "ratio", "stability_probability", "ratio_threshold"])
-    n = cfg.max_platoon_size
-    ratios = [i * 0.05 for i in range(1, 20)]
-    for n_e in range(1, n):
-        comp = game.Composition(n_e, n - n_e)
-        fleet = game.Fleet.from_composition(comp)
-        threshold = comp.n_f / comp.total()
-        for ratio in ratios:
-            params = game.SavingsParams(
-                epsilon_f=cfg.epsilon_f,
-                epsilon_e=ratio * cfg.epsilon_f,
-                distance=cfg.distance,
-                max_platoon_size=cfg.max_platoon_size,
-            )
+        threshold = ratio6(comp.n_f / comp.total())
+        for ratio in _RATIO_GRID:
+            params = replace(base, epsilon_e=ratio * cfg.epsilon_f)
             allocation = alloc_mod.shapley_allocation(fleet, params)
             prob = stability.stability_probability(allocation, fleet, params)
-            writer.writerow(
-                [comp.n_e, comp.n_f, ratio6(ratio), ratio6(prob), ratio6(threshold)]
-            )
+            yield [comp.n_e, comp.n_f, ratio6(ratio), ratio6(prob), threshold]
 
 
-def sweep_fig6(cfg: RunConfig, out: _Output) -> None:
-    out.line(
-        "# deviation from the type-fair payoff along xi in mixed fleets of size "
-        f"{cfg.max_platoon_size}: delta per (n_e, xi); xi_star is the certified "
-        "bound where delta is smallest"
-    )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["n_e", "n_f", "xi", "delta", "in_core", "xi_star", "delta_at_xi_star"]
-    )
+def _deviation_rows(cfg: RunConfig):
     params = cfg.params()
-    n = cfg.max_platoon_size
-    for n_e in range(1, n):
-        comp = game.Composition(n_e, n - n_e)
+    for comp in _mixed_compositions(cfg.max_platoon_size):
         fleet = game.Fleet.from_composition(comp)
-        xi_star = alloc_mod.xi_upper_bound(comp, params)
+        xi_star = ratio6(alloc_mod.xi_upper_bound(comp, params))
         grid = fairness.default_xi_grid(fleet, params)
         curve = fairness.deviation_curve(fleet, params, grid)
-        delta_star = curve.points[-1].delta
+        delta_star = ratio6(curve.points[-1].delta)
         for point in curve.points:
-            writer.writerow(
-                [
-                    comp.n_e,
-                    comp.n_f,
-                    ratio6(point.xi),
-                    ratio6(point.delta),
-                    str(point.in_core).lower(),
-                    ratio6(xi_star),
-                    ratio6(delta_star),
-                ]
-            )
+            yield [comp.n_e, comp.n_f, ratio6(point.xi), ratio6(point.delta),
+                   str(point.in_core).lower(), xi_star, delta_star]
+
+
+# kind -> (comment line, header, row generator); {n} is the fleet size.
+SWEEPS = {
+    "fig2": (
+        "# leader-share allocation in mixed fleets of size {n}: stability "
+        "probability per (n_e, xi); xi_upper_bound is the certified threshold",
+        ["n_e", "n_f", "xi", "stability_probability", "xi_upper_bound"],
+        _leader_share_rows(_mixed_compositions, lambda c: (c.n_e, c.n_f)),
+    ),
+    "fig3": (
+        "# leader-share allocation in all-FPT fleets: stability probability "
+        "per (fleet size n, xi); xi_upper_bound = 1/(n-1)",
+        ["n", "xi", "stability_probability", "xi_upper_bound"],
+        _leader_share_rows(_fuel_compositions, lambda c: (c.total(),)),
+    ),
+    "fig5": (
+        "# type-fair allocation in mixed fleets of size {n}: stability "
+        "probability per (n_e, rate ratio); certified when ratio >= "
+        "ratio_threshold = n_f/n",
+        ["n_e", "n_f", "ratio", "stability_probability", "ratio_threshold"],
+        _type_fair_rows,
+    ),
+    "fig6": (
+        "# deviation from the type-fair payoff along xi in mixed fleets of size "
+        "{n}: delta per (n_e, xi); xi_star is the certified bound where delta "
+        "is smallest",
+        ["n_e", "n_f", "xi", "delta", "in_core", "xi_star", "delta_at_xi_star"],
+        _deviation_rows,
+    ),
+}
 
 
 def cmd_sweep(cfg: RunConfig, kind: str, epsilon_f_given: bool) -> int:
-    if kind not in SWEEP_KINDS:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
     if kind == "fig6" and not epsilon_f_given:
         # preset: the deviation sweep is about a failing ratio condition
         cfg.epsilon_f = 0.72
+    comment, columns, rows = SWEEPS[kind]
     out = _Output(cfg.output_path)
-    sweeps = {
-        "fig2": sweep_fig2,
-        "fig3": sweep_fig3,
-        "fig5": sweep_fig5,
-        "fig6": sweep_fig6,
-    }
-    sweeps[kind](cfg, out)
+    out.line(comment.format(n=cfg.max_platoon_size))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows(cfg))
     out.flush()
     return EXIT_OK
 
@@ -387,11 +345,14 @@ def _add_common(parser: argparse.ArgumentParser, with_xi: bool = True) -> None:
     parser.add_argument("--epsilon-e", dest="epsilon_e", type=float,
                         help="electric follower saving rate [EUR/km]")
     parser.add_argument("--distance", type=float, help="trip distance [km]")
-    parser.add_argument("--ne", type=int, help="number of electric trucks")
-    parser.add_argument("--nf", type=int, help="number of fuel-powered trucks")
+    parser.add_argument("--ne", dest="n_e", type=int,
+                        help="number of electric trucks")
+    parser.add_argument("--nf", dest="n_f", type=int,
+                        help="number of fuel-powered trucks")
     parser.add_argument("--max-platoon-size", dest="max_platoon_size", type=int,
                         help="platoon size cap (also the sweep fleet size)")
-    parser.add_argument("--out", help="write output to this file instead of stdout")
+    parser.add_argument("--out", dest="output_path",
+                        help="write output to this file instead of stdout")
     if with_xi:
         parser.add_argument("--xi", type=float, help="leader share in (0, 1]")
 
@@ -414,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_table, with_xi=False)
 
     p_sweep = sub.add_parser("sweep", help="CSV experiment sweeps")
-    p_sweep.add_argument("kind", choices=SWEEP_KINDS)
+    p_sweep.add_argument("kind", choices=SWEEPS)
     _add_common(p_sweep, with_xi=False)
 
     return parser

@@ -9,7 +9,7 @@ from .allocate import (
     Allocation,
     shapley_allocation,
     stable_allocation,
-    _xi_bound_raw,
+    xi_upper_bound,
 )
 from .errors import XiOutOfRange, ZeroShapleyPayoff
 from .game import Fleet, SavingsParams
@@ -67,8 +67,8 @@ def deviation_curve(
 
 
 def default_xi_grid(fleet: Fleet, params: SavingsParams, n: int = 60) -> list[float]:
-    """Evenly spaced grid from 0.002 up to the instance's xi*."""
-    xi_star = _xi_bound_raw(fleet.composition(), params)
+    """Evenly spaced grid from 0.002 up to the instance's ``xi_upper_bound``."""
+    xi_star = xi_upper_bound(fleet.composition(), params)
     start = 0.002 if xi_star > 0.002 else xi_star / n
     step = (xi_star - start) / (n - 1)
     return [start + i * step for i in range(n)]

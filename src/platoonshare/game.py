@@ -10,6 +10,7 @@ of each type it contains.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -34,9 +35,10 @@ class TruckType(enum.Enum):
 class SavingsParams:
     """Monetary saving rates (EUR/km), trip distance (km) and platoon cap.
 
-    The rates only need to be positive; operations whose derivation relies
-    on epsilon_e < epsilon_f enforce that ordering themselves, so ratio
-    sweeps up to epsilon_e/epsilon_f = 1 stay expressible.
+    The rates only need to be positive and finite; operations whose
+    derivation relies on epsilon_e < epsilon_f enforce that ordering
+    themselves, so ratio sweeps up to epsilon_e/epsilon_f = 1 stay
+    expressible.
     """
 
     epsilon_f: float
@@ -45,10 +47,10 @@ class SavingsParams:
     max_platoon_size: int = 15
 
     def __post_init__(self) -> None:
-        if self.epsilon_f <= 0 or self.epsilon_e <= 0:
-            raise ValueError("saving rates must be positive")
-        if self.distance <= 0:
-            raise ValueError("distance must be positive")
+        if not (0 < self.epsilon_f < math.inf and 0 < self.epsilon_e < math.inf):
+            raise ValueError("saving rates must be positive and finite")
+        if not 0 < self.distance < math.inf:
+            raise ValueError("distance must be positive and finite")
         if self.max_platoon_size < 2:
             raise ValueError("max_platoon_size must be at least 2")
 
@@ -98,10 +100,6 @@ class Fleet:
         return Composition(n_e, len(ids) - n_e)
 
 
-# A coalition is just a set of truck ids; a structure is a list of them.
-Coalition = frozenset[int]
-
-
 def rate_for_counts(n_e: int, n_f: int, epsilon_e: float, epsilon_f: float) -> float:
     """Saving rate per km for raw type counts; the primitive everything uses.
 
@@ -115,14 +113,10 @@ def rate_for_counts(n_e: int, n_f: int, epsilon_e: float, epsilon_f: float) -> f
     return 0.0
 
 
-def value_per_km(comp: Composition, params: SavingsParams) -> float:
-    """Coalition saving rate per km under the fixed leader rule."""
-    return rate_for_counts(comp.n_e, comp.n_f, params.epsilon_e, params.epsilon_f)
-
-
 def coalition_value(comp: Composition, params: SavingsParams) -> float:
     """Total monetary benefit of a coalition over the trip distance."""
-    return value_per_km(comp, params) * params.distance
+    rate = rate_for_counts(comp.n_e, comp.n_f, params.epsilon_e, params.epsilon_f)
+    return rate * params.distance
 
 
 def coalition_value_with_leader(

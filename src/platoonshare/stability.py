@@ -97,16 +97,17 @@ def _type_payoffs(alloc: "Allocation", fleet: Fleet) -> dict[TruckType, float] |
 
 
 def _violations_fast(
-    alloc: "Allocation", fleet: Fleet, params: SavingsParams
+    alloc: "Allocation",
+    fleet: Fleet,
+    params: SavingsParams,
+    by_type: dict[TruckType, float],
 ) -> dict[tuple[int, int], int]:
     """Composition-class scan weighted by binomial counts.
 
     Valid only when every non-leader truck of a type receives the same
-    payoff, which holds for all scheme-built allocations.
+    payoff, which holds for all scheme-built allocations; ``by_type`` is
+    that payoff as found by ``_type_payoffs``.
     """
-    by_type = _type_payoffs(alloc, fleet)
-    if by_type is None:
-        raise ValueError("allocation is not type-symmetric; use the labeled scan")
     comp = fleet.composition()
     tol = _blocking_tol(params)
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
@@ -154,17 +155,15 @@ def in_core(
             f"payoffs sum to {sum(alloc.payoffs):.8f}, grand value is {total:.8f}"
         )
 
-    if method == "slow":
-        violations = _violations_slow(alloc, fleet, params)
-    elif method == "fast":
-        violations = _violations_fast(alloc, fleet, params)
-    elif method == "auto":
-        if _type_payoffs(alloc, fleet) is not None:
-            violations = _violations_fast(alloc, fleet, params)
-        else:
-            violations = _violations_slow(alloc, fleet, params)
-    else:
+    if method not in ("auto", "fast", "slow"):
         raise ValueError(f"unknown method {method!r}")
+    by_type = None if method == "slow" else _type_payoffs(alloc, fleet)
+    if by_type is not None:
+        violations = _violations_fast(alloc, fleet, params, by_type)
+    elif method == "fast":
+        raise ValueError("allocation is not type-symmetric; use the labeled scan")
+    else:
+        violations = _violations_slow(alloc, fleet, params)
 
     n_violating = sum(violations.values())
     denom = (1 << fleet.size) - 2

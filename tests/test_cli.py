@@ -218,6 +218,21 @@ class TestConfig:
         assert main(["value", "--distance", "-5"]) == 2
         assert "error: config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilon-f", "nan"), ("--epsilon-e", "inf"), ("--distance", "inf"),
+    ])
+    def test_non_finite_flag_rejected(self, flag, value, capsys):
+        assert main(["value", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "error: config:" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("epsilon_f = nan\n")
+        assert main(["value", "--config", str(cfg)]) == 2
+        assert "error: config:" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["value", "--config", "/nonexistent.cfg"]) == 2
 

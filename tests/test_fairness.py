@@ -3,6 +3,7 @@ import pytest
 from platoonshare import (
     Allocation,
     Composition,
+    EpsilonOrderError,
     Fleet,
     SavingsParams,
     XiOutOfRange,
@@ -124,3 +125,14 @@ class TestDefaultXiGrid:
         grid = default_xi_grid(fleet, params)
         assert all(b > a for a, b in zip(grid, grid[1:]))
         assert all(0.0 < xi <= 1.0 for xi in grid)
+
+    def test_mixed_fleet_needs_ordered_rates(self):
+        params = SavingsParams(epsilon_f=0.048, epsilon_e=0.07, distance=300.0)
+        fleet = Fleet.from_composition(Composition(2, 3))
+        with pytest.raises(EpsilonOrderError):
+            default_xi_grid(fleet, params)
+
+    def test_homogeneous_fleet_ignores_rate_order(self):
+        params = SavingsParams(epsilon_f=0.048, epsilon_e=0.07, distance=300.0)
+        grid = default_xi_grid(Fleet.from_composition(Composition(0, 5)), params)
+        assert grid[-1] == pytest.approx(0.25, abs=1e-12)

@@ -226,3 +226,10 @@ class TestDomainTypes:
             SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=-1.0)
         with pytest.raises(ValueError):
             SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0, max_platoon_size=1)
+
+    @pytest.mark.parametrize("field", ["epsilon_f", "epsilon_e", "distance"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_params_reject_non_finite(self, field, bad):
+        values = {"epsilon_f": 0.07, "epsilon_e": 0.048, "distance": 300.0, field: bad}
+        with pytest.raises(ValueError):
+            SavingsParams(**values)

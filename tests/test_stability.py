@@ -51,6 +51,11 @@ class TestInCore:
         with pytest.raises(NotEfficient):
             stability_probability(alloc, fleet, params)
 
+    def test_unknown_method_rejected(self, params, fleet23):
+        alloc = shapley_allocation(fleet23, params)
+        with pytest.raises(ValueError, match="unknown method"):
+            in_core(alloc, fleet23, params, method="bogus")
+
     def test_fleet_cap(self):
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
                                max_platoon_size=3)

@@ -10,7 +10,7 @@ core-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -23,6 +23,7 @@ from .errors import (
     XiOutOfRange,
 )
 from .game import (
+    REL_TOL,
     Composition,
     Fleet,
     SavingsParams,
@@ -101,7 +102,7 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
     payoffs = tuple(
         xi * total if i == leader else follower[fleet.types[i]] for i in fleet.ids()
     )
-    within = xi <= _xi_bound_raw(comp, params) + 1e-12
+    within = xi <= _xi_bound_raw(comp, params) + REL_TOL
     return Allocation(payoffs, leader, SCHEME_STABLE, xi=xi, within_bound=within)
 
 
@@ -193,16 +194,10 @@ def deviation_minimizing_allocation(
         raise ConditionHolds("ratio core condition holds; use shapley")
     xi_star = _xi_bound_raw(comp, params)
     base = stable_allocation(fleet, params, xi_star)
-    alloc = Allocation(
-        base.payoffs, base.leader_id, SCHEME_DEVIATION_MIN, xi=xi_star, within_bound=True
-    )
-    return alloc, xi_star
+    return replace(base, scheme=SCHEME_DEVIATION_MIN), xi_star
 
 
 def _check_fleet_size(fleet: Fleet, params: SavingsParams) -> None:
     if fleet.size < 2:
         raise FleetTooSmall("grand coalition needs at least two trucks")
-    if fleet.size > params.max_platoon_size:
-        raise FleetTooLarge(
-            f"fleet of {fleet.size} exceeds max platoon size {params.max_platoon_size}"
-        )
+    params.check_fleet_size(fleet.size)

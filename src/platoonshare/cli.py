@@ -47,7 +47,7 @@ class RunConfig:
         try:
             self.params()
             self.composition()
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def params(self) -> game.SavingsParams:
@@ -71,7 +71,7 @@ _FLOAT_KEYS = {"epsilon_f", "epsilon_e", "distance", "xi"}
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment; unknown keys rejected."""
+    """Flat ``key = value`` lines; full-line '#' comments; unknown keys rejected."""
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -79,8 +79,8 @@ def parse_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
@@ -149,6 +149,7 @@ class _Output:
 def cmd_value(cfg: RunConfig) -> int:
     params = cfg.params()
     comp = cfg.composition()
+    params.check_fleet_size(comp.total())
     value = game.coalition_value(comp, params)
     leader = game.optimal_leader_type(comp)
     out = _Output(cfg.output_path)

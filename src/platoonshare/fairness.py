@@ -35,7 +35,7 @@ def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
     """Average of |phi_i - x_i| / phi_i across trucks."""
     if len(x.payoffs) != len(phi.payoffs):
         raise ValueError("allocations index different fleets")
-    if any(p <= 1e-12 for p in phi.payoffs):
+    if any(p <= 0 for p in phi.payoffs):
         raise ZeroShapleyPayoff("benchmark payoff is zero for some truck")
     n = len(phi.payoffs)
     return sum(abs(p - q) / p for p, q in zip(phi.payoffs, x.payoffs)) / n

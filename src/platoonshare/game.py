@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InvalidPartition
+from .errors import FleetTooLarge, InvalidPartition
 
-# Absolute tolerances: per-km rates vs distance-scaled money.
-PER_KM_TOL = 1e-9
-MONEY_TOL = 1e-6
+# The one numeric tolerance, relative so that no verdict depends on the
+# units of money or distance: dimensionless comparisons use it as-is,
+# money comparisons through ``SavingsParams.money_tol``.
+REL_TOL = 1e-9
 
 
 class TruckType(enum.Enum):
@@ -35,10 +36,10 @@ class TruckType(enum.Enum):
 class SavingsParams:
     """Monetary saving rates (EUR/km), trip distance (km) and platoon cap.
 
-    The rates only need to be positive and finite; operations whose
-    derivation relies on epsilon_e < epsilon_f enforce that ordering
-    themselves, so ratio sweeps up to epsilon_e/epsilon_f = 1 stay
-    expressible.
+    The rates only need to be positive, and their product with the
+    distance and the platoon cap finite; operations whose derivation
+    relies on epsilon_e < epsilon_f enforce that ordering themselves, so
+    ratio sweeps up to epsilon_e/epsilon_f = 1 stay expressible.
     """
 
     epsilon_f: float
@@ -47,12 +48,24 @@ class SavingsParams:
     max_platoon_size: int = 15
 
     def __post_init__(self) -> None:
-        if not (0 < self.epsilon_f < math.inf and 0 < self.epsilon_e < math.inf):
-            raise ValueError("saving rates must be positive and finite")
-        if not 0 < self.distance < math.inf:
-            raise ValueError("distance must be positive and finite")
+        if not (self.epsilon_f > 0 and self.epsilon_e > 0 and self.distance > 0):
+            raise ValueError("saving rates and distance must be positive")
         if self.max_platoon_size < 2:
             raise ValueError("max_platoon_size must be at least 2")
+        # bounds every coalition worth and payoff sum, and rejects inf inputs
+        largest = max(self.epsilon_e, self.epsilon_f) * self.distance
+        if not largest * self.max_platoon_size < math.inf:
+            raise ValueError("max rate x distance x max_platoon_size must be finite")
+
+    def money_tol(self) -> float:
+        """Money tolerance: REL_TOL of the largest per-truck saving."""
+        return REL_TOL * max(self.epsilon_e, self.epsilon_f) * self.distance
+
+    def check_fleet_size(self, size: int) -> None:
+        if size > self.max_platoon_size:
+            raise FleetTooLarge(
+                f"fleet of {size} exceeds max platoon size {self.max_platoon_size}"
+            )
 
 
 @dataclass(frozen=True, order=True)
@@ -224,10 +237,10 @@ def check_superadditivity(
     """Scan all disjoint sub-composition pairs for merge losses.
 
     Returns the pairs whose merged value falls short of the sum of parts
-    by more than a distance-scaled tolerance; an empty list certifies
+    by more than the money tolerance; an empty list certifies
     superadditivity on this instance.
     """
-    tol = PER_KM_TOL * params.distance
+    tol = params.money_tol()
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
     violations: list[tuple[Composition, Composition]] = []
     for a_e in range(comp.n_e + 1):

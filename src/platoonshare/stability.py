@@ -14,22 +14,22 @@ from typing import TYPE_CHECKING
 
 from .errors import BothTypesRequired, FleetTooLarge, NotEfficient
 from .game import (
+    REL_TOL,
     Composition,
     Fleet,
     SavingsParams,
     TruckType,
     coalition_value,
     rate_for_counts,
-    MONEY_TOL,
 )
 
 if TYPE_CHECKING:
     from .allocate import Allocation
 
-# A subset blocks only if it gains more than this; boundary allocations
-# (xi exactly at the bound) sit on the core's face and must not flip.
-CORE_TOL_PER_KM = 1e-9
-RATIO_TOL = 1e-9
+# A subset blocks only if it gains more than params.money_tol(); boundary
+# allocations (xi exactly at the bound) sit on the core's face and must not flip.
+# The labeled scan keeps three lists of 2^N entries, hence its cap.
+LABELED_SCAN_MAX_FLEET = 20
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,15 @@ class CoreReport:
     stability_probability: float
 
 
-def _blocking_tol(params: SavingsParams) -> float:
-    return CORE_TOL_PER_KM * params.distance
-
-
 def _violations_slow(
     alloc: "Allocation", fleet: Fleet, params: SavingsParams
 ) -> dict[tuple[int, int], int]:
     """Labeled scan of every non-empty proper subset."""
     n = fleet.size
+    if n > LABELED_SCAN_MAX_FLEET:
+        raise FleetTooLarge(f"labeled scan capped at {LABELED_SCAN_MAX_FLEET} trucks")
     full = 1 << n
-    tol = _blocking_tol(params)
+    tol = params.money_tol()
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
     pay = alloc.payoffs
     et = [1 if t is TruckType.ELECTRIC else 0 for t in fleet.types]
@@ -82,17 +80,11 @@ def _violations_slow(
 
 
 def _type_payoffs(alloc: "Allocation", fleet: Fleet) -> dict[TruckType, float] | None:
-    """Per-type follower payoff if all non-leader trucks of a type agree."""
+    """Per-type follower payoff if all non-leader trucks of a type agree exactly."""
     by_type: dict[TruckType, float] = {}
-    for i in fleet.ids():
-        if i == alloc.leader_id:
-            continue
-        t = fleet.types[i]
-        if t in by_type:
-            if abs(by_type[t] - alloc.payoffs[i]) > 1e-9:
-                return None
-        else:
-            by_type[t] = alloc.payoffs[i]
+    for i, (t, pay) in enumerate(zip(fleet.types, alloc.payoffs)):
+        if i != alloc.leader_id and by_type.setdefault(t, pay) != pay:
+            return None
     return by_type
 
 
@@ -109,7 +101,7 @@ def _violations_fast(
     that payoff as found by ``_type_payoffs``.
     """
     comp = fleet.composition()
-    tol = _blocking_tol(params)
+    tol = params.money_tol()
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
     leader_type = fleet.types[alloc.leader_id]
     leader_pay = alloc.payoffs[alloc.leader_id]
@@ -145,12 +137,10 @@ def in_core(
     (composition classes), or "auto" (fast when the allocation is
     type-symmetric, labeled otherwise).
     """
-    if fleet.size > params.max_platoon_size:
-        raise FleetTooLarge(
-            f"fleet of {fleet.size} exceeds max platoon size {params.max_platoon_size}"
-        )
+    params.check_fleet_size(fleet.size)
     total = coalition_value(fleet.composition(), params)
-    if abs(sum(alloc.payoffs) - total) > MONEY_TOL:
+    # written so that a nan or inf sum fails the check
+    if not abs(sum(alloc.payoffs) - total) <= params.money_tol():
         raise NotEfficient(
             f"payoffs sum to {sum(alloc.payoffs):.8f}, grand value is {total:.8f}"
         )
@@ -197,7 +187,7 @@ def shapley_core_condition_exact(comp: Composition, params: SavingsParams) -> bo
     for sub_f in range(comp.n_f + 1):
         for sub_e in range(1, comp.n_e):
             rhs = (sub_f * comp.n_e - comp.n_f * sub_e) / (n * (comp.n_e - sub_e))
-            if ratio < rhs - RATIO_TOL:
+            if ratio < rhs - REL_TOL:
                 return False
     return True
 
@@ -207,4 +197,4 @@ def shapley_core_condition_ratio(comp: Composition, params: SavingsParams) -> bo
     if comp.n_e < 1 or comp.n_f < 1:
         raise BothTypesRequired("condition is defined for mixed fleets")
     ratio = params.epsilon_e / params.epsilon_f
-    return ratio >= comp.n_f / comp.total() - RATIO_TOL
+    return ratio >= comp.n_f / comp.total() - REL_TOL

@@ -34,6 +34,19 @@ class TestValue:
         assert "value=0.00" in out
         assert "leader=" not in out
 
+    def test_fleet_above_platoon_cap(self, capsys):
+        assert main(["value", "--ne", "100", "--nf", "100"]) == 3
+        captured = capsys.readouterr()
+        assert "FleetTooLarge" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["value"], ["allocate", "--scheme", "shapley"]])
+    def test_overflowing_worth_rejected(self, command, capsys):
+        assert main([*command, "--distance", "1e308", "--epsilon-f", "10"]) == 2
+        captured = capsys.readouterr()
+        assert "error: config:" in captured.err
+        assert captured.out == ""
+
 
 class TestAllocate:
     def test_shapley_default(self, capsys):
@@ -242,3 +255,17 @@ class TestConfig:
         cfg.write_text(f"output_path = {target}\n")
         assert main(["value", "--config", str(cfg)]) == 0
         assert "value=77.40" in target.read_text()
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        target = tmp_path / "out#1.txt"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"  # indented comment\noutput_path = {target}\n")
+        assert main(["value", "--config", str(cfg)]) == 0
+        assert "value=77.40" in target.read_text()
+        assert not (tmp_path / "out").exists()
+
+    def test_trailing_comment_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("distance = 300  # km\n")
+        assert main(["value", "--config", str(cfg)]) == 2
+        assert "error: config:" in capsys.readouterr().err

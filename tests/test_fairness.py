@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from platoonshare import (
     Allocation,
@@ -136,3 +140,42 @@ class TestDefaultXiGrid:
         params = SavingsParams(epsilon_f=0.048, epsilon_e=0.07, distance=300.0)
         grid = default_xi_grid(Fleet.from_composition(Composition(0, 5)), params)
         assert grid[-1] == pytest.approx(0.25, abs=1e-12)
+
+
+class TestScaleFree:
+    def test_deviation_on_a_tiny_trip(self, fleet23, comp23):
+        tiny = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=1e-12)
+        phi = shapley_allocation(fleet23, tiny)
+        x = stable_allocation(fleet23, tiny, xi_upper_bound(comp23, tiny))
+        assert mean_relative_deviation(x, phi) == pytest.approx(
+            0.05015503875968992, abs=1e-9
+        )
+
+    @given(
+        n_e=st.integers(1, 7),
+        n_f=st.integers(1, 7),
+        eps_f=st.floats(0.01, 1.0),
+        ratio=st.floats(0.05, 0.95),
+        distance=st.floats(1e-3, 1e3),
+        # both rates scale by 10^k for k in [-9, 3], or the distance for k in [-6, 9]
+        scaling=st.one_of(st.tuples(st.just("rates"), st.integers(-9, 3)),
+                          st.tuples(st.just("distance"), st.integers(-6, 9))),
+    )
+    @example(n_e=2, n_f=3, eps_f=0.07, ratio=0.048 / 0.07, distance=1e-3,
+             scaling=("rates", -9))
+    @settings(max_examples=80, deadline=None)
+    def test_scaling_keeps_the_curve(self, n_e, n_f, eps_f, ratio, distance, scaling):
+        what, k = scaling
+        factor = 10.0 ** k
+        fleet = Fleet.from_composition(Composition(n_e, n_f))
+        params = SavingsParams(epsilon_f=eps_f, epsilon_e=ratio * eps_f, distance=distance)
+        if what == "rates":
+            scaled = replace(params, epsilon_f=params.epsilon_f * factor,
+                             epsilon_e=params.epsilon_e * factor)
+        else:
+            scaled = replace(params, distance=distance * factor)
+        grid = [i / 20 for i in range(1, 21)]
+        base = deviation_curve(fleet, params, grid)
+        moved = deviation_curve(fleet, scaled, grid)
+        assert moved.deltas() == pytest.approx(base.deltas(), rel=1e-9, abs=1e-9)
+        assert [p.in_core for p in moved.points] == [p.in_core for p in base.points]

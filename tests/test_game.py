@@ -1,4 +1,7 @@
+import io
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -227,9 +230,32 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0, max_platoon_size=1)
 
+    def test_params_reject_overflowing_worth(self):
+        with pytest.raises(ValueError, match="finite"):
+            SavingsParams(epsilon_f=10.0, epsilon_e=0.048, distance=1e308)
+        with pytest.raises(ValueError, match="finite"):
+            SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=1e306,
+                          max_platoon_size=10**6)
+
     @pytest.mark.parametrize("field", ["epsilon_f", "epsilon_e", "distance"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_params_reject_non_finite(self, field, bad):
         values = {"epsilon_f": 0.07, "epsilon_e": 0.048, "distance": 300.0, field: bad}
         with pytest.raises(ValueError):
             SavingsParams(**values)
+
+
+def test_tolerances_live_only_in_game():
+    # every tolerance derives from game.REL_TOL; no module keeps its own
+    package = Path(__file__).resolve().parents[1] / "src" / "platoonshare"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "game.py":
+            continue
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        offenders += [
+            f"{path.name}:{tok.start[0]}: {tok.string}"
+            for tok in tokens
+            if tok.type == tokenize.NUMBER and "e-" in tok.string.lower()
+        ]
+    assert offenders == []

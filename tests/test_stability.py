@@ -1,6 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from platoonshare import (
     Allocation,
@@ -11,6 +14,7 @@ from platoonshare import (
     NotEfficient,
     SavingsParams,
     coalition_value,
+    even_split,
     in_core,
     shapley_allocation,
     shapley_core_condition_exact,
@@ -19,6 +23,7 @@ from platoonshare import (
     stable_allocation,
     xi_upper_bound,
 )
+from platoonshare.stability import LABELED_SCAN_MAX_FLEET
 
 
 class TestInCore:
@@ -216,3 +221,105 @@ class TestShapleyCoreConditions:
                     sub_f == n_f and abs(v - best) < 1e-12
                     for (sub_e, sub_f), v in rhs.items()
                 )
+
+
+class TestEdgeCases:
+    def test_zero_payoffs_not_efficient_on_a_short_trip(self):
+        params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=1e-6)
+        fleet = Fleet.from_composition(Composition(0, 2))
+        alloc = Allocation((0.0, 0.0), leader_id=0, scheme="test")
+        with pytest.raises(NotEfficient):
+            in_core(alloc, fleet, params)
+
+    def test_nan_payoff_not_efficient(self, params, fleet23):
+        total = coalition_value(fleet23.composition(), params)
+        alloc = Allocation((float("nan"), total, 0.0, 0.0, 0.0), leader_id=0, scheme="test")
+        with pytest.raises(NotEfficient):
+            in_core(alloc, fleet23, params)
+
+    @pytest.mark.parametrize("size", [LABELED_SCAN_MAX_FLEET + 1, 64])
+    def test_labeled_scan_cap(self, size):
+        # a 2^64 scan could never allocate its lists; the cap must come first
+        params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
+                               max_platoon_size=size)
+        fleet = Fleet.from_composition(Composition(2, size - 2))
+        alloc = even_split(fleet, params)
+        with pytest.raises(FleetTooLarge):
+            in_core(alloc, fleet, params, method="slow")
+        pay = list(alloc.payoffs)
+        pay[2], pay[3] = pay[2] + 1.0, pay[3] - 1.0
+        skewed = Allocation(tuple(pay), alloc.leader_id, scheme="test")
+        with pytest.raises(FleetTooLarge):
+            in_core(skewed, fleet, params)
+
+
+def _scheme_allocation(scheme, fleet, params, xi):
+    if scheme == "stable":
+        return stable_allocation(fleet, params, xi)
+    if scheme == "at-bound":
+        return stable_allocation(fleet, params, xi_upper_bound(fleet.composition(), params))
+    if scheme == "shapley":
+        return shapley_allocation(fleet, params)
+    return even_split(fleet, params)
+
+
+compositions = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
+    lambda c: 2 <= sum(c) <= 15
+)
+schemes = st.sampled_from(["stable", "at-bound", "shapley", "even-split"])
+leader_shares = st.floats(0.001, 1.0)
+fuel_rates = st.floats(0.01, 1.0)
+rate_ratios = st.floats(0.05, 0.95)
+distances = st.floats(1.0, 1000.0)
+# both rates scale by 10^k for k in [-9, 3], or the distance for k in [-6, 9]
+scalings = st.one_of(st.tuples(st.just("rates"), st.integers(-9, 3)),
+                     st.tuples(st.just("distance"), st.integers(-6, 9)))
+
+
+def _scaled(params, what, factor):
+    if what == "rates":
+        return replace(params, epsilon_f=params.epsilon_f * factor,
+                       epsilon_e=params.epsilon_e * factor)
+    return replace(params, distance=params.distance * factor)
+
+
+class TestMetamorphic:
+    """Verdicts are scale-free and do not depend on how trucks are numbered."""
+
+    @given(comp=compositions, scheme=schemes, xi=leader_shares, eps_f=fuel_rates,
+           ratio=rate_ratios, distance=distances, scaling=scalings)
+    @example(comp=(3, 12), scheme="stable", xi=0.15, eps_f=0.07, ratio=0.048 / 0.07,
+             distance=300.0, scaling=("rates", -9))
+    @settings(max_examples=150, deadline=None)
+    def test_scaling_money_or_distance(self, comp, scheme, xi, eps_f, ratio, distance,
+                                       scaling):
+        what, k = scaling
+        factor = 10.0 ** k
+        fleet = Fleet.from_composition(Composition(*comp))
+        params = SavingsParams(epsilon_f=eps_f, epsilon_e=ratio * eps_f, distance=distance)
+        scaled = _scaled(params, what, factor)
+        x = _scheme_allocation(scheme, fleet, params, xi)
+        y = _scheme_allocation(scheme, fleet, scaled, xi)
+        assert y.payoffs == pytest.approx([p * factor for p in x.payoffs], rel=1e-9)
+        assert in_core(y, fleet, scaled) == in_core(x, fleet, params)
+
+    @given(data=st.data(), comp=compositions.filter(lambda c: sum(c) <= 10),
+           scheme=schemes, xi=leader_shares, eps_f=fuel_rates, ratio=rate_ratios,
+           distance=distances, k=st.integers(-6, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_permuting_the_fleet(self, data, comp, scheme, xi, eps_f, ratio, distance, k):
+        params = SavingsParams(epsilon_f=eps_f, epsilon_e=ratio * eps_f,
+                               distance=distance * 10.0 ** k)
+        fleet = Fleet.from_composition(Composition(*comp))
+        order = data.draw(st.permutations(range(fleet.size)))
+        moved = Fleet(tuple(fleet.types[j] for j in order))
+        x = _scheme_allocation(scheme, fleet, params, xi)
+        y = _scheme_allocation(scheme, moved, params, xi)
+        # the leader role may land on another truck of the same type
+        assert y.payoffs[y.leader_id] == x.payoffs[x.leader_id]
+        assert (sorted(zip((t.code for t in moved.types), y.payoffs))
+                == sorted(zip((t.code for t in fleet.types), x.payoffs)))
+        relabeled = Allocation(tuple(x.payoffs[j] for j in order),
+                               order.index(x.leader_id), scheme="test")
+        assert (in_core(relabeled, moved, params, method="slow")
+                == in_core(x, fleet, params, method="slow"))

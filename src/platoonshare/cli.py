@@ -2,7 +2,9 @@
 
 Subcommands: ``value``, ``allocate``, ``table1``, ``sweep``. Options may
 come from a flat ``key = value`` config file; command-line flags win.
-All CSV output is deterministic: same config, same bytes.
+All CSV output is deterministic: same config, same bytes. Each decision is
+declared once: options in the ``RunConfig`` fields, and subcommands,
+schemes and sweeps in the ``COMMANDS``, ``SCHEMES`` and ``SWEEPS`` tables.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 from . import allocate as alloc_mod
@@ -24,30 +26,41 @@ EXIT_PRECONDITION = 3
 
 TABLE_MAX_TRUCKS = 10
 
-ALLOCATE_SCHEMES = ("stable", "shapley", "even-split", "deviation-min")
-
 
 class ConfigError(Exception):
     """Bad config file or invalid field value; maps to exit code 2."""
 
 
+def _option(default, flag: str, convert, help: str, only: Optional[str] = None):
+    """A RunConfig field plus its flag, converter and help; ``only`` names its command."""
+    return field(default=default, metadata=dict(flag=flag, convert=convert, help=help,
+                                                only=only))
+
+
 @dataclass
 class RunConfig:
-    epsilon_f: float = 0.07
-    epsilon_e: float = 0.048
-    distance: float = 300.0
-    n_e: int = 2
-    n_f: int = 3
-    max_platoon_size: int = 15
-    xi: Optional[float] = None
-    output_path: Optional[str] = None
+    """One field per option: its config key, flag, converter and help text."""
 
-    def validate(self) -> None:
+    epsilon_f: float = _option(0.07, "--epsilon-f", float,
+                               "fuel-powered follower saving rate [EUR/km]")
+    epsilon_e: float = _option(0.048, "--epsilon-e", float,
+                               "electric follower saving rate [EUR/km]")
+    distance: float = _option(300.0, "--distance", float, "trip distance [km]")
+    n_e: int = _option(2, "--ne", int, "number of electric trucks")
+    n_f: int = _option(3, "--nf", int, "number of fuel-powered trucks")
+    max_platoon_size: int = _option(15, "--max-platoon-size", int,
+                                    "platoon size cap (also the sweep fleet size)")
+    output_path: Optional[str] = _option(None, "--out", str,
+                                         "write output to this file instead of stdout")
+    xi: Optional[float] = _option(None, "--xi", float, "leader share in (0, 1]",
+                                  only="allocate")
+
+    def __post_init__(self) -> None:
         """Reject values the domain types reject, as a config error."""
         try:
             self.params()
             self.composition()
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def params(self) -> game.SavingsParams:
@@ -61,17 +74,10 @@ class RunConfig:
     def composition(self) -> game.Composition:
         return game.Composition(self.n_e, self.n_f)
 
-    def fleet(self) -> game.Fleet:
-        return game.Fleet.from_composition(self.composition())
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"n_e", "n_f", "max_platoon_size"}
-_FLOAT_KEYS = {"epsilon_f", "epsilon_e", "distance", "xi"}
-
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; full-line '#' comments; unknown keys rejected."""
+    converters = {f.name: f.metadata["convert"] for f in fields(RunConfig)}
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -86,35 +92,24 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in converters:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = converters[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 
-def build_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
-    """Apply precedence defaults < config file < flags; report explicit keys."""
-    cfg = RunConfig()
-    explicit: set = set()
+def build_config(args: argparse.Namespace) -> RunConfig:
+    """Apply precedence defaults < sweep preset < config file < flags."""
+    values = dict(SWEEPS[args.kind][3]) if "kind" in args else {}
     if args.config:
-        for key, value in parse_config_file(args.config).items():
-            setattr(cfg, key, value)
-            explicit.add(key)
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            setattr(cfg, field.name, value)
-            explicit.add(field.name)
-    cfg.validate()
-    return cfg, explicit
+        values.update(parse_config_file(args.config))
+    for f in fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    return RunConfig(**values)
 
 
 def money(v: float) -> str:
@@ -125,81 +120,64 @@ def ratio6(v: float) -> str:
     return f"{v:.6f}"
 
 
-class _Output:
-    """Writes to output_path when set, stdout otherwise."""
-
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        self.buffer = io.StringIO()
-
-    def write(self, text: str) -> None:
-        self.buffer.write(text)
-
-    def line(self, text: str = "") -> None:
-        self.buffer.write(text + "\n")
-
-    def flush(self) -> None:
-        if self.path:
-            with open(self.path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(self.buffer.getvalue())
-        else:
-            sys.stdout.write(self.buffer.getvalue())
+def _csv_text(comment: str, columns: list, rows) -> str:
+    buffer = io.StringIO()
+    buffer.write(comment + "\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-def cmd_value(cfg: RunConfig) -> int:
+def cmd_value(cfg: RunConfig, args: argparse.Namespace) -> str:
     params = cfg.params()
     comp = cfg.composition()
     params.check_fleet_size(comp.total())
     value = game.coalition_value(comp, params)
     leader = game.optimal_leader_type(comp)
-    out = _Output(cfg.output_path)
-    out.line(
+    text = (
         f"coalition of {comp.n_e} ET + {comp.n_f} FPT over {params.distance:g} km "
-        f"is worth {money(value)} EUR"
+        f"is worth {money(value)} EUR\nvalue={money(value)}"
     )
-    if leader is None:
-        out.line(f"value={money(value)}")
-    else:
-        out.line(f"value={money(value)} leader={leader.value}")
-    out.flush()
-    return EXIT_OK
+    if leader is not None:
+        text += f" leader={leader.value}"
+    return text + "\n"
 
 
-def _build_allocation(cfg: RunConfig, scheme: str):
+# --scheme choice -> allocation of (fleet, params, xi). Each entry looks its
+# function up on the module at call time, so patched attributes (the
+# benchmark's tracer) see every call.
+SCHEMES = {
+    "stable": lambda fleet, params, xi: alloc_mod.stable_allocation(
+        fleet, params,
+        alloc_mod.xi_upper_bound(fleet.composition(), params) if xi is None else xi,
+    ),
+    "shapley": lambda fleet, params, xi: alloc_mod.shapley_allocation(fleet, params),
+    "even-split": lambda fleet, params, xi: alloc_mod.even_split(fleet, params),
+    "deviation-min": lambda fleet, params, xi: (
+        alloc_mod.deviation_minimizing_allocation(fleet, params)[0]
+    ),
+}
+
+
+def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> str:
     params = cfg.params()
-    fleet = cfg.fleet()
-    if scheme == "stable":
-        xi = cfg.xi
-        if xi is None:
-            xi = alloc_mod.xi_upper_bound(fleet.composition(), params)
-        return fleet, params, alloc_mod.stable_allocation(fleet, params, xi)
-    if scheme == "shapley":
-        return fleet, params, alloc_mod.shapley_allocation(fleet, params)
-    if scheme == "even-split":
-        return fleet, params, alloc_mod.even_split(fleet, params)
-    if scheme == "deviation-min":
-        allocation, _ = alloc_mod.deviation_minimizing_allocation(fleet, params)
-        return fleet, params, allocation
-    raise ConfigError(f"unknown scheme {scheme!r}")
-
-
-def cmd_allocate(cfg: RunConfig, scheme: str) -> int:
-    fleet, params, allocation = _build_allocation(cfg, scheme)
+    fleet = game.Fleet.from_composition(cfg.composition())
+    allocation = SCHEMES[args.scheme](fleet, params, cfg.xi)
     report = stability.in_core(allocation, fleet, params)
-    out = _Output(cfg.output_path)
     head = f"scheme={allocation.scheme}"
     if allocation.xi is not None:
         head += f" xi={ratio6(allocation.xi)}"
     if allocation.within_bound is not None:
         head += f" within_bound={str(allocation.within_bound).lower()}"
-    out.line(head)
+    lines = [head]
     for i in fleet.ids():
-        out.line(
+        lines.append(
             f"truck_id={i} type={fleet.types[i].code} payoff={money(allocation.payoffs[i])}"
             f" leader={str(i == allocation.leader_id).lower()}"
         )
-    out.line(f"total={money(allocation.total())}")
-    out.line(
+    lines.append(f"total={money(allocation.total())}")
+    lines.append(
         f"core={str(report.is_member).lower()}"
         f" stability_probability={ratio6(report.stability_probability)}"
     )
@@ -208,21 +186,20 @@ def cmd_allocate(cfg: RunConfig, scheme: str) -> int:
             f"{game.block_notation(comp)}x{count}"
             for comp, count in report.blocking_coalitions
         ]
-        out.line("blocking=" + ";".join(parts))
-    if scheme == "shapley":
+        lines.append("blocking=" + ";".join(parts))
+    if args.scheme == "shapley":
         comp = fleet.composition()
         if comp.n_e >= 1 and comp.n_f >= 1:
-            out.line(
+            lines.append(
                 "core_ratio_condition="
                 + str(stability.shapley_core_condition_ratio(comp, params)).lower()
                 + " core_exact_condition="
                 + str(stability.shapley_core_condition_exact(comp, params)).lower()
             )
-    out.flush()
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def cmd_table1(cfg: RunConfig) -> int:
+def cmd_table1(cfg: RunConfig, args: argparse.Namespace) -> str:
     params = cfg.params()
     comp = cfg.composition()
     if comp.total() > TABLE_MAX_TRUCKS:
@@ -230,15 +207,15 @@ def cmd_table1(cfg: RunConfig) -> int:
             f"structure table capped at {TABLE_MAX_TRUCKS} trucks, got {comp.total()}"
         )
     structures = game.enumerate_type_structures(comp)
-    out = _Output(cfg.output_path)
-    out.line("# columns: case_index, structure (platoon blocks), total_benefit [EUR]")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["case_index", "structure", "total_benefit"])
-    for idx, blocks in enumerate(structures, start=1):
-        total = sum(game.coalition_value(b, params) for b in blocks)
-        writer.writerow([idx, game.structure_notation(blocks), money(total)])
-    out.flush()
-    return EXIT_OK
+    return _csv_text(
+        "# columns: case_index, structure (platoon blocks), total_benefit [EUR]",
+        ["case_index", "structure", "total_benefit"],
+        (
+            [idx, game.structure_notation(blocks),
+             money(sum(game.coalition_value(b, params) for b in blocks))]
+            for idx, blocks in enumerate(structures, start=1)
+        ),
+    )
 
 
 _XI_GRID = [i * 0.005 for i in range(1, 31)]
@@ -294,19 +271,23 @@ def _deviation_rows(cfg: RunConfig):
                    str(point.in_core).lower(), xi_star, delta_star]
 
 
-# kind -> (comment line, header, row generator); {n} is the fleet size.
+# kind -> (comment line, header, row generator, preset); {n} is the fleet
+# size. A preset holds starting RunConfig values: the config file and the
+# flags override it.
 SWEEPS = {
     "fig2": (
         "# leader-share allocation in mixed fleets of size {n}: stability "
         "probability per (n_e, xi); xi_upper_bound is the certified threshold",
         ["n_e", "n_f", "xi", "stability_probability", "xi_upper_bound"],
         _leader_share_rows(_mixed_compositions, lambda c: (c.n_e, c.n_f)),
+        {},
     ),
     "fig3": (
         "# leader-share allocation in all-FPT fleets: stability probability "
         "per (fleet size n, xi); xi_upper_bound = 1/(n-1)",
         ["n", "xi", "stability_probability", "xi_upper_bound"],
         _leader_share_rows(_fuel_compositions, lambda c: (c.total(),)),
+        {},
     ),
     "fig5": (
         "# type-fair allocation in mixed fleets of size {n}: stability "
@@ -314,6 +295,7 @@ SWEEPS = {
         "ratio_threshold = n_f/n",
         ["n_e", "n_f", "ratio", "stability_probability", "ratio_threshold"],
         _type_fair_rows,
+        {},
     ),
     "fig6": (
         "# deviation from the type-fair payoff along xi in mixed fleets of size "
@@ -321,41 +303,25 @@ SWEEPS = {
         "is smallest",
         ["n_e", "n_f", "xi", "delta", "in_core", "xi_star", "delta_at_xi_star"],
         _deviation_rows,
+        # the deviation sweep is about a failing ratio condition
+        {"epsilon_f": 0.72},
     ),
 }
 
 
-def cmd_sweep(cfg: RunConfig, kind: str, epsilon_f_given: bool) -> int:
-    if kind == "fig6" and not epsilon_f_given:
-        # preset: the deviation sweep is about a failing ratio condition
-        cfg.epsilon_f = 0.72
-    comment, columns, rows = SWEEPS[kind]
-    out = _Output(cfg.output_path)
-    out.line(comment.format(n=cfg.max_platoon_size))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows(cfg))
-    out.flush()
-    return EXIT_OK
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
+    comment, columns, rows, _ = SWEEPS[args.kind]
+    return _csv_text(comment.format(n=cfg.max_platoon_size), columns, rows(cfg))
 
 
-def _add_common(parser: argparse.ArgumentParser, with_xi: bool = True) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--epsilon-f", dest="epsilon_f", type=float,
-                        help="fuel-powered follower saving rate [EUR/km]")
-    parser.add_argument("--epsilon-e", dest="epsilon_e", type=float,
-                        help="electric follower saving rate [EUR/km]")
-    parser.add_argument("--distance", type=float, help="trip distance [km]")
-    parser.add_argument("--ne", dest="n_e", type=int,
-                        help="number of electric trucks")
-    parser.add_argument("--nf", dest="n_f", type=int,
-                        help="number of fuel-powered trucks")
-    parser.add_argument("--max-platoon-size", dest="max_platoon_size", type=int,
-                        help="platoon size cap (also the sweep fleet size)")
-    parser.add_argument("--out", dest="output_path",
-                        help="write output to this file instead of stdout")
-    if with_xi:
-        parser.add_argument("--xi", type=float, help="leader share in (0, 1]")
+# command -> (run, help, extra arguments); run returns the command's output.
+COMMANDS = {
+    "value": (cmd_value, "coalition value and leader type", {}),
+    "allocate": (cmd_allocate, "payoffs plus core certification",
+                 {"--scheme": dict(choices=SCHEMES, default="shapley")}),
+    "table1": (cmd_table1, "CSV of all platoon structures", {}),
+    "sweep": (cmd_sweep, "CSV experiment sweeps", {"kind": dict(choices=SWEEPS)}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,38 +330,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benefit allocation for mixed-energy truck platoons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_value = sub.add_parser("value", help="coalition value and leader type")
-    _add_common(p_value, with_xi=False)
-
-    p_alloc = sub.add_parser("allocate", help="payoffs plus core certification")
-    _add_common(p_alloc)
-    p_alloc.add_argument("--scheme", choices=ALLOCATE_SCHEMES, default="shapley")
-
-    p_table = sub.add_parser("table1", help="CSV of all platoon structures")
-    _add_common(p_table, with_xi=False)
-
-    p_sweep = sub.add_parser("sweep", help="CSV experiment sweeps")
-    p_sweep.add_argument("kind", choices=SWEEPS)
-    _add_common(p_sweep, with_xi=False)
-
+    for name, (run, help_text, extra) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(run=run)
+        command.add_argument("--config", help="flat key = value config file")
+        for f in fields(RunConfig):
+            if f.metadata["only"] in (None, name):
+                command.add_argument(f.metadata["flag"], dest=f.name,
+                                     type=f.metadata["convert"], help=f.metadata["help"])
+        for flag, kwargs in extra.items():
+            command.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg, explicit = build_config(args)
-        if args.command == "value":
-            return cmd_value(cfg)
-        if args.command == "allocate":
-            return cmd_allocate(cfg, args.scheme)
-        if args.command == "table1":
-            return cmd_table1(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.kind, epsilon_f_given="epsilon_f" in explicit)
-        raise ConfigError(f"unknown command {args.command!r}")
+        cfg = build_config(args)
+        text = args.run(cfg, args)
+        if cfg.output_path:
+            try:
+                with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file: {exc}") from exc
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -54,7 +54,11 @@ class SavingsParams:
             raise ValueError("max_platoon_size must be at least 2")
         # bounds every coalition worth and payoff sum, and rejects inf inputs
         largest = max(self.epsilon_e, self.epsilon_f) * self.distance
-        if not largest * self.max_platoon_size < math.inf:
+        try:
+            worth = largest * self.max_platoon_size
+        except OverflowError:  # an integer cap beyond float range
+            worth = math.inf
+        if not worth < math.inf:
             raise ValueError("max rate x distance x max_platoon_size must be finite")
 
     def money_tol(self) -> float:

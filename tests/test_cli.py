@@ -1,8 +1,9 @@
 import csv
+from dataclasses import fields
 
 import pytest
 
-from platoonshare.cli import main
+from platoonshare.cli import RunConfig, main
 
 TABLE_TOTALS = ["77.40", "56.40", "63.00", "56.40", "63.00", "56.40", "42.00", "42.00",
                 "35.40", "42.00", "42.00", "35.40", "21.00", "21.00", "14.40", "0.00"]
@@ -46,6 +47,15 @@ class TestValue:
         captured = capsys.readouterr()
         assert "error: config:" in captured.err
         assert captured.out == ""
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        assert main(["value", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config: cannot write output file:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not target.exists()
 
 
 class TestAllocate:
@@ -197,6 +207,52 @@ class TestSweeps:
         _, rows = read_csv(out_path)
         # xi_star for n_e=1 under eps_f=0.8: 0.048 / (0.8*14)
         assert float(rows[59][5]) == pytest.approx(0.048 / (0.8 * 14), abs=1e-6)
+
+    def test_fig6_preset_overridden_by_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilon_f = 0.8\n")
+        out_path = tmp_path / "fig6c.csv"
+        assert main(["sweep", "fig6", "--config", str(cfg), "--out", str(out_path)]) == 0
+        _, rows = read_csv(out_path)
+        assert float(rows[59][5]) == pytest.approx(0.048 / (0.8 * 14), abs=1e-6)
+        # the flag still wins over the file
+        assert main(["sweep", "fig6", "--config", str(cfg), "--epsilon-f", "0.9",
+                     "--out", str(out_path)]) == 0
+        _, rows = read_csv(out_path)
+        assert float(rows[59][5]) == pytest.approx(0.048 / (0.9 * 14), abs=1e-6)
+
+    def test_fig6_preset_is_validated(self, capsys):
+        # 0.72 EUR/km x 1.7e307 km x 15 trucks overflows; 0.07 EUR/km does not
+        assert main(["sweep", "fig6", "--distance", "1.7e307"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config:")
+        assert captured.out == ""
+
+    def test_fig5_at_the_same_distance_runs(self, tmp_path):
+        out_path = tmp_path / "fig5.csv"
+        assert main(["sweep", "fig5", "--distance", "1.7e307", "--out", str(out_path)]) == 0
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", [["value"], ["table1"], ["sweep", "fig2"]])
+    def test_xi_only_on_allocate(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--xi", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --xi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["value", "allocate", "table1", "sweep"])
+    def test_help_lists_every_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        flags = [f.metadata["flag"] for f in fields(RunConfig)
+                 if f.metadata["only"] in (None, command)]
+        assert len(flags) == (8 if command == "allocate" else 7)
+        for flag in ["--config", *flags]:
+            assert flag in out.split()
+        assert ("--xi" in out) == (command == "allocate")
 
 
 class TestConfig:

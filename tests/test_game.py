@@ -237,6 +237,12 @@ class TestDomainTypes:
             SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=1e306,
                           max_platoon_size=10**6)
 
+    def test_params_reject_cap_beyond_float_range(self):
+        # an integer cap too large for a float is a ValueError, not OverflowError
+        with pytest.raises(ValueError, match="finite"):
+            SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
+                          max_platoon_size=10**400)
+
     @pytest.mark.parametrize("field", ["epsilon_f", "epsilon_e", "distance"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_params_reject_non_finite(self, field, bad):

@@ -75,9 +75,10 @@ class RunConfig:
         return game.Composition(self.n_e, self.n_f)
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; full-line '#' comments; unknown keys rejected."""
-    converters = {f.name: f.metadata["convert"] for f in fields(RunConfig)}
+def parse_config_file(path: str, command: str) -> dict:
+    """Flat ``key = value`` lines, ``command``'s options only; full-line '#' comments."""
+    converters = {f.name: f.metadata["convert"] for f in fields(RunConfig)
+                  if f.metadata["only"] in (None, command)}
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -105,7 +106,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence defaults < sweep preset < config file < flags."""
     values = dict(SWEEPS[args.kind][3]) if "kind" in args else {}
     if args.config:
-        values.update(parse_config_file(args.config))
+        values.update(parse_config_file(args.config, args.command))
     for f in fields(RunConfig):
         if getattr(args, f.name, None) is not None:
             values[f.name] = getattr(args, f.name)

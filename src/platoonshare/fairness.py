@@ -68,6 +68,8 @@ def deviation_curve(
 
 def default_xi_grid(fleet: Fleet, params: SavingsParams, n: int = 60) -> list[float]:
     """Evenly spaced grid from 0.002 up to the instance's ``xi_upper_bound``."""
+    if n < 2:
+        raise ValueError(f"a xi grid needs at least 2 points, got {n}")
     xi_star = xi_upper_bound(fleet.composition(), params)
     start = 0.002 if xi_star > 0.002 else xi_star / n
     step = (xi_star - start) / (n - 1)

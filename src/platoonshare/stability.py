@@ -1,14 +1,16 @@
 """Core-membership certification and the stability probability.
 
-Two interchangeable subset scans back the verdict: a labeled enumeration
-over all 2^N - 2 proper subsets, and a composition-level scan that
-exploits the within-type symmetry of the scheme-built allocations and
-weights each class by its binomial multiplicity. Both must agree.
+One subset scan backs every verdict: trucks of the same type paid exactly
+the same are interchangeable, so it visits the classes of such subsets
+and weights each by its binomial multiplicity. The labeled enumeration
+over all 2^N - 2 proper subsets is the oracle that cross-checks it, run
+only on request (``method="slow"``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -28,7 +30,8 @@ if TYPE_CHECKING:
 
 # A subset blocks only if it gains more than params.money_tol(); boundary
 # allocations (xi exactly at the bound) sit on the core's face and must not flip.
-# The labeled scan keeps three lists of 2^N entries, hence its cap.
+# Both scans hold flat lists of one entry per subset (labeled) or subset class,
+# at most 2^LABELED_SCAN_MAX_FLEET of them.
 LABELED_SCAN_MAX_FLEET = 20
 
 
@@ -79,52 +82,35 @@ def _violations_slow(
     return out
 
 
-def _type_payoffs(alloc: "Allocation", fleet: Fleet) -> dict[TruckType, float] | None:
-    """Per-type follower payoff if all non-leader trucks of a type agree exactly."""
-    by_type: dict[TruckType, float] = {}
-    for i, (t, pay) in enumerate(zip(fleet.types, alloc.payoffs)):
-        if i != alloc.leader_id and by_type.setdefault(t, pay) != pay:
-            return None
-    return by_type
-
-
-def _violations_fast(
-    alloc: "Allocation",
-    fleet: Fleet,
-    params: SavingsParams,
-    by_type: dict[TruckType, float],
+def _violations(
+    alloc: "Allocation", fleet: Fleet, params: SavingsParams
 ) -> dict[tuple[int, int], int]:
-    """Composition-class scan weighted by binomial counts.
+    """Scan of the subset classes of interchangeable trucks, weighted by count.
 
-    Valid only when every non-leader truck of a type receives the same
-    payoff, which holds for all scheme-built allocations; ``by_type`` is
-    that payoff as found by ``_type_payoffs``.
+    Trucks of the same type with exactly the same payoff are
+    interchangeable, so a subset is fixed up to relabeling by how many
+    trucks it takes from each such class; that choice stands for the
+    product of ``comb(class size, taken)`` labeled subsets.
     """
-    comp = fleet.composition()
-    tol = params.money_tol()
+    classes = Counter(zip(fleet.types, alloc.payoffs))
+    if math.prod(size + 1 for size in classes.values()) > 1 << LABELED_SCAN_MAX_FLEET:
+        raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
+    n, tol = fleet.size, params.money_tol()
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    leader_type = fleet.types[alloc.leader_id]
-    leader_pay = alloc.payoffs[alloc.leader_id]
-    leader_e = 1 if leader_type is TruckType.ELECTRIC else 0
-    free_e = comp.n_e - leader_e
-    free_f = comp.n_f - (1 - leader_e)
-    pay_e = by_type.get(TruckType.ELECTRIC, 0.0)
-    pay_f = by_type.get(TruckType.FUEL, 0.0)
-
+    # flat parallel lists, one entry per class of subsets: n_e, n_f, x(S), labeled count
+    nes, nfs, sums, counts = [0], [0], [0.0], [1]
+    for (truck_type, pay), size in classes.items():
+        taken = range(size + 1)
+        if truck_type is TruckType.ELECTRIC:
+            nes, nfs = [e + k for k in taken for e in nes], nfs * (size + 1)
+        else:
+            nes, nfs = nes * (size + 1), [f + k for k in taken for f in nfs]
+        sums = [s + g for g in [k * pay for k in taken] for s in sums]
+        counts = [c * w for w in [math.comb(size, k) for k in taken] for c in counts]
     out: dict[tuple[int, int], int] = {}
-    for with_leader in (0, 1):
-        for a in range(free_e + 1):
-            for b in range(free_f + 1):
-                size = a + b + with_leader
-                if size == 0 or size == fleet.size:
-                    continue
-                sub_e = a + with_leader * leader_e
-                sub_f = b + with_leader * (1 - leader_e)
-                got = a * pay_e + b * pay_f + with_leader * leader_pay
-                if rate_for_counts(sub_e, sub_f, ee, ef) * dist > got + tol:
-                    count = math.comb(free_e, a) * math.comb(free_f, b)
-                    key = (sub_e, sub_f)
-                    out[key] = out.get(key, 0) + count
+    for e, f, got, count in zip(nes, nfs, sums, counts):
+        if 0 < e + f < n and rate_for_counts(e, f, ee, ef) * dist > got + tol:
+            out[(e, f)] = out.get((e, f), 0) + count
     return out
 
 
@@ -133,9 +119,8 @@ def in_core(
 ) -> CoreReport:
     """Decide core membership of an efficient allocation.
 
-    ``method`` selects the subset scan: "slow" (labeled), "fast"
-    (composition classes), or "auto" (fast when the allocation is
-    type-symmetric, labeled otherwise).
+    ``method`` "auto" and "fast" both take the class scan, which is exact
+    for any allocation; "slow" takes the labeled oracle instead.
     """
     params.check_fleet_size(fleet.size)
     total = coalition_value(fleet.composition(), params)
@@ -147,13 +132,8 @@ def in_core(
 
     if method not in ("auto", "fast", "slow"):
         raise ValueError(f"unknown method {method!r}")
-    by_type = None if method == "slow" else _type_payoffs(alloc, fleet)
-    if by_type is not None:
-        violations = _violations_fast(alloc, fleet, params, by_type)
-    elif method == "fast":
-        raise ValueError("allocation is not type-symmetric; use the labeled scan")
-    else:
-        violations = _violations_slow(alloc, fleet, params)
+    scan = _violations_slow if method == "slow" else _violations
+    violations = scan(alloc, fleet, params)
 
     n_violating = sum(violations.values())
     denom = (1 << fleet.size) - 2

@@ -278,6 +278,22 @@ class TestConfig:
         assert main(["value", "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, code", [
+        (["value"], 2), (["table1"], 2), (["sweep", "fig2"], 2),
+        (["allocate", "--scheme", "stable"], 0),
+    ])
+    def test_xi_key_only_on_allocate(self, command, code, tmp_path, capsys):
+        # like the --xi flag, the xi key belongs to allocate alone
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xi = 0.1\n")
+        assert main([*command, "--config", str(cfg)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert "xi=0.100000" in captured.out
+        else:
+            assert captured.err.startswith("error: config:")
+            assert captured.out == ""
+
     def test_bad_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("distance = fast\n")

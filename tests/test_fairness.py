@@ -136,6 +136,12 @@ class TestDefaultXiGrid:
         with pytest.raises(EpsilonOrderError):
             default_xi_grid(fleet, params)
 
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_fewer_than_two_points_rejected(self, params, n):
+        fleet = Fleet.from_composition(Composition(2, 3))
+        with pytest.raises(ValueError, match="at least 2 points"):
+            default_xi_grid(fleet, params, n=n)
+
     def test_homogeneous_fleet_ignores_rate_order(self):
         params = SavingsParams(epsilon_f=0.048, epsilon_e=0.07, distance=300.0)
         grid = default_xi_grid(Fleet.from_composition(Composition(0, 5)), params)

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platoonshare import (
@@ -13,6 +13,7 @@ from platoonshare import (
     FleetTooLarge,
     NotEfficient,
     SavingsParams,
+    TruckType,
     coalition_value,
     even_split,
     in_core,
@@ -107,11 +108,25 @@ class TestFastSlowAgreement:
         alloc = Allocation(
             (total - 10.0, 4.0, 3.0, 2.0, 1.0), leader_id=0, scheme="test"
         )
-        with pytest.raises(ValueError):
-            in_core(alloc, fleet23, params, method="fast")
-        # auto falls back to the labeled scan
-        report = in_core(alloc, fleet23, params)
+        # no two trucks are paid alike, yet every method gives the same report
+        report = in_core(alloc, fleet23, params, method="fast")
+        assert report == in_core(alloc, fleet23, params)
         assert report == in_core(alloc, fleet23, params, method="slow")
+
+    @given(data=st.data(), n=st.integers(2, 10), ratio=st.floats(0.05, 0.95),
+           levels=st.lists(st.just(0.0) | st.floats(0.01, 2.0), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_class_scan_matches_labeled_scan(self, data, n, ratio, levels):
+        # payoffs tie across types and with the leader, rescaled to efficiency
+        params = SavingsParams(epsilon_f=0.07, epsilon_e=0.07 * ratio, distance=300.0)
+        fleet = Fleet(tuple(data.draw(st.lists(st.sampled_from(TruckType),
+                                               min_size=n, max_size=n))))
+        raw = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        assume(sum(raw) > 0)
+        scale = coalition_value(fleet.composition(), params) / sum(raw)
+        alloc = Allocation(tuple(p * scale for p in raw),
+                           data.draw(st.integers(0, n - 1)), scheme="test")
+        assert in_core(alloc, fleet, params) == in_core(alloc, fleet, params, method="slow")
 
 
 class TestStabilityProbability:
@@ -249,8 +264,23 @@ class TestEdgeCases:
         pay = list(alloc.payoffs)
         pay[2], pay[3] = pay[2] + 1.0, pay[3] - 1.0
         skewed = Allocation(tuple(pay), alloc.leader_id, scheme="test")
-        with pytest.raises(FleetTooLarge):
-            in_core(skewed, fleet, params)
+        relabeled = Allocation(tuple(pay[::-1]), size - 1 - alloc.leader_id, scheme="test")
+        assert (in_core(relabeled, Fleet(fleet.types[::-1]), params)
+                == in_core(skewed, fleet, params))
+
+    @pytest.mark.parametrize("size", [LABELED_SCAN_MAX_FLEET + 1, 64])
+    def test_class_scan_cap(self, size):
+        # all payoffs distinct: one class per truck, 2^size subset classes
+        params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
+                               max_platoon_size=size)
+        fleet = Fleet.from_composition(Composition(2, size - 2))
+        total = coalition_value(fleet.composition(), params)
+        raw = [1.0 + i for i in range(size)]
+        alloc = Allocation(tuple(p * total / sum(raw) for p in raw), 0, scheme="test")
+        assert len(set(alloc.payoffs)) == size
+        for method in ("auto", "fast"):
+            with pytest.raises(FleetTooLarge, match="subset classes"):
+                in_core(alloc, fleet, params, method=method)
 
 
 def _scheme_allocation(scheme, fleet, params, xi):

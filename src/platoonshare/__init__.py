@@ -1,8 +1,8 @@
 """Benefit allocation for mixed-energy truck platoons.
 
 Coalition valuation with optimal leader selection, four payoff schemes,
-exhaustive and composition-level core certification, and deviation
-analysis against the type-fair benchmark.
+subset-class and composition-level core certification, and deviation
+analysis against the type-fair benchmark; ``oracles`` cross-checks them.
 """
 
 from .allocate import (
@@ -10,7 +10,6 @@ from .allocate import (
     deviation_minimizing_allocation,
     even_split,
     shapley_allocation,
-    shapley_bruteforce,
     shapley_closed_form,
     stable_allocation,
     xi_upper_bound,
@@ -40,13 +39,9 @@ from .game import (
     Fleet,
     SavingsParams,
     TruckType,
-    check_superadditivity,
     coalition_value,
-    coalition_value_with_leader,
     enumerate_type_structures,
-    labeled_partitions,
     optimal_leader_type,
-    structure_value,
 )
 from .stability import (
     CoreReport,
@@ -58,45 +53,13 @@ from .stability import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Allocation",
-    "BothTypesRequired",
-    "ConditionHolds",
-    "Composition",
-    "CoreReport",
-    "DeviationCurve",
-    "DeviationPoint",
-    "EpsilonOrderError",
-    "Fleet",
-    "FleetTooLarge",
-    "FleetTooSmall",
-    "GameError",
-    "InvalidPartition",
-    "NotEfficient",
-    "SavingsParams",
-    "TooManyStructures",
-    "TruckType",
-    "XiOutOfRange",
-    "ZeroShapleyPayoff",
-    "check_superadditivity",
-    "coalition_value",
-    "coalition_value_with_leader",
-    "default_xi_grid",
-    "deviation_curve",
-    "deviation_minimizing_allocation",
-    "enumerate_type_structures",
-    "even_split",
-    "in_core",
-    "labeled_partitions",
-    "mean_relative_deviation",
-    "optimal_leader_type",
-    "shapley_allocation",
-    "shapley_bruteforce",
-    "shapley_closed_form",
-    "shapley_core_condition_exact",
-    "shapley_core_condition_ratio",
-    "stability_probability",
-    "stable_allocation",
-    "structure_value",
-    "xi_upper_bound",
-]
+# Cross-check-only names from ``oracles``, loaded on first use by __getattr__.
+_ORACLES = ("check_superadditivity", "coalition_value_with_leader",
+            "labeled_partitions", "shapley_bruteforce", "structure_value")
+
+
+def __getattr__(name: str):
+    if name in _ORACLES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,24 +1,21 @@
 """Payoff allocation schemes for the grand platoon coalition.
 
 Four ways to split the total benefit among the trucks: a leader-share
-scheme parameterized by xi, the closed-form type-fair (Shapley) payoff
-with its brute-force twin used as an oracle, a plain even split, and the
-deviation-minimizing fallback used when the type-fair payoff is not
-core-stable.
+scheme parameterized by xi, the closed-form type-fair (Shapley) payoff, a
+plain even split, and the deviation-minimizing fallback used when the
+type-fair payoff is not core-stable. The brute-force Shapley twin that
+cross-checks the closed form lives in ``platoonshare.oracles``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Optional
 
 from .errors import (
     BothTypesRequired,
     ConditionHolds,
     EpsilonOrderError,
-    FleetTooLarge,
     FleetTooSmall,
     XiOutOfRange,
 )
@@ -35,11 +32,8 @@ from .stability import shapley_core_condition_ratio
 
 SCHEME_STABLE = "stable"
 SCHEME_SHAPLEY = "shapley-closed-form"
-SCHEME_SHAPLEY_BF = "shapley-brute-force"
 SCHEME_EVEN_SPLIT = "even-split"
 SCHEME_DEVIATION_MIN = "deviation-min"
-
-BRUTE_FORCE_MAX_FLEET = 10
 
 
 @dataclass(frozen=True)
@@ -141,36 +135,6 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
     return Allocation(payoffs, _leader_id(fleet), SCHEME_SHAPLEY)
 
 
-def shapley_bruteforce(fleet: Fleet, params: SavingsParams) -> Allocation:
-    """Subset-weighted marginal-contribution payoff, the slow oracle.
-
-    Sums s!(N-s-1)!/N! * (v(S+i) - v(S)) over every subset S that
-    excludes i. Capped at small fleets; the closed form exists for a
-    reason.
-    """
-    n = fleet.size
-    if n > BRUTE_FORCE_MAX_FLEET:
-        raise FleetTooLarge(f"brute force capped at {BRUTE_FORCE_MAX_FLEET} trucks")
-    _check_fleet_size(fleet, params)
-    weights = [
-        math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
-        for s in range(n)
-    ]
-    payoffs = []
-    for i in fleet.ids():
-        others = [j for j in fleet.ids() if j != i]
-        phi = 0.0
-        for size in range(n):
-            for subset in combinations(others, size):
-                before = fleet.subset_composition(subset)
-                after = fleet.subset_composition(subset + (i,))
-                phi += weights[size] * (
-                    coalition_value(after, params) - coalition_value(before, params)
-                )
-        payoffs.append(phi)
-    return Allocation(tuple(payoffs), _leader_id(fleet), SCHEME_SHAPLEY_BF)
-
-
 def even_split(fleet: Fleet, params: SavingsParams) -> Allocation:
     """Everyone gets v(N)/N, the customary homogeneous-platoon split."""
     _check_fleet_size(fleet, params)
@@ -201,3 +165,11 @@ def _check_fleet_size(fleet: Fleet, params: SavingsParams) -> None:
     if fleet.size < 2:
         raise FleetTooSmall("grand coalition needs at least two trucks")
     params.check_fleet_size(fleet.size)
+
+
+def __getattr__(name: str):
+    # perfbench still calls allocate.shapley_bruteforce: delete once it calls oracles.
+    if name == "shapley_bruteforce":
+        from .oracles import shapley_bruteforce
+        return shapley_bruteforce
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

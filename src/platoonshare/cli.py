@@ -25,14 +25,15 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 TABLE_MAX_TRUCKS = 10
+FLEET_CMDS = ("value", "allocate", "table1")  # sweeps size fleets by max_platoon_size
 
 
 class ConfigError(Exception):
     """Bad config file or invalid field value; maps to exit code 2."""
 
 
-def _option(default, flag: str, convert, help: str, only: Optional[str] = None):
-    """A RunConfig field plus its flag, converter and help; ``only`` names its command."""
+def _option(default, flag: str, convert, help: str, only: Optional[tuple] = None):
+    """A RunConfig field plus its flag, converter, help and ``only`` commands."""
     return field(default=default, metadata=dict(flag=flag, convert=convert, help=help,
                                                 only=only))
 
@@ -46,14 +47,14 @@ class RunConfig:
     epsilon_e: float = _option(0.048, "--epsilon-e", float,
                                "electric follower saving rate [EUR/km]")
     distance: float = _option(300.0, "--distance", float, "trip distance [km]")
-    n_e: int = _option(2, "--ne", int, "number of electric trucks")
-    n_f: int = _option(3, "--nf", int, "number of fuel-powered trucks")
+    n_e: int = _option(2, "--ne", int, "number of electric trucks", only=FLEET_CMDS)
+    n_f: int = _option(3, "--nf", int, "number of fuel-powered trucks", only=FLEET_CMDS)
     max_platoon_size: int = _option(15, "--max-platoon-size", int,
                                     "platoon size cap (also the sweep fleet size)")
     output_path: Optional[str] = _option(None, "--out", str,
                                          "write output to this file instead of stdout")
     xi: Optional[float] = _option(None, "--xi", float, "leader share in (0, 1]",
-                                  only="allocate")
+                                  only=("allocate",))
 
     def __post_init__(self) -> None:
         """Reject values the domain types reject, as a config error."""
@@ -75,10 +76,14 @@ class RunConfig:
         return game.Composition(self.n_e, self.n_f)
 
 
+def _options(cmd: str) -> list:
+    """The RunConfig fields ``cmd`` takes; an ``only`` of None admits every command."""
+    return [f for f in fields(RunConfig) if cmd in (f.metadata["only"] or (cmd,))]
+
+
 def parse_config_file(path: str, command: str) -> dict:
     """Flat ``key = value`` lines, ``command``'s options only; full-line '#' comments."""
-    converters = {f.name: f.metadata["convert"] for f in fields(RunConfig)
-                  if f.metadata["only"] in (None, command)}
+    converters = {f.name: f.metadata["convert"] for f in _options(command)}
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -203,6 +208,7 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> str:
 def cmd_table1(cfg: RunConfig, args: argparse.Namespace) -> str:
     params = cfg.params()
     comp = cfg.composition()
+    params.check_fleet_size(comp.total())
     if comp.total() > TABLE_MAX_TRUCKS:
         raise TooManyStructures(
             f"structure table capped at {TABLE_MAX_TRUCKS} trucks, got {comp.total()}"
@@ -335,10 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(run=run)
         command.add_argument("--config", help="flat key = value config file")
-        for f in fields(RunConfig):
-            if f.metadata["only"] in (None, name):
-                command.add_argument(f.metadata["flag"], dest=f.name,
-                                     type=f.metadata["convert"], help=f.metadata["help"])
+        for f in _options(name):
+            command.add_argument(f.metadata["flag"], dest=f.name,
+                                 type=f.metadata["convert"], help=f.metadata["help"])
         for flag, kwargs in extra.items():
             command.add_argument(flag, **kwargs)
     return parser

@@ -4,7 +4,9 @@ A platoon coalition earns the per-distance savings of its followers; the
 leader earns nothing directly. With both truck types present an electric
 truck leads (its follower saving rate is the one worth giving up when the
 rates are ordered), so a coalition's value depends only on how many trucks
-of each type it contains.
+of each type it contains. The module also enumerates the type-level
+platoon structures; their labeled twins and the superadditivity scan are
+oracles in ``platoonshare.oracles``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .errors import FleetTooLarge, InvalidPartition
+from .errors import FleetTooLarge
 
 # The one numeric tolerance, relative so that no verdict depends on the
 # units of money or distance: dimensionless comparisons use it as-is,
@@ -136,23 +138,6 @@ def coalition_value(comp: Composition, params: SavingsParams) -> float:
     return rate * params.distance
 
 
-def coalition_value_with_leader(
-    comp: Composition, leader: TruckType, params: SavingsParams
-) -> float:
-    """Benefit when a specific truck type is forced to lead."""
-    if comp.total() == 0:
-        return 0.0
-    if leader is TruckType.ELECTRIC:
-        if comp.n_e < 1:
-            raise ValueError("no electric truck to lead")
-        rate = params.epsilon_e * (comp.n_e - 1) + params.epsilon_f * comp.n_f
-    else:
-        if comp.n_f < 1:
-            raise ValueError("no fuel-powered truck to lead")
-        rate = params.epsilon_e * comp.n_e + params.epsilon_f * (comp.n_f - 1)
-    return rate * params.distance
-
-
 def optimal_leader_type(comp: Composition) -> Optional[TruckType]:
     """Leader type the valuation assumes; None for an empty coalition."""
     if comp.n_e >= 1:
@@ -160,25 +145,6 @@ def optimal_leader_type(comp: Composition) -> Optional[TruckType]:
     if comp.n_f >= 1:
         return TruckType.FUEL
     return None
-
-
-def structure_value(
-    blocks: Sequence[Iterable[int]], fleet: Fleet, params: SavingsParams
-) -> float:
-    """Total benefit of a partition of the fleet into platoons."""
-    seen: set[int] = set()
-    count = 0
-    for block in blocks:
-        ids = set(block)
-        if not ids:
-            raise InvalidPartition("empty block")
-        if ids & seen:
-            raise InvalidPartition("blocks overlap")
-        seen |= ids
-        count += len(ids)
-    if seen != set(fleet.ids()) or count != fleet.size:
-        raise InvalidPartition("blocks do not cover the fleet")
-    return sum(coalition_value(fleet.subset_composition(b), params) for b in blocks)
 
 
 def _partition_sort_key(blocks: tuple[Composition, ...]):
@@ -221,43 +187,6 @@ def enumerate_type_structures(comp: Composition) -> list[tuple[Composition, ...]
     extend(comp.n_e, comp.n_f, (-comp.total(), -comp.n_e), [])
     results.sort(key=_partition_sort_key)
     return results
-
-
-def labeled_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
-    """Every partition of a labeled set, for brute-force cross-checks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in labeled_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def check_superadditivity(
-    comp: Composition, params: SavingsParams
-) -> list[tuple[Composition, Composition]]:
-    """Scan all disjoint sub-composition pairs for merge losses.
-
-    Returns the pairs whose merged value falls short of the sum of parts
-    by more than the money tolerance; an empty list certifies
-    superadditivity on this instance.
-    """
-    tol = params.money_tol()
-    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    violations: list[tuple[Composition, Composition]] = []
-    for a_e in range(comp.n_e + 1):
-        for a_f in range(comp.n_f + 1):
-            va = rate_for_counts(a_e, a_f, ee, ef) * dist
-            for b_e in range(comp.n_e - a_e + 1):
-                for b_f in range(comp.n_f - a_f + 1):
-                    if (b_e, b_f) < (a_e, a_f):
-                        continue  # unordered pairs once
-                    merged = rate_for_counts(a_e + b_e, a_f + b_f, ee, ef) * dist
-                    if merged < va + rate_for_counts(b_e, b_f, ee, ef) * dist - tol:
-                        violations.append((Composition(a_e, a_f), Composition(b_e, b_f)))
-    return violations
 
 
 def block_notation(comp: Composition) -> str:

@@ -3,8 +3,8 @@
 One subset scan backs every verdict: trucks of the same type paid exactly
 the same are interchangeable, so it visits the classes of such subsets
 and weights each by its binomial multiplicity. The labeled enumeration
-over all 2^N - 2 proper subsets is the oracle that cross-checks it, run
-only on request (``method="slow"``).
+over all 2^N - 2 proper subsets that cross-checks it is an oracle in
+``platoonshare.oracles``, run only on request (``method="slow"``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 
 # A subset blocks only if it gains more than params.money_tol(); boundary
 # allocations (xi exactly at the bound) sit on the core's face and must not flip.
-# Both scans hold flat lists of one entry per subset (labeled) or subset class,
-# at most 2^LABELED_SCAN_MAX_FLEET of them.
+# The class scan and the labeled oracle hold flat lists of one entry per subset
+# class or labeled subset, at most 2^LABELED_SCAN_MAX_FLEET of them.
 LABELED_SCAN_MAX_FLEET = 20
 
 
@@ -47,39 +47,6 @@ class CoreReport:
     is_member: bool
     blocking_coalitions: tuple[tuple[Composition, int], ...]
     stability_probability: float
-
-
-def _violations_slow(
-    alloc: "Allocation", fleet: Fleet, params: SavingsParams
-) -> dict[tuple[int, int], int]:
-    """Labeled scan of every non-empty proper subset."""
-    n = fleet.size
-    if n > LABELED_SCAN_MAX_FLEET:
-        raise FleetTooLarge(f"labeled scan capped at {LABELED_SCAN_MAX_FLEET} trucks")
-    full = 1 << n
-    tol = params.money_tol()
-    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    pay = alloc.payoffs
-    et = [1 if t is TruckType.ELECTRIC else 0 for t in fleet.types]
-
-    sums = [0.0] * full
-    nes = [0] * full
-    sizes = [0] * full
-    out: dict[tuple[int, int], int] = {}
-    for mask in range(1, full - 1):
-        low = mask & -mask
-        idx = low.bit_length() - 1
-        rest = mask ^ low
-        got = sums[rest] + pay[idx]
-        n_e = nes[rest] + et[idx]
-        size = sizes[rest] + 1
-        sums[mask] = got
-        nes[mask] = n_e
-        sizes[mask] = size
-        if rate_for_counts(n_e, size - n_e, ee, ef) * dist > got + tol:
-            key = (n_e, size - n_e)
-            out[key] = out.get(key, 0) + 1
-    return out
 
 
 def _violations(
@@ -120,7 +87,8 @@ def in_core(
     """Decide core membership of an efficient allocation.
 
     ``method`` "auto" and "fast" both take the class scan, which is exact
-    for any allocation; "slow" takes the labeled oracle instead.
+    for any allocation; "slow" takes the labeled oracle instead, loaded
+    from ``platoonshare.oracles`` only then.
     """
     params.check_fleet_size(fleet.size)
     total = coalition_value(fleet.composition(), params)
@@ -132,7 +100,9 @@ def in_core(
 
     if method not in ("auto", "fast", "slow"):
         raise ValueError(f"unknown method {method!r}")
-    scan = _violations_slow if method == "slow" else _violations
+    scan = _violations
+    if method == "slow":
+        from .oracles import labeled_violations as scan
     violations = scan(alloc, fleet, params)
 
     n_violating = sum(violations.values())

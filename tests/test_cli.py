@@ -141,6 +141,13 @@ class TestTable:
     def test_empty_composition_is_precondition_error(self, capsys):
         assert main(["table1", "--ne", "0", "--nf", "0"]) == 3
 
+    def test_fleet_above_platoon_cap(self, capsys):
+        # 10 trucks pass the structure guard but not a platoon cap of 5
+        assert main(["table1", "--ne", "4", "--nf", "6", "--max-platoon-size", "5"]) == 3
+        captured = capsys.readouterr()
+        assert "FleetTooLarge" in captured.err
+        assert captured.out == ""
+
 
 class TestSweeps:
     def test_unknown_kind_is_usage_error(self):
@@ -241,6 +248,14 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments: --xi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--ne", "--nf"])
+    def test_fleet_counts_not_on_sweep(self, flag, capsys):
+        # every sweep derives its fleets from max_platoon_size alone
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "fig3", flag, "7"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["value", "allocate", "table1", "sweep"])
     def test_help_lists_every_option(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -248,8 +263,8 @@ class TestParser:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         flags = [f.metadata["flag"] for f in fields(RunConfig)
-                 if f.metadata["only"] in (None, command)]
-        assert len(flags) == (8 if command == "allocate" else 7)
+                 if f.metadata["only"] is None or command in f.metadata["only"]]
+        assert len(flags) == {"allocate": 8, "sweep": 5}.get(command, 7)
         for flag in ["--config", *flags]:
             assert flag in out.split()
         assert ("--xi" in out) == (command == "allocate")
@@ -293,6 +308,18 @@ class TestConfig:
         else:
             assert captured.err.startswith("error: config:")
             assert captured.out == ""
+
+    @pytest.mark.parametrize("key", ["n_e", "n_f"])
+    def test_fleet_count_keys_not_on_sweep(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 7\n")
+        assert main(["sweep", "fig3", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config:")
+        assert f"unknown key {key!r}" in captured.err
+        assert captured.out == ""
+        # the fleet commands still take the key
+        assert main(["value", "--config", str(cfg)]) == 0
 
     def test_bad_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

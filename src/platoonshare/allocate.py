@@ -28,7 +28,7 @@ from .game import (
     coalition_value,
     optimal_leader_type,
 )
-from .stability import shapley_core_condition_ratio
+from .stability import Breakpoints, shapley_core_condition_ratio
 
 SCHEME_STABLE = "stable"
 SCHEME_SHAPLEY = "shapley-closed-form"
@@ -59,7 +59,7 @@ def _leader_id(fleet: Fleet) -> int:
     kind = optimal_leader_type(fleet.composition())
     if kind is None:
         raise FleetTooSmall("empty fleet has no leader")
-    return min(i for i in fleet.ids() if fleet.types[i] is kind)
+    return fleet.types.index(kind)
 
 
 def _xi_bound_raw(comp: Composition, params: SavingsParams) -> float:
@@ -81,23 +81,44 @@ def xi_upper_bound(comp: Composition, params: SavingsParams) -> float:
     return _xi_bound_raw(comp, params)
 
 
+def _leader_share(fleet: Fleet, params: SavingsParams, xi: float):
+    """The leader's id, and the payoffs: xi*v(N) to it, (1 - xi)*saving to others."""
+    leader = _leader_id(fleet)
+    lead = xi * coalition_value(fleet.composition(), params)
+    pay_e = (1.0 - xi) * params.epsilon_e * params.distance
+    pay_f = (1.0 - xi) * params.epsilon_f * params.distance
+    return leader, tuple(
+        lead if i == leader else pay_e if t is TruckType.ELECTRIC else pay_f
+        for i, t in enumerate(fleet.types)
+    )
+
+
 def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocation:
     """Leader takes xi of the total; followers keep (1 - xi) of their rate."""
     if not 0.0 < xi <= 1.0:
         raise XiOutOfRange(f"xi must be in (0, 1], got {xi}")
     _check_fleet_size(fleet, params)
-    comp = fleet.composition()
-    leader = _leader_id(fleet)
-    total = coalition_value(comp, params)
-    follower = {
-        TruckType.ELECTRIC: (1.0 - xi) * params.epsilon_e * params.distance,
-        TruckType.FUEL: (1.0 - xi) * params.epsilon_f * params.distance,
-    }
-    payoffs = tuple(
-        xi * total if i == leader else follower[fleet.types[i]] for i in fleet.ids()
-    )
-    within = xi <= _xi_bound_raw(comp, params) + REL_TOL
+    leader, payoffs = _leader_share(fleet, params, xi)
+    within = xi <= _xi_bound_raw(fleet.composition(), params) + REL_TOL
     return Allocation(payoffs, leader, SCHEME_STABLE, xi=xi, within_bound=within)
+
+
+def stable_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
+    """``stable_allocation`` along xi; every product is exact at xi = 0 and 1,
+    so the payoffs there give each truck's line exactly."""
+    _check_fleet_size(fleet, params)
+    (_, at0), (_, at1) = (_leader_share(fleet, params, xi) for xi in (0.0, 1.0))
+    lines = [(p0, p1 - p0) for p0, p1 in zip(at0, at1)]
+    return Breakpoints(fleet, params, lines, (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
+
+
+def _type_fair_weights(comp: Composition):
+    """Per type (ET, FPT): weights of (epsilon_e, epsilon_f) in its per-truck
+    type-fair rate, or None when no truck of that type is present."""
+    n = comp.total()
+    w_e = (1.0 - 1.0 / comp.n_e, comp.n_f / (n * comp.n_e)) if comp.n_e else None
+    w_f = (0.0, 1.0 - 1.0 / n) if comp.n_f else None
+    return w_e, w_f
 
 
 def shapley_closed_form(
@@ -113,15 +134,9 @@ def shapley_closed_form(
         raise FleetTooSmall("need at least one truck")
     if comp.n_e >= 1 and comp.n_f >= 1 and not params.epsilon_e < params.epsilon_f:
         raise EpsilonOrderError("closed form requires epsilon_e < epsilon_f")
-    n = comp.total()
-    phi_e = phi_f = None
-    if comp.n_e >= 1:
-        rate = (1.0 - 1.0 / comp.n_e) * params.epsilon_e + (
-            comp.n_f / (n * comp.n_e)
-        ) * params.epsilon_f
-        phi_e = rate * params.distance
-    if comp.n_f >= 1:
-        phi_f = (1.0 - 1.0 / n) * params.epsilon_f * params.distance
+    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
+    phi_e, phi_f = (None if w is None else (w[0] * ee + w[1] * ef) * dist
+                    for w in _type_fair_weights(comp))
     return phi_e, phi_f
 
 
@@ -129,10 +144,19 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
     """Closed-form type-fair payoff as a per-truck allocation."""
     _check_fleet_size(fleet, params)
     phi_e, phi_f = shapley_closed_form(fleet.composition(), params)
-    by_type = {TruckType.ELECTRIC: phi_e, TruckType.FUEL: phi_f}
-    payoffs = tuple(by_type[t] for t in fleet.types)
+    payoffs = tuple(phi_e if t is TruckType.ELECTRIC else phi_f for t in fleet.types)
     # the scheme is role-free; the leader id is metadata only
     return Allocation(payoffs, _leader_id(fleet), SCHEME_SHAPLEY)
+
+
+def shapley_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
+    """``shapley_allocation`` along epsilon_e, the other params fixed."""
+    _check_fleet_size(fleet, params)
+    ef, dist = params.epsilon_f, params.distance
+    line_e, line_f = (None if w is None else (w[1] * ef * dist, w[0] * dist)
+                      for w in _type_fair_weights(fleet.composition()))
+    lines = [line_e if t is TruckType.ELECTRIC else line_f for t in fleet.types]
+    return Breakpoints(fleet, params, lines, (0.0, ef), (1.0, 0.0), swept="epsilon_e")
 
 
 def even_split(fleet: Fleet, params: SavingsParams) -> Allocation:

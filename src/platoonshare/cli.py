@@ -109,13 +109,14 @@ def parse_config_file(path: str, command: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence defaults < sweep preset < config file < flags."""
-    values = dict(SWEEPS[args.kind][3]) if "kind" in args else {}
-    if args.config:
-        values.update(parse_config_file(args.config, args.command))
+    preset, swept = SWEEPS[args.kind][3:] if "kind" in args else ({}, None)
+    values = parse_config_file(args.config, args.command) if args.config else {}
     for f in fields(RunConfig):
         if getattr(args, f.name, None) is not None:
             values[f.name] = getattr(args, f.name)
-    return RunConfig(**values)
+    if swept in values:
+        raise ConfigError(f"sweep {args.kind} sets {swept} itself")
+    return RunConfig(**{**preset, **values})
 
 
 def money(v: float) -> str:
@@ -245,9 +246,10 @@ def _leader_share_rows(compositions, key):
         for comp in compositions(cfg.max_platoon_size):
             fleet = game.Fleet.from_composition(comp)
             bound = ratio6(alloc_mod.xi_upper_bound(comp, params))
+            scan = alloc_mod.stable_breakpoints(fleet, params)
             for xi in _XI_GRID:
                 allocation = alloc_mod.stable_allocation(fleet, params, xi)
-                prob = stability.stability_probability(allocation, fleet, params)
+                prob = scan.probability(xi, allocation, params)
                 yield [*key(comp), ratio6(xi), ratio6(prob), bound]
 
     return rows
@@ -255,13 +257,14 @@ def _leader_share_rows(compositions, key):
 
 def _type_fair_rows(cfg: RunConfig):
     base = cfg.params()
+    grid = [(r, replace(base, epsilon_e=r * cfg.epsilon_f)) for r in _RATIO_GRID]
     for comp in _mixed_compositions(cfg.max_platoon_size):
         fleet = game.Fleet.from_composition(comp)
         threshold = ratio6(comp.n_f / comp.total())
-        for ratio in _RATIO_GRID:
-            params = replace(base, epsilon_e=ratio * cfg.epsilon_f)
+        scan = alloc_mod.shapley_breakpoints(fleet, grid[0][1])
+        for ratio, params in grid:
             allocation = alloc_mod.shapley_allocation(fleet, params)
-            prob = stability.stability_probability(allocation, fleet, params)
+            prob = scan.probability(params.epsilon_e, allocation, params)
             yield [comp.n_e, comp.n_f, ratio6(ratio), ratio6(prob), threshold]
 
 
@@ -278,23 +281,23 @@ def _deviation_rows(cfg: RunConfig):
                    str(point.in_core).lower(), xi_star, delta_star]
 
 
-# kind -> (comment line, header, row generator, preset); {n} is the fleet
-# size. A preset holds starting RunConfig values: the config file and the
-# flags override it.
+# kind -> (comment line, header, row generator, preset, swept field); {n}
+# is the fleet size. A preset holds starting RunConfig values: the config
+# file and the flags override it. The swept field, if any, they may not set.
 SWEEPS = {
     "fig2": (
         "# leader-share allocation in mixed fleets of size {n}: stability "
         "probability per (n_e, xi); xi_upper_bound is the certified threshold",
         ["n_e", "n_f", "xi", "stability_probability", "xi_upper_bound"],
         _leader_share_rows(_mixed_compositions, lambda c: (c.n_e, c.n_f)),
-        {},
+        {}, None,
     ),
     "fig3": (
         "# leader-share allocation in all-FPT fleets: stability probability "
         "per (fleet size n, xi); xi_upper_bound = 1/(n-1)",
         ["n", "xi", "stability_probability", "xi_upper_bound"],
         _leader_share_rows(_fuel_compositions, lambda c: (c.total(),)),
-        {},
+        {}, None,
     ),
     "fig5": (
         "# type-fair allocation in mixed fleets of size {n}: stability "
@@ -302,7 +305,7 @@ SWEEPS = {
         "ratio_threshold = n_f/n",
         ["n_e", "n_f", "ratio", "stability_probability", "ratio_threshold"],
         _type_fair_rows,
-        {},
+        {}, "epsilon_e",  # the rate ratio times epsilon_f
     ),
     "fig6": (
         "# deviation from the type-fair payoff along xi in mixed fleets of size "
@@ -311,13 +314,13 @@ SWEEPS = {
         ["n_e", "n_f", "xi", "delta", "in_core", "xi_star", "delta_at_xi_star"],
         _deviation_rows,
         # the deviation sweep is about a failing ratio condition
-        {"epsilon_f": 0.72},
+        {"epsilon_f": 0.72}, None,
     ),
 }
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
-    comment, columns, rows, _ = SWEEPS[args.kind]
+    comment, columns, rows = SWEEPS[args.kind][:3]
     return _csv_text(comment.format(n=cfg.max_platoon_size), columns, rows(cfg))
 
 

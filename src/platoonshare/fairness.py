@@ -9,11 +9,11 @@ from .allocate import (
     Allocation,
     shapley_allocation,
     stable_allocation,
+    stable_breakpoints,
     xi_upper_bound,
 )
 from .errors import XiOutOfRange, ZeroShapleyPayoff
 from .game import Fleet, SavingsParams
-from .stability import in_core
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,9 @@ def deviation_curve(
 
     On the certified interval (0, xi*] of a fleet where the ratio core
     condition fails, the deviation decreases strictly and bottoms out at
-    xi*; points beyond the bound are reported as-is for inspection.
+    xi*; points beyond the bound are reported as-is for inspection. Core
+    flags are read off the fleet's ``stable_breakpoints``, built once; a
+    point within rounding of a threshold gets the class scan of ``in_core``.
     """
     if not xi_grid:
         raise ValueError("empty xi grid")
@@ -57,12 +59,12 @@ def deviation_curve(
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
         raise ValueError("grid must be strictly increasing")
     phi = shapley_allocation(fleet, params)
+    scan = stable_breakpoints(fleet, params)
     points = []
     for xi in xi_grid:
         x = stable_allocation(fleet, params, xi)
         delta = mean_relative_deviation(x, phi)
-        member = in_core(x, fleet, params).is_member
-        points.append(DeviationPoint(xi, delta, member))
+        points.append(DeviationPoint(xi, delta, scan.count(xi, x, params) == 0))
     return DeviationCurve(tuple(points))
 
 

@@ -108,7 +108,7 @@ class Fleet:
         return range(self.size)
 
     def composition(self) -> Composition:
-        n_e = sum(1 for t in self.types if t is TruckType.ELECTRIC)
+        n_e = self.types.count(TruckType.ELECTRIC)
         return Composition(n_e, self.size - n_e)
 
     def subset_composition(self, members: Iterable[int]) -> Composition:

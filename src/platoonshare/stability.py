@@ -2,16 +2,22 @@
 
 One subset scan backs every verdict: trucks of the same type paid exactly
 the same are interchangeable, so it visits the classes of such subsets
-and weights each by its binomial multiplicity. The labeled enumeration
-over all 2^N - 2 proper subsets that cross-checks it is an oracle in
+and weights each by its binomial multiplicity. Sweeps along a family of
+allocations affine in one parameter read ``Breakpoints``, the same classes
+turned into sorted thresholds once per fleet. The labeled enumeration
+over all 2^N - 2 proper subsets that cross-checks both is an oracle in
 ``platoonshare.oracles``, run only on request (``method="slow"``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import accumulate
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .errors import BothTypesRequired, FleetTooLarge, NotEfficient
@@ -33,6 +39,8 @@ if TYPE_CHECKING:
 # The class scan and the labeled oracle hold flat lists of one entry per subset
 # class or labeled subset, at most 2^LABELED_SCAN_MAX_FLEET of them.
 LABELED_SCAN_MAX_FLEET = 20
+# Breakpoints' rounding bound, relative to the magnitude of an excess's terms
+_ROUNDING = 32 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -49,36 +57,116 @@ class CoreReport:
     stability_probability: float
 
 
-def _violations(
-    alloc: "Allocation", fleet: Fleet, params: SavingsParams
-) -> dict[tuple[int, int], int]:
-    """Scan of the subset classes of interchangeable trucks, weighted by count.
+def _subset_classes(types, *columns) -> tuple[list, list, list, list]:
+    """n_e, n_f, labeled count and each column's sum, one entry per subset class.
 
-    Trucks of the same type with exactly the same payoff are
-    interchangeable, so a subset is fixed up to relabeling by how many
-    trucks it takes from each such class; that choice stands for the
-    product of ``comb(class size, taken)`` labeled subsets.
+    Trucks of one type with equal entries in ``columns`` (payoff components)
+    are interchangeable: a subset takes k of such a class of m, comb(m, k) ways.
     """
-    classes = Counter(zip(fleet.types, alloc.payoffs))
+    classes = Counter(zip(types, *columns))
     if math.prod(size + 1 for size in classes.values()) > 1 << LABELED_SCAN_MAX_FLEET:
         raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
-    n, tol = fleet.size, params.money_tol()
-    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    # flat parallel lists, one entry per class of subsets: n_e, n_f, x(S), labeled count
-    nes, nfs, sums, counts = [0], [0], [0.0], [1]
-    for (truck_type, pay), size in classes.items():
+    nes, nfs, counts, sums = [0], [0], [1], [[0.0] for _ in columns]
+    for (truck_type, *pays), size in classes.items():
         taken = range(size + 1)
         if truck_type is TruckType.ELECTRIC:
             nes, nfs = [e + k for k in taken for e in nes], nfs * (size + 1)
         else:
             nes, nfs = nes * (size + 1), [f + k for k in taken for f in nfs]
-        sums = [s + g for g in [k * pay for k in taken] for s in sums]
+        sums = [[s + g for g in [k * pay for k in taken] for s in col]
+                for col, pay in zip(sums, pays)]
         counts = [c * w for w in [math.comb(size, k) for k in taken] for c in counts]
+    return nes, nfs, counts, sums
+
+
+def _violations(
+    alloc: "Allocation", fleet: Fleet, params: SavingsParams
+) -> dict[tuple[int, int], int]:
+    """Scan of the subset classes of interchangeable trucks, weighted by count."""
+    nes, nfs, counts, (sums,) = _subset_classes(fleet.types, alloc.payoffs)
+    n, tol = fleet.size, params.money_tol()
+    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
     out: dict[tuple[int, int], int] = {}
     for e, f, got, count in zip(nes, nfs, sums, counts):
         if 0 < e + f < n and rate_for_counts(e, f, ee, ef) * dist > got + tol:
             out[(e, f)] = out.get((e, f), 0) + count
     return out
+
+
+def _check_efficient(alloc: "Allocation", fleet: Fleet, params: SavingsParams) -> None:
+    params.check_fleet_size(fleet.size)
+    total = coalition_value(fleet.composition(), params)
+    # written so that a nan or inf sum fails the check
+    if not abs(sum(alloc.payoffs) - total) <= params.money_tol():
+        raise NotEfficient(
+            f"payoffs sum to {sum(alloc.payoffs):.8f}, grand value is {total:.8f}"
+        )
+
+
+def _share(n_violating: int, size: int) -> float:
+    return 1.0 if n_violating == 0 else 1.0 - n_violating / ((1 << size) - 2)
+
+
+class Breakpoints:
+    """Class scan of one fleet along allocations affine in a parameter t.
+
+    Truck i is paid ``p0 + p1*t`` for ``(p0, p1) = lines[i]``; the rates are
+    ``rates0 + t*rates1`` and ``swept`` names the ``SavingsParams`` field that
+    t is, if any. Each subset class's excess v(S) - x(S) - tol is ``a + b*t``,
+    so ``count`` bisects the sorted roots with cumulative labeled counts.
+    Rounding can flip a verdict only where ``|a + b*t| <= err0 + err1*t``,
+    the errs being ``_ROUNDING`` times the terms' magnitudes: near a root, or
+    from some t on where ``b`` is rounding noise. A point there, or with other
+    params than the table's, gets ``in_core``.
+    """
+
+    def __init__(self, fleet: Fleet, params: SavingsParams, lines, rates0, rates1,
+                 swept: str | None = None):
+        p0s, p1s = zip(*lines)
+        nes, nfs, counts, sums = _subset_classes(
+            fleet.types, p0s, p1s, map(abs, p0s), map(abs, p1s))
+        self.fleet, tol = fleet, params.money_tol()
+        self._fixed = attrgetter(*(f.name for f in fields(params) if f.name != swept))
+        self._key = (self._fixed(params), tol)
+        n, dist, inf = fleet.size, params.distance, math.inf
+        tiny = sys.float_info.min  # a floor for underflow
+        (ee0, ef0), (ee1, ef1) = rates0, rates1
+        base, rows = 0, []  # rows: (end, start, change in count) of each window
+        for e, f, count, x0, x1, m0, m1 in zip(nes, nfs, counts, *sums):
+            if not 0 < e + f < n:
+                continue
+            v0 = rate_for_counts(e, f, ee0, ef0) * dist
+            v1 = rate_for_counts(e, f, ee1, ef1) * dist
+            a, b = v0 - x0 - tol, v1 - x1
+            err0 = _ROUNDING * (abs(v0) + m0 + tol) + tiny
+            err1 = _ROUNDING * (abs(v1) + m1) + tiny
+            slope = abs(b)
+            root = -a / b if slope > 2 * err1 else inf
+            if -inf < root < inf:
+                half = 2 * (err0 + err1 * abs(root)) / slope
+                rows.append((root + half, root - half, count if b > 0 else -count))
+                base += count if b < 0 else 0
+            else:
+                rows.append((inf, (abs(a) - err0) / (slope + err1), 0))
+                base += count if a > 0 else 0
+        self.windows = sorted(rows)
+        self._ends = [end for end, _, _ in self.windows]
+        self._counts = list(accumulate((c for _, _, c in self.windows), initial=base))
+        # _starts[j]: the earliest start among windows j and later
+        self._starts = list(accumulate((s for _, s, _ in reversed(self.windows)), min,
+                                       initial=math.inf))[::-1]
+
+    def count(self, t: float, alloc: "Allocation", params: SavingsParams) -> int:
+        """Labeled count of the subsets blocking ``alloc``, the family at ``t``."""
+        j = bisect_left(self._ends, t)
+        if t >= self._starts[j] or (self._fixed(params), params.money_tol()) != self._key:
+            report = in_core(alloc, self.fleet, params)
+            return sum(count for _, count in report.blocking_coalitions)
+        _check_efficient(alloc, self.fleet, params)
+        return self._counts[j]
+
+    def probability(self, t: float, alloc: "Allocation", params: SavingsParams) -> float:
+        return _share(self.count(t, alloc, params), self.fleet.size)
 
 
 def in_core(
@@ -90,14 +178,7 @@ def in_core(
     for any allocation; "slow" takes the labeled oracle instead, loaded
     from ``platoonshare.oracles`` only then.
     """
-    params.check_fleet_size(fleet.size)
-    total = coalition_value(fleet.composition(), params)
-    # written so that a nan or inf sum fails the check
-    if not abs(sum(alloc.payoffs) - total) <= params.money_tol():
-        raise NotEfficient(
-            f"payoffs sum to {sum(alloc.payoffs):.8f}, grand value is {total:.8f}"
-        )
-
+    _check_efficient(alloc, fleet, params)
     if method not in ("auto", "fast", "slow"):
         raise ValueError(f"unknown method {method!r}")
     scan = _violations
@@ -106,13 +187,11 @@ def in_core(
     violations = scan(alloc, fleet, params)
 
     n_violating = sum(violations.values())
-    denom = (1 << fleet.size) - 2
-    probability = 1.0 if n_violating == 0 else 1.0 - n_violating / denom
     blocking = tuple(
         (Composition(n_e, n_f), count)
         for (n_e, n_f), count in sorted(violations.items())
     )
-    return CoreReport(n_violating == 0, blocking, probability)
+    return CoreReport(n_violating == 0, blocking, _share(n_violating, fleet.size))
 
 
 def stability_probability(

@@ -239,6 +239,21 @@ class TestSweeps:
         out_path = tmp_path / "fig5.csv"
         assert main(["sweep", "fig5", "--distance", "1.7e307", "--out", str(out_path)]) == 0
 
+    @pytest.mark.parametrize("value", ["0.01", "5"])
+    def test_fig5_rejects_epsilon_e(self, value, tmp_path, capsys):
+        # fig5 sets epsilon_e itself, to the rate ratio times epsilon_f
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epsilon_e = {value}\n")
+        for extra in (["--epsilon-e", value], ["--config", str(cfg)]):
+            assert main(["sweep", "fig5", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: config:")
+            assert "epsilon_e" in captured.err
+            assert captured.out == ""
+        out_path = tmp_path / "fig2.csv"
+        assert main(["sweep", "fig2", "--epsilon-e", "0.01", "--max-platoon-size", "4",
+                     "--out", str(out_path)]) == 0
+
 
 class TestParser:
     @pytest.mark.parametrize("command", [["value"], ["table1"], ["sweep", "fig2"]])

@@ -3,9 +3,12 @@
 Each file under ``tests/golden/`` is the stdout of the listed command at
 the default settings. Regenerate one with, for example,
 ``PYTHONPATH=src python -m platoonshare.cli sweep fig2 > tests/golden/sweep_fig2.csv``
-and only when an output change is intended.
+and only when an output change is intended. ``sweep_size40.sha256`` pins
+the four sweeps at ``--max-platoon-size 40`` by digest, in ``sha256sum``
+format, since those CSVs are large.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,14 @@ def test_output_matches_golden(name, tmp_path):
     out_path = tmp_path / name
     assert main(GOLDEN[name] + ["--out", str(out_path)]) == 0
     assert out_path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+SIZE40 = dict(line.split()[::-1]
+              for line in (GOLDEN_DIR / "sweep_size40.sha256").read_text().splitlines())
+
+
+@pytest.mark.parametrize("kind", sorted(SIZE40))
+def test_size40_sweep_matches_digest(kind, tmp_path):
+    out_path = tmp_path / f"{kind}.csv"
+    assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SIZE40[kind]

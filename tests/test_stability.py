@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from platoonshare import (
     Composition,
     Fleet,
     FleetTooLarge,
+    FleetTooSmall,
     NotEfficient,
     SavingsParams,
     TruckType,
@@ -24,6 +26,9 @@ from platoonshare import (
     stable_allocation,
     xi_upper_bound,
 )
+from platoonshare import stability
+from platoonshare.allocate import shapley_breakpoints, stable_breakpoints
+from platoonshare.cli import main
 from platoonshare.stability import LABELED_SCAN_MAX_FLEET
 
 
@@ -353,3 +358,100 @@ class TestMetamorphic:
                                order.index(x.leader_id), scheme="test")
         assert (in_core(relabeled, moved, params, method="slow")
                 == in_core(x, fleet, params, method="slow"))
+
+
+def _blocking(alloc, fleet, params):
+    return sum(stability._violations(alloc, fleet, params).values())
+
+
+def _probe_points(scan):
+    """Each window's edges and centre (its class's root), and their float neighbours."""
+    points = set()
+    for end, start, _ in scan.windows:
+        for t in (start, end, (start + end) / 2):
+            points |= {t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)}
+    return points
+
+
+class TestBreakpoints:
+    """The parametric class scan gives the blocking count of ``_violations``."""
+
+    @given(data=st.data(), comp=compositions, eps_f=fuel_rates, ratio=rate_ratios,
+           distance=distances, k=st.integers(-6, 9),
+           xis=st.lists(leader_shares, min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_leader_share_family(self, data, comp, eps_f, ratio, distance, k, xis):
+        params = SavingsParams(epsilon_f=eps_f, epsilon_e=ratio * eps_f,
+                               distance=distance * 10.0 ** k)
+        fleet = Fleet(tuple(data.draw(st.permutations(
+            Fleet.from_composition(Composition(*comp)).types))))
+        scan = stable_breakpoints(fleet, params)
+        for xi in sorted(_probe_points(scan) | set(xis)):
+            if 0.0 < xi <= 1.0:
+                alloc = stable_allocation(fleet, params, xi)
+                assert scan.count(xi, alloc, params) == _blocking(alloc, fleet, params)
+
+    @given(data=st.data(), comp=compositions.filter(lambda c: min(c) >= 1),
+           eps_f=fuel_rates, distance=distances, k=st.integers(-6, 9),
+           ratios=st.lists(rate_ratios, min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_electric_rate_family(self, data, comp, eps_f, distance, k, ratios):
+        base = SavingsParams(epsilon_f=eps_f, epsilon_e=0.5 * eps_f,
+                             distance=distance * 10.0 ** k)
+        fleet = Fleet(tuple(data.draw(st.permutations(
+            Fleet.from_composition(Composition(*comp)).types))))
+        scan = shapley_breakpoints(fleet, base)
+        points = _probe_points(scan) | {r * eps_f for r in ratios}
+        for eps_e in sorted(points):
+            if 0.0 < eps_e < eps_f:
+                params = replace(base, epsilon_e=eps_e)
+                alloc = shapley_allocation(fleet, params)
+                assert scan.count(eps_e, alloc, params) == _blocking(alloc, fleet, params)
+
+    def test_reads_the_thresholds_away_from_them(self, monkeypatch, params):
+        fleet = Fleet.from_composition(Composition(3, 12))
+        scan = stable_breakpoints(fleet, params)
+        expected = [_blocking(stable_allocation(fleet, params, xi), fleet, params)
+                    for xi in (0.01, 0.1, 0.5)]
+        monkeypatch.setattr(stability, "_violations", None)  # any recheck would fail
+        assert [scan.count(xi, stable_allocation(fleet, params, xi), params)
+                for xi in (0.01, 0.1, 0.5)] == expected
+        assert scan.probability(0.5, stable_allocation(fleet, params, 0.5), params) < 1.0
+        assert expected[0] == 0 < expected[1]
+
+    @pytest.mark.parametrize("change", [{"epsilon_f": 0.5}, {"epsilon_e": 0.01}])
+    def test_other_params_are_rechecked(self, change, params, fleet23, monkeypatch):
+        # a table answers only for the params it was built at, also where the
+        # tolerance stays the same (epsilon_e below epsilon_f does not move it)
+        scan = stable_breakpoints(fleet23, params)
+        other = replace(params, **change)
+        alloc = stable_allocation(fleet23, other, 0.1)
+        calls = []
+        monkeypatch.setattr(stability, "in_core", lambda *a: calls.append(a) or in_core(*a))
+        assert scan.count(0.1, alloc, other) == _blocking(alloc, fleet23, other) > 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("build", [stable_breakpoints, shapley_breakpoints])
+    def test_fleet_checks(self, build, params):
+        for fleet in (Fleet(()), Fleet((TruckType.FUEL,))):
+            with pytest.raises(FleetTooSmall):
+                build(fleet, params)
+        with pytest.raises(FleetTooLarge):
+            build(Fleet.from_composition(Composition(8, 8)), params)
+
+    def test_not_efficient_raises(self, params, fleet23):
+        scan = stable_breakpoints(fleet23, params)
+        alloc = Allocation((1.0,) * 5, leader_id=0, scheme="test")
+        with pytest.raises(NotEfficient):
+            scan.count(0.1, alloc, params)
+
+    def test_default_sweeps_never_rescan(self, monkeypatch, tmp_path):
+        calls = []
+        scan = stability._violations
+        monkeypatch.setattr(stability, "_violations", lambda *a: calls.append(a) or scan(*a))
+        for kind in ("fig2", "fig3", "fig5", "fig6"):
+            out = tmp_path / f"{kind}.csv"
+            assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out)]) == 0
+        assert calls == []
+        assert main(["allocate", "--out", str(tmp_path / "a.txt")]) == 0
+        assert len(calls) == 1  # the spy sees the class scan

@@ -7,7 +7,6 @@ and the package's re-exports load it on first use.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .allocate import Allocation, _check_fleet_size, _leader_id
@@ -101,8 +100,12 @@ def shapley_bruteforce(fleet: Fleet, params: SavingsParams) -> Allocation:
     """Subset-weighted marginal-contribution payoff, the slow oracle.
 
     Sums s!(N-s-1)!/N! * (v(S+i) - v(S)) over every subset S that
-    excludes i. Capped at small fleets; the closed form exists for a
-    reason.
+    excludes i. One walk over the 2^N bit masks values each subset once
+    (a mask extends the mask without its lowest truck, as in
+    ``labeled_violations``); the payoffs then take N * 2^(N-1) marginal
+    terms. Labeled and exhaustive: it assumes no type symmetry, so it
+    stays independent of the closed form. Capped at small fleets; the
+    closed form exists for a reason.
     """
     n = fleet.size
     if n > BRUTE_FORCE_MAX_FLEET:
@@ -112,17 +115,29 @@ def shapley_bruteforce(fleet: Fleet, params: SavingsParams) -> Allocation:
         math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
         for s in range(n)
     ]
+    full = 1 << n
+    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
+    et = [1 if t is TruckType.ELECTRIC else 0 for t in fleet.types]
+
+    nes = [0] * full
+    sizes = [0] * full
+    worth = [0.0] * full  # the float coalition_value returns for the subset
+    for mask in range(1, full):
+        low = mask & -mask
+        idx = low.bit_length() - 1
+        rest = mask ^ low
+        n_e = nes[rest] + et[idx]
+        size = sizes[rest] + 1
+        nes[mask] = n_e
+        sizes[mask] = size
+        worth[mask] = rate_for_counts(n_e, size - n_e, ee, ef) * dist
     payoffs = []
     for i in fleet.ids():
-        others = [j for j in fleet.ids() if j != i]
+        bit = 1 << i
         phi = 0.0
-        for size in range(n):
-            for subset in combinations(others, size):
-                before = fleet.subset_composition(subset)
-                after = fleet.subset_composition(subset + (i,))
-                phi += weights[size] * (
-                    coalition_value(after, params) - coalition_value(before, params)
-                )
+        for mask in range(full):
+            if not mask & bit:
+                phi += weights[sizes[mask]] * (worth[mask | bit] - worth[mask])
         payoffs.append(phi)
     return Allocation(tuple(payoffs), _leader_id(fleet), SCHEME_SHAPLEY_BF)
 

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from platoonshare import (
     FleetTooLarge,
     FleetTooSmall,
     SavingsParams,
+    TruckType,
     XiOutOfRange,
     coalition_value,
     deviation_minimizing_allocation,
@@ -23,6 +25,7 @@ from platoonshare import (
     stable_allocation,
     xi_upper_bound,
 )
+from platoonshare.oracles import BRUTE_FORCE_MAX_FLEET
 
 
 class TestXiUpperBound:
@@ -187,6 +190,51 @@ class TestShapleyBruteforce:
     def test_size_cap(self, params):
         with pytest.raises(FleetTooLarge):
             shapley_bruteforce(Fleet.from_composition(Composition(6, 5)), params)
+
+    @staticmethod
+    def _shuffled(n_e, n_f, rng):
+        types = [TruckType.ELECTRIC] * n_e + [TruckType.FUEL] * n_f
+        rng.shuffle(types)
+        return Fleet(tuple(types))
+
+    @pytest.mark.parametrize("epsilon_e", [0.0175, 0.048, 0.07])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_mean_over_all_orderings(self, n, epsilon_e):
+        # Shapley's definition, independent of the subset walk and of the
+        # closed form: a truck's mean marginal worth over all n! orderings.
+        params = SavingsParams(epsilon_f=0.07, epsilon_e=epsilon_e, distance=300.0)
+        rng = random.Random(n)
+        orders = list(permutations(range(n)))
+        for n_e in range(n + 1):
+            fleet = self._shuffled(n_e, n - n_e, rng)
+            worth = {(e, f): coalition_value(Composition(e, f), params)
+                     for e in range(n_e + 1) for f in range(n - n_e + 1)}
+            totals = [0.0] * n
+            for order in orders:
+                e = f = 0
+                for i in order:
+                    before = worth[e, f]
+                    if fleet.types[i] is TruckType.ELECTRIC:
+                        e += 1
+                    else:
+                        f += 1
+                    totals[i] += worth[e, f] - before
+            want = [t / len(orders) for t in totals]
+            got = list(shapley_bruteforce(fleet, params).payoffs)
+            assert got == pytest.approx(want, abs=params.money_tol()), fleet.types
+
+    def test_every_composition_up_to_the_cap(self, params):
+        tol = params.money_tol()
+        rng = random.Random(BRUTE_FORCE_MAX_FLEET)
+        for n in range(2, BRUTE_FORCE_MAX_FLEET + 1):
+            for n_e in range(n + 1):
+                fleet = self._shuffled(n_e, n - n_e, rng)
+                phi_e, phi_f = shapley_closed_form(fleet.composition(), params)
+                want = [phi_e if t is TruckType.ELECTRIC else phi_f for t in fleet.types]
+                got = list(shapley_bruteforce(fleet, params).payoffs)
+                assert got == pytest.approx(want, abs=tol), fleet.types
+                back = list(shapley_bruteforce(Fleet(fleet.types[::-1]), params).payoffs)
+                assert back == pytest.approx(got[::-1], abs=tol), fleet.types
 
 
 class TestEvenSplit:

@@ -109,7 +109,8 @@ def stable_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
     _check_fleet_size(fleet, params)
     (_, at0), (_, at1) = (_leader_share(fleet, params, xi) for xi in (0.0, 1.0))
     lines = [(p0, p1 - p0) for p0, p1 in zip(at0, at1)]
-    return Breakpoints(fleet, params, lines, (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
+    return Breakpoints(fleet, params, lines, (params.epsilon_e, params.epsilon_f),
+                       (0.0, 0.0), lambda xi: (stable_allocation(fleet, params, xi), params))
 
 
 def _type_fair_weights(comp: Composition):
@@ -150,13 +151,20 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
 
 
 def shapley_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
-    """``shapley_allocation`` along epsilon_e, the other params fixed."""
+    """``shapley_allocation`` along epsilon_e, the other params fixed; the table
+    holds the money tolerance of every epsilon_e <= epsilon_f, whatever ``params``'."""
     _check_fleet_size(fleet, params)
     ef, dist = params.epsilon_f, params.distance
     line_e, line_f = (None if w is None else (w[1] * ef * dist, w[0] * dist)
                       for w in _type_fair_weights(fleet.composition()))
     lines = [line_e if t is TruckType.ELECTRIC else line_f for t in fleet.types]
-    return Breakpoints(fleet, params, lines, (0.0, ef), (1.0, 0.0), swept="epsilon_e")
+
+    def point(eps_e: float):
+        at = replace(params, epsilon_e=eps_e)
+        return shapley_allocation(fleet, at), at
+
+    return Breakpoints(fleet, replace(params, epsilon_e=ef), lines, (0.0, ef), (1.0, 0.0),
+                       point)
 
 
 def even_split(fleet: Fleet, params: SavingsParams) -> Allocation:

@@ -13,7 +13,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from . import allocate as alloc_mod
@@ -100,6 +100,8 @@ def parse_config_file(path: str, command: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in converters:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = converters[key](value)
         except ValueError as exc:
@@ -248,23 +250,19 @@ def _leader_share_rows(compositions, key):
             bound = ratio6(alloc_mod.xi_upper_bound(comp, params))
             scan = alloc_mod.stable_breakpoints(fleet, params)
             for xi in _XI_GRID:
-                allocation = alloc_mod.stable_allocation(fleet, params, xi)
-                prob = scan.probability(xi, allocation, params)
-                yield [*key(comp), ratio6(xi), ratio6(prob), bound]
+                yield [*key(comp), ratio6(xi), ratio6(scan.probability(xi)), bound]
 
     return rows
 
 
 def _type_fair_rows(cfg: RunConfig):
-    base = cfg.params()
-    grid = [(r, replace(base, epsilon_e=r * cfg.epsilon_f)) for r in _RATIO_GRID]
+    params = cfg.params()
     for comp in _mixed_compositions(cfg.max_platoon_size):
         fleet = game.Fleet.from_composition(comp)
         threshold = ratio6(comp.n_f / comp.total())
-        scan = alloc_mod.shapley_breakpoints(fleet, grid[0][1])
-        for ratio, params in grid:
-            allocation = alloc_mod.shapley_allocation(fleet, params)
-            prob = scan.probability(params.epsilon_e, allocation, params)
+        scan = alloc_mod.shapley_breakpoints(fleet, params)
+        for ratio in _RATIO_GRID:
+            prob = scan.probability(ratio * cfg.epsilon_f)
             yield [comp.n_e, comp.n_f, ratio6(ratio), ratio6(prob), threshold]
 
 

@@ -5,13 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .allocate import (
-    Allocation,
-    shapley_allocation,
-    stable_allocation,
-    stable_breakpoints,
-    xi_upper_bound,
-)
+from .allocate import Allocation, shapley_allocation, stable_breakpoints, xi_upper_bound
 from .errors import XiOutOfRange, ZeroShapleyPayoff
 from .game import Fleet, SavingsParams
 
@@ -49,8 +43,8 @@ def deviation_curve(
     On the certified interval (0, xi*] of a fleet where the ratio core
     condition fails, the deviation decreases strictly and bottoms out at
     xi*; points beyond the bound are reported as-is for inspection. Core
-    flags are read off the fleet's ``stable_breakpoints``, built once; a
-    point within rounding of a threshold gets the class scan of ``in_core``.
+    flags and allocations are read off the fleet's ``stable_breakpoints``,
+    built once; a point within rounding of a threshold gets the class scan.
     """
     if not xi_grid:
         raise ValueError("empty xi grid")
@@ -62,9 +56,8 @@ def deviation_curve(
     scan = stable_breakpoints(fleet, params)
     points = []
     for xi in xi_grid:
-        x = stable_allocation(fleet, params, xi)
-        delta = mean_relative_deviation(x, phi)
-        points.append(DeviationPoint(xi, delta, scan.count(xi, x, params) == 0))
+        x, blocking = scan.at(xi)
+        points.append(DeviationPoint(xi, mean_relative_deviation(x, phi), blocking == 0))
     return DeviationCurve(tuple(points))
 
 

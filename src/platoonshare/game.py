@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -38,10 +39,10 @@ class TruckType(enum.Enum):
 class SavingsParams:
     """Monetary saving rates (EUR/km), trip distance (km) and platoon cap.
 
-    The rates only need to be positive, and their product with the
-    distance and the platoon cap finite; operations whose derivation
-    relies on epsilon_e < epsilon_f enforce that ordering themselves, so
-    ratio sweeps up to epsilon_e/epsilon_f = 1 stay expressible.
+    The rates only need to be positive, their product with the distance
+    and the platoon cap finite, and ``money_tol`` a normal float; operations
+    whose derivation relies on epsilon_e < epsilon_f enforce that ordering
+    themselves, so ratio sweeps up to epsilon_e/epsilon_f = 1 stay expressible.
     """
 
     epsilon_f: float
@@ -62,6 +63,9 @@ class SavingsParams:
             worth = math.inf
         if not worth < math.inf:
             raise ValueError("max rate x distance x max_platoon_size must be finite")
+        # a subnormal or zero tolerance would fail exact payoff sums as inefficient
+        if self.money_tol() < sys.float_info.min:
+            raise ValueError("max rate x distance is too small for a money tolerance")
 
     def money_tol(self) -> float:
         """Money tolerance: REL_TOL of the largest per-truck saving."""

@@ -4,8 +4,9 @@ One subset scan backs every verdict: trucks of the same type paid exactly
 the same are interchangeable, so it visits the classes of such subsets
 and weights each by its binomial multiplicity. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
-turned into sorted thresholds once per fleet. The labeled enumeration
-over all 2^N - 2 proper subsets that cross-checks both is an oracle in
+turned into sorted thresholds once per fleet; the table builds each point
+itself, so a sweep passes only the parameter. The labeled enumeration over
+all 2^N - 2 proper subsets that cross-checks both is an oracle in
 ``platoonshare.oracles``, run only on request (``method="slow"``).
 """
 
@@ -15,9 +16,8 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .errors import BothTypesRequired, FleetTooLarge, NotEfficient
@@ -110,25 +110,23 @@ def _share(n_violating: int, size: int) -> float:
 class Breakpoints:
     """Class scan of one fleet along allocations affine in a parameter t.
 
-    Truck i is paid ``p0 + p1*t`` for ``(p0, p1) = lines[i]``; the rates are
-    ``rates0 + t*rates1`` and ``swept`` names the ``SavingsParams`` field that
-    t is, if any. Each subset class's excess v(S) - x(S) - tol is ``a + b*t``,
-    so ``count`` bisects the sorted roots with cumulative labeled counts.
-    Rounding can flip a verdict only where ``|a + b*t| <= err0 + err1*t``,
-    the errs being ``_ROUNDING`` times the terms' magnitudes: near a root, or
-    from some t on where ``b`` is rounding noise. A point there, or with other
-    params than the table's, gets ``in_core``.
+    ``point`` builds the family's member at t as ``(allocation, params)``;
+    truck i is paid ``p0 + p1*t`` for ``(p0, p1) = lines[i]`` and the rates
+    are ``rates0 + t*rates1``. Each subset class's excess v(S) - x(S) - tol
+    is ``a + b*t``, so a point's count bisects the sorted roots with
+    cumulative labeled counts. Rounding can flip a verdict only where
+    ``|a + b*t| <= err0 + err1*t``, the errs being ``_ROUNDING`` times the
+    terms' magnitudes: near a root, or from some t on where ``b`` is
+    rounding noise. A point there, or at another money tolerance than the
+    table's (that of ``params``), gets ``_violations``' class scan instead.
     """
 
-    def __init__(self, fleet: Fleet, params: SavingsParams, lines, rates0, rates1,
-                 swept: str | None = None):
+    def __init__(self, fleet: Fleet, params: SavingsParams, lines, rates0, rates1, point):
         p0s, p1s = zip(*lines)
         nes, nfs, counts, sums = _subset_classes(
             fleet.types, p0s, p1s, map(abs, p0s), map(abs, p1s))
-        self.fleet, tol = fleet, params.money_tol()
-        self._fixed = attrgetter(*(f.name for f in fields(params) if f.name != swept))
-        self._key = (self._fixed(params), tol)
-        n, dist, inf = fleet.size, params.distance, math.inf
+        self.fleet, self._point, self._tol = fleet, point, params.money_tol()
+        n, dist, tol, inf = fleet.size, params.distance, self._tol, math.inf
         tiny = sys.float_info.min  # a floor for underflow
         (ee0, ef0), (ee1, ef1) = rates0, rates1
         base, rows = 0, []  # rows: (end, start, change in count) of each window
@@ -156,17 +154,17 @@ class Breakpoints:
         self._starts = list(accumulate((s for _, s, _ in reversed(self.windows)), min,
                                        initial=math.inf))[::-1]
 
-    def count(self, t: float, alloc: "Allocation", params: SavingsParams) -> int:
-        """Labeled count of the subsets blocking ``alloc``, the family at ``t``."""
-        j = bisect_left(self._ends, t)
-        if t >= self._starts[j] or (self._fixed(params), params.money_tol()) != self._key:
-            report = in_core(alloc, self.fleet, params)
-            return sum(count for _, count in report.blocking_coalitions)
+    def at(self, t: float) -> tuple["Allocation", int]:
+        """The allocation at ``t`` and the labeled count of the subsets blocking it."""
+        alloc, params = self._point(t)
         _check_efficient(alloc, self.fleet, params)
-        return self._counts[j]
+        j = bisect_left(self._ends, t)
+        if t >= self._starts[j] or params.money_tol() != self._tol:
+            return alloc, sum(_violations(alloc, self.fleet, params).values())
+        return alloc, self._counts[j]
 
-    def probability(self, t: float, alloc: "Allocation", params: SavingsParams) -> float:
-        return _share(self.count(t, alloc, params), self.fleet.size)
+    def probability(self, t: float) -> float:
+        return _share(self.at(t)[1], self.fleet.size)
 
 
 def in_core(
@@ -205,20 +203,12 @@ def shapley_core_condition_exact(comp: Composition, params: SavingsParams) -> bo
     """Necessary and sufficient composition-level test for the type-fair payoff.
 
     Only subset classes with some but not all of the electric trucks can
-    gain by leaving; classes with zero or all of them are satisfied
-    unconditionally, so the scan covers 1 <= n_e^S < n_e. In particular
-    a single-ET fleet passes vacuously at any rate ratio.
+    gain by leaving. Of those, the ones keeping every fuel truck gain the
+    most, and their bound on the rate ratio is n_f/n whatever their number
+    of electric trucks; so for n_e >= 2 the ratio test is also necessary,
+    and a single-ET fleet, with no such class, passes at any rate ratio.
     """
-    if comp.n_e < 1 or comp.n_f < 1:
-        raise BothTypesRequired("condition is defined for mixed fleets")
-    ratio = params.epsilon_e / params.epsilon_f
-    n = comp.total()
-    for sub_f in range(comp.n_f + 1):
-        for sub_e in range(1, comp.n_e):
-            rhs = (sub_f * comp.n_e - comp.n_f * sub_e) / (n * (comp.n_e - sub_e))
-            if ratio < rhs - REL_TOL:
-                return False
-    return True
+    return shapley_core_condition_ratio(comp, params) or comp.n_e == 1
 
 
 def shapley_core_condition_ratio(comp: Composition, params: SavingsParams) -> bool:

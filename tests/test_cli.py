@@ -308,6 +308,14 @@ class TestConfig:
         assert main(["value", "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("distance = 300\ndistance = 600\n")
+        assert main(["value", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config: {cfg}:2: duplicate key 'distance'\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command, code", [
         (["value"], 2), (["table1"], 2), (["sweep", "fig2"], 2),
         (["allocate", "--scheme", "stable"], 0),
@@ -344,6 +352,17 @@ class TestConfig:
     def test_invalid_field_rejected(self, capsys):
         assert main(["value", "--distance", "-5"]) == 2
         assert "error: config:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["allocate", "--distance", "1e-315"], ["sweep", "fig2", "--distance", "1e-315"],
+        ["allocate", "--distance", "1e-313", "--ne", "5", "--nf", "9"],
+    ])
+    def test_distance_too_small_for_a_tolerance(self, argv, capsys):
+        # these used to exit 3, the library failing its own payoffs as inefficient
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config:")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag, value", [
         ("--epsilon-f", "nan"), ("--epsilon-e", "inf"), ("--distance", "inf"),

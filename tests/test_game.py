@@ -237,6 +237,12 @@ class TestDomainTypes:
             SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=1e306,
                           max_platoon_size=10**6)
 
+    @pytest.mark.parametrize("distance", [1e-315, 1e-313, 3e-298])
+    def test_params_reject_underflowing_tolerance(self, distance):
+        # a subnormal money tolerance fails even exact payoff sums as inefficient
+        with pytest.raises(ValueError, match="too small"):
+            SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=distance)
+
     def test_params_reject_cap_beyond_float_range(self):
         # an integer cap too large for a float is a ValueError, not OverflowError
         with pytest.raises(ValueError, match="finite"):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from platoonshare import (
     SavingsParams,
     TruckType,
     coalition_value,
+    deviation_minimizing_allocation,
     even_split,
     in_core,
     shapley_allocation,
@@ -29,6 +31,7 @@ from platoonshare import (
 from platoonshare import stability
 from platoonshare.allocate import shapley_breakpoints, stable_breakpoints
 from platoonshare.cli import main
+from platoonshare.game import REL_TOL
 from platoonshare.stability import LABELED_SCAN_MAX_FLEET
 
 
@@ -158,6 +161,19 @@ class TestStabilityProbability:
                     assert in_core(alloc, fleet, params, method="slow").is_member
 
 
+def _exact_condition_loop(comp, params):
+    """Reference for ``shapley_core_condition_exact``: the bound of every
+    subset class with some but not all of the electric trucks."""
+    ratio = params.epsilon_e / params.epsilon_f
+    n = comp.total()
+    for sub_f in range(comp.n_f + 1):
+        for sub_e in range(1, comp.n_e):
+            rhs = (sub_f * comp.n_e - comp.n_f * sub_e) / (n * (comp.n_e - sub_e))
+            if ratio < rhs - REL_TOL:
+                return False
+    return True
+
+
 class TestShapleyCoreConditions:
     def test_exact_condition_default(self, params, comp23):
         assert shapley_core_condition_exact(comp23, params) is True
@@ -193,7 +209,7 @@ class TestShapleyCoreConditions:
         assert shapley_core_condition_ratio(Composition(1, 14), params) is False
 
     def test_both_require_mixed_fleet(self, params):
-        for comp in (Composition(0, 5), Composition(4, 0)):
+        for comp in (Composition(0, 5), Composition(4, 0), Composition(1, 0)):
             with pytest.raises(BothTypesRequired):
                 shapley_core_condition_exact(comp, params)
             with pytest.raises(BothTypesRequired):
@@ -209,6 +225,20 @@ class TestShapleyCoreConditions:
                     )
                     if shapley_core_condition_ratio(comp, params):
                         assert shapley_core_condition_exact(comp, params)
+
+    def test_exact_matches_the_subset_class_loop(self):
+        rng = random.Random(7)
+        for n in range(2, 31):
+            for n_e in range(1, n):
+                comp = Composition(n_e, n - n_e)
+                ratios = {rng.uniform(0.01, 1.0) for _ in range(3)}
+                for edge in (comp.n_f / n - REL_TOL, comp.n_f / n + REL_TOL):
+                    ratios |= {edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)}
+                for ratio in ratios:
+                    # epsilon_f = 1 makes epsilon_e / epsilon_f the ratio itself
+                    params = SavingsParams(epsilon_f=1.0, epsilon_e=ratio, distance=300.0)
+                    assert (shapley_core_condition_exact(comp, params)
+                            == _exact_condition_loop(comp, params)), (comp, ratio)
 
     def test_exact_agrees_with_labeled_scan_small_grid(self):
         for n in range(2, 8):
@@ -243,7 +273,41 @@ class TestShapleyCoreConditions:
                 )
 
 
+def _smallest_distance(eps_f, eps_e):
+    """The smallest distance whose money tolerance ``SavingsParams`` accepts."""
+    def accepted(distance):
+        try:
+            SavingsParams(epsilon_f=eps_f, epsilon_e=eps_e, distance=distance)
+        except ValueError:
+            return False
+        return True
+
+    distance = sys.float_info.min / (REL_TOL * max(eps_f, eps_e))
+    while accepted(math.nextafter(distance, 0.0)):
+        distance = math.nextafter(distance, 0.0)
+    while not accepted(distance):
+        distance = math.nextafter(distance, math.inf)
+    return distance
+
+
 class TestEdgeCases:
+    def test_every_scheme_efficient_at_the_smallest_distance(self):
+        shortest = _smallest_distance(0.07, 0.048)
+        with pytest.raises(ValueError, match="too small"):
+            SavingsParams(epsilon_f=0.07, epsilon_e=0.048,
+                          distance=math.nextafter(shortest, 0.0))
+        params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=shortest)
+        for n in range(2, 16):
+            for n_e in range(n + 1):
+                comp = Composition(n_e, n - n_e)
+                fleet = Fleet.from_composition(comp)
+                schemes = [stable_allocation(fleet, params, xi_upper_bound(comp, params)),
+                           shapley_allocation(fleet, params), even_split(fleet, params)]
+                if 0 < n_e < n and not shapley_core_condition_ratio(comp, params):
+                    schemes.append(deviation_minimizing_allocation(fleet, params)[0])
+                for alloc in schemes:
+                    in_core(alloc, fleet, params)  # raises NotEfficient if it fails
+
     def test_zero_payoffs_not_efficient_on_a_short_trip(self):
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=1e-6)
         fleet = Fleet.from_composition(Composition(0, 2))
@@ -388,8 +452,9 @@ class TestBreakpoints:
         scan = stable_breakpoints(fleet, params)
         for xi in sorted(_probe_points(scan) | set(xis)):
             if 0.0 < xi <= 1.0:
-                alloc = stable_allocation(fleet, params, xi)
-                assert scan.count(xi, alloc, params) == _blocking(alloc, fleet, params)
+                alloc, count = scan.at(xi)
+                assert alloc == stable_allocation(fleet, params, xi)
+                assert count == _blocking(alloc, fleet, params)
 
     @given(data=st.data(), comp=compositions.filter(lambda c: min(c) >= 1),
            eps_f=fuel_rates, distance=distances, k=st.integers(-6, 9),
@@ -405,8 +470,9 @@ class TestBreakpoints:
         for eps_e in sorted(points):
             if 0.0 < eps_e < eps_f:
                 params = replace(base, epsilon_e=eps_e)
-                alloc = shapley_allocation(fleet, params)
-                assert scan.count(eps_e, alloc, params) == _blocking(alloc, fleet, params)
+                alloc, count = scan.at(eps_e)
+                assert alloc == shapley_allocation(fleet, params)
+                assert count == _blocking(alloc, fleet, params)
 
     def test_reads_the_thresholds_away_from_them(self, monkeypatch, params):
         fleet = Fleet.from_composition(Composition(3, 12))
@@ -414,22 +480,24 @@ class TestBreakpoints:
         expected = [_blocking(stable_allocation(fleet, params, xi), fleet, params)
                     for xi in (0.01, 0.1, 0.5)]
         monkeypatch.setattr(stability, "_violations", None)  # any recheck would fail
-        assert [scan.count(xi, stable_allocation(fleet, params, xi), params)
-                for xi in (0.01, 0.1, 0.5)] == expected
-        assert scan.probability(0.5, stable_allocation(fleet, params, 0.5), params) < 1.0
+        assert [scan.at(xi)[1] for xi in (0.01, 0.1, 0.5)] == expected
+        assert scan.probability(0.5) < 1.0
         assert expected[0] == 0 < expected[1]
 
-    @pytest.mark.parametrize("change", [{"epsilon_f": 0.5}, {"epsilon_e": 0.01}])
-    def test_other_params_are_rechecked(self, change, params, fleet23, monkeypatch):
-        # a table answers only for the params it was built at, also where the
-        # tolerance stays the same (epsilon_e below epsilon_f does not move it)
-        scan = stable_breakpoints(fleet23, params)
-        other = replace(params, **change)
-        alloc = stable_allocation(fleet23, other, 0.1)
+    def test_a_changed_tolerance_is_rechecked(self, params, monkeypatch):
+        # past epsilon_f the money tolerance grows with epsilon_e, so a table
+        # built at the tolerance of epsilon_e <= epsilon_f cannot answer there
+        fleet = Fleet.from_composition(Composition(4, 0))
+        scan = shapley_breakpoints(fleet, params)
         calls = []
-        monkeypatch.setattr(stability, "in_core", lambda *a: calls.append(a) or in_core(*a))
-        assert scan.count(0.1, alloc, other) == _blocking(alloc, fleet23, other) > 0
-        assert len(calls) == 1
+        scan_classes = stability._violations
+        monkeypatch.setattr(stability, "_violations",
+                            lambda *a: calls.append(a) or scan_classes(*a))
+        alloc, count = scan.at(0.2)
+        assert count == _blocking(alloc, fleet, replace(params, epsilon_e=0.2))
+        assert len(calls) == 2  # the recheck, then _blocking
+        scan.at(0.05)  # below epsilon_f: read off the table
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("build", [stable_breakpoints, shapley_breakpoints])
     def test_fleet_checks(self, build, params):
@@ -440,10 +508,12 @@ class TestBreakpoints:
             build(Fleet.from_composition(Composition(8, 8)), params)
 
     def test_not_efficient_raises(self, params, fleet23):
-        scan = stable_breakpoints(fleet23, params)
         alloc = Allocation((1.0,) * 5, leader_id=0, scheme="test")
+        scan = stability.Breakpoints(fleet23, params, [(1.0, 0.0)] * 5,
+                                     (params.epsilon_e, params.epsilon_f), (0.0, 0.0),
+                                     lambda t: (alloc, params))
         with pytest.raises(NotEfficient):
-            scan.count(0.1, alloc, params)
+            scan.at(0.1)
 
     def test_default_sweeps_never_rescan(self, monkeypatch, tmp_path):
         calls = []

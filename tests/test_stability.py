@@ -484,17 +484,22 @@ class TestBreakpoints:
         assert scan.probability(0.5) < 1.0
         assert expected[0] == 0 < expected[1]
 
-    def test_a_changed_tolerance_is_rechecked(self, params, monkeypatch):
-        # past epsilon_f the money tolerance grows with epsilon_e, so a table
-        # built at the tolerance of epsilon_e <= epsilon_f cannot answer there
+    @pytest.mark.parametrize("change", [{"epsilon_e": 0.2}, {"epsilon_e": 0.5}])
+    def test_other_params_are_rechecked(self, change, params, monkeypatch):
+        # a point's params can differ from its table's only in the money
+        # tolerance: past epsilon_f it grows with epsilon_e, so a table built
+        # at the tolerance of epsilon_e <= epsilon_f cannot answer there
         fleet = Fleet.from_composition(Composition(4, 0))
         scan = shapley_breakpoints(fleet, params)
+        other = replace(params, **change)
+        assert other.money_tol() > params.money_tol()
         calls = []
         scan_classes = stability._violations
         monkeypatch.setattr(stability, "_violations",
                             lambda *a: calls.append(a) or scan_classes(*a))
-        alloc, count = scan.at(0.2)
-        assert count == _blocking(alloc, fleet, replace(params, epsilon_e=0.2))
+        alloc, count = scan.at(other.epsilon_e)
+        assert alloc == shapley_allocation(fleet, other)
+        assert count == _blocking(alloc, fleet, other)
         assert len(calls) == 2  # the recheck, then _blocking
         scan.at(0.05)  # below epsilon_f: read off the table
         assert len(calls) == 2

@@ -23,12 +23,10 @@ from .errors import (
     GameError,
     InvalidPartition,
     NotEfficient,
-    TooManyStructures,
     XiOutOfRange,
     ZeroShapleyPayoff,
 )
 from .fairness import (
-    DeviationCurve,
     DeviationPoint,
     default_xi_grid,
     deviation_curve,
@@ -48,7 +46,6 @@ from .stability import (
     in_core,
     shapley_core_condition_exact,
     shapley_core_condition_ratio,
-    stability_probability,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,9 @@ class Allocation:
 
     ``within_bound`` is only meaningful for the leader-share schemes: it
     records whether xi respected the certified upper bound (the scheme is
-    still constructed beyond it, since sweeps deliberately cross over).
+    still constructed beyond it, since sweeps deliberately cross over), and
+    stays None where no bound is certified (a mixed fleet with
+    epsilon_e >= epsilon_f).
     """
 
     payoffs: tuple[float, ...]
@@ -56,20 +58,7 @@ class Allocation:
 
 
 def _leader_id(fleet: Fleet) -> int:
-    kind = optimal_leader_type(fleet.composition())
-    if kind is None:
-        raise FleetTooSmall("empty fleet has no leader")
-    return fleet.types.index(kind)
-
-
-def _xi_bound_raw(comp: Composition, params: SavingsParams) -> float:
-    # Upper end of the certified leader-share interval; well defined for
-    # any positive rates even where the certification needs an ordering.
-    if comp.n_e >= 1:
-        return params.epsilon_e / (
-            params.epsilon_e * (comp.n_e - 1) + params.epsilon_f * comp.n_f
-        )
-    return 1.0 / (comp.total() - 1)
+    return fleet.types.index(optimal_leader_type(fleet.composition()))
 
 
 def xi_upper_bound(comp: Composition, params: SavingsParams) -> float:
@@ -78,7 +67,11 @@ def xi_upper_bound(comp: Composition, params: SavingsParams) -> float:
         raise FleetTooSmall("need at least two trucks")
     if comp.n_e >= 1 and comp.n_f >= 1 and not params.epsilon_e < params.epsilon_f:
         raise EpsilonOrderError("bound requires epsilon_e < epsilon_f")
-    return _xi_bound_raw(comp, params)
+    if comp.n_e >= 1:
+        return params.epsilon_e / (
+            params.epsilon_e * (comp.n_e - 1) + params.epsilon_f * comp.n_f
+        )
+    return 1.0 / (comp.total() - 1)
 
 
 def _leader_share(fleet: Fleet, params: SavingsParams, xi: float):
@@ -99,7 +92,10 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
         raise XiOutOfRange(f"xi must be in (0, 1], got {xi}")
     _check_fleet_size(fleet, params)
     leader, payoffs = _leader_share(fleet, params, xi)
-    within = xi <= _xi_bound_raw(fleet.composition(), params) + REL_TOL
+    try:
+        within = xi <= xi_upper_bound(fleet.composition(), params) + REL_TOL
+    except EpsilonOrderError:  # no certified bound
+        within = None
     return Allocation(payoffs, leader, SCHEME_STABLE, xi=xi, within_bound=within)
 
 
@@ -188,7 +184,7 @@ def deviation_minimizing_allocation(
         raise BothTypesRequired("fallback scheme needs both truck types")
     if shapley_core_condition_ratio(comp, params):
         raise ConditionHolds("ratio core condition holds; use shapley")
-    xi_star = _xi_bound_raw(comp, params)
+    xi_star = xi_upper_bound(comp, params)
     base = stable_allocation(fleet, params, xi_star)
     return replace(base, scheme=SCHEME_DEVIATION_MIN), xi_star
 

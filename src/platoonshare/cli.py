@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import allocate as alloc_mod
 from . import fairness, game, stability
-from .errors import GameError, TooManyStructures
+from .errors import FleetTooLarge, GameError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -213,7 +213,7 @@ def cmd_table1(cfg: RunConfig, args: argparse.Namespace) -> str:
     comp = cfg.composition()
     params.check_fleet_size(comp.total())
     if comp.total() > TABLE_MAX_TRUCKS:
-        raise TooManyStructures(
+        raise FleetTooLarge(
             f"structure table capped at {TABLE_MAX_TRUCKS} trucks, got {comp.total()}"
         )
     structures = game.enumerate_type_structures(comp)
@@ -273,8 +273,8 @@ def _deviation_rows(cfg: RunConfig):
         xi_star = ratio6(alloc_mod.xi_upper_bound(comp, params))
         grid = fairness.default_xi_grid(fleet, params)
         curve = fairness.deviation_curve(fleet, params, grid)
-        delta_star = ratio6(curve.points[-1].delta)
-        for point in curve.points:
+        delta_star = ratio6(curve[-1].delta)
+        for point in curve:
             yield [comp.n_e, comp.n_f, ratio6(point.xi), ratio6(point.delta),
                    str(point.in_core).lower(), xi_star, delta_star]
 

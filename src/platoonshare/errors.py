@@ -43,7 +43,3 @@ class BothTypesRequired(GameError):
 
 class ZeroShapleyPayoff(GameError):
     """Relative deviation is undefined against a zero benchmark payoff."""
-
-
-class TooManyStructures(GameError):
-    """Structure enumeration would exceed the configured guard."""

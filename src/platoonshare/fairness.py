@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .allocate import Allocation, shapley_allocation, stable_breakpoints, xi_upper_bound
-from .errors import XiOutOfRange, ZeroShapleyPayoff
+from .errors import ZeroShapleyPayoff
 from .game import Fleet, SavingsParams
 
 
@@ -15,14 +15,6 @@ class DeviationPoint:
     xi: float
     delta: float
     in_core: bool
-
-
-@dataclass(frozen=True)
-class DeviationCurve:
-    points: tuple[DeviationPoint, ...]
-
-    def deltas(self) -> list[float]:
-        return [p.delta for p in self.points]
 
 
 def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
@@ -37,7 +29,7 @@ def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
 
 def deviation_curve(
     fleet: Fleet, params: SavingsParams, xi_grid: Sequence[float]
-) -> DeviationCurve:
+) -> tuple[DeviationPoint, ...]:
     """Deviation from the type-fair payoff and core verdict along a xi grid.
 
     On the certified interval (0, xi*] of a fleet where the ratio core
@@ -48,8 +40,6 @@ def deviation_curve(
     """
     if not xi_grid:
         raise ValueError("empty xi grid")
-    if any(not 0.0 < xi <= 1.0 for xi in xi_grid):
-        raise XiOutOfRange("grid points must lie in (0, 1]")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
         raise ValueError("grid must be strictly increasing")
     phi = shapley_allocation(fleet, params)
@@ -58,13 +48,12 @@ def deviation_curve(
     for xi in xi_grid:
         x, blocking = scan.at(xi)
         points.append(DeviationPoint(xi, mean_relative_deviation(x, phi), blocking == 0))
-    return DeviationCurve(tuple(points))
+    return tuple(points)
 
 
-def default_xi_grid(fleet: Fleet, params: SavingsParams, n: int = 60) -> list[float]:
-    """Evenly spaced grid from 0.002 up to the instance's ``xi_upper_bound``."""
-    if n < 2:
-        raise ValueError(f"a xi grid needs at least 2 points, got {n}")
+def default_xi_grid(fleet: Fleet, params: SavingsParams) -> list[float]:
+    """60 evenly spaced points from 0.002 up to the instance's ``xi_upper_bound``."""
+    n = 60
     xi_star = xi_upper_bound(fleet.composition(), params)
     start = 0.002 if xi_star > 0.002 else xi_star / n
     step = (xi_star - start) / (n - 1)

@@ -102,6 +102,8 @@ class Fleet:
     @classmethod
     def from_composition(cls, comp: Composition) -> "Fleet":
         """Deterministic roster: electric trucks first, then fuel-powered."""
+        if comp.total() > sys.maxsize:
+            raise FleetTooLarge(f"a roster holds at most {sys.maxsize} trucks")
         return cls((TruckType.ELECTRIC,) * comp.n_e + (TruckType.FUEL,) * comp.n_f)
 
     @property

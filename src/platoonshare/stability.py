@@ -172,12 +172,12 @@ def in_core(
 ) -> CoreReport:
     """Decide core membership of an efficient allocation.
 
-    ``method`` "auto" and "fast" both take the class scan, which is exact
-    for any allocation; "slow" takes the labeled oracle instead, loaded
-    from ``platoonshare.oracles`` only then.
+    ``method`` "auto" takes the class scan, which is exact for any
+    allocation; "slow" takes the labeled oracle instead, loaded from
+    ``platoonshare.oracles`` only then.
     """
     _check_efficient(alloc, fleet, params)
-    if method not in ("auto", "fast", "slow"):
+    if method not in ("auto", "slow"):
         raise ValueError(f"unknown method {method!r}")
     scan = _violations
     if method == "slow":
@@ -190,13 +190,6 @@ def in_core(
         for (n_e, n_f), count in sorted(violations.items())
     )
     return CoreReport(n_violating == 0, blocking, _share(n_violating, fleet.size))
-
-
-def stability_probability(
-    alloc: "Allocation", fleet: Fleet, params: SavingsParams, method: str = "auto"
-) -> float:
-    """Share of non-trivial subsets with no incentive to walk away."""
-    return in_core(alloc, fleet, params, method=method).stability_probability
 
 
 def shapley_core_condition_exact(comp: Composition, params: SavingsParams) -> bool:

@@ -210,7 +210,7 @@ def test_criterion_07_deviation_minimizing_regime():
         if not delta_star < 1.0:
             failures.append(f"n_e={n_e}: delta {delta_star} >= 1")
         curve = deviation_curve(fleet, params, default_xi_grid(fleet, params))
-        deltas = curve.deltas()
+        deltas = [p.delta for p in curve]
         if not all(b < a for a, b in zip(deltas, deltas[1:])):
             failures.append(f"n_e={n_e}: deviation not strictly decreasing")
     _finish(7, "deviation-minimizing allocation across mixed fleets", failures)
@@ -290,7 +290,7 @@ def test_criterion_10_fast_slow_agreement():
         scale = total / sum(raw)
         alloc = Allocation(tuple(p * scale for p in raw), leader_id=leader,
                            scheme="random")
-        fast = in_core(alloc, fleet, DEFAULT, method="fast")
+        fast = in_core(alloc, fleet, DEFAULT)
         slow = in_core(alloc, fleet, DEFAULT, method="slow")
         if fast != slow:
             failures.append(f"trial {trial} {comp}: fast {fast} vs slow {slow}")

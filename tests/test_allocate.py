@@ -81,6 +81,10 @@ class TestStableAllocation:
         assert alloc.within_bound is False
         assert alloc.total() == pytest.approx(77.4, abs=1e-6)
 
+    def test_no_bound_without_ordered_rates(self, fleet23):
+        params = SavingsParams(epsilon_f=0.07, epsilon_e=0.08, distance=300.0)
+        assert stable_allocation(fleet23, params, 0.1).within_bound is None
+
     @pytest.mark.parametrize("xi", [0.0, -0.1, 1.0001, 5.0])
     def test_xi_range(self, params, fleet23, xi):
         with pytest.raises(XiOutOfRange):
@@ -167,6 +171,10 @@ class TestShapleyClosedForm:
         params = SavingsParams(epsilon_f=0.048, epsilon_e=0.07, distance=300.0)
         with pytest.raises(EpsilonOrderError):
             shapley_closed_form(Composition(2, 3), params)
+
+    def test_empty_composition(self, params):
+        with pytest.raises(FleetTooSmall):
+            shapley_closed_form(Composition(0, 0), params)
 
 
 class TestShapleyBruteforce:

@@ -74,6 +74,22 @@ class TestAllocate:
         assert "core=false" in out
         assert "blocking=" in out
 
+    def test_stable_without_ordered_rates_has_no_bound(self, capsys):
+        assert main(["allocate", "--scheme", "stable", "--xi", "0.1",
+                     "--epsilon-e", "0.08"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("scheme=stable xi=0.100000\n")
+        assert "within_bound=" not in out
+
+    def test_roster_beyond_the_index_range(self, capsys):
+        # fails before any roster is built; sizes that fit would really allocate
+        huge = ["--ne", str(10**20), "--nf", "1", "--max-platoon-size", str(10**21)]
+        assert main(["allocate", *huge]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: FleetTooLarge:")
+        assert captured.out == ""
+        assert main(["value", *huge]) == 0
+
     def test_stable_defaults_to_the_bound(self, capsys):
         assert main(["allocate", "--scheme", "stable"]) == 0
         out = capsys.readouterr().out
@@ -136,7 +152,7 @@ class TestTable:
 
     def test_structure_guard(self, capsys):
         assert main(["table1", "--ne", "6", "--nf", "6"]) == 3
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: FleetTooLarge:")
 
     def test_empty_composition_is_precondition_error(self, capsys):
         assert main(["table1", "--ne", "0", "--nf", "0"]) == 3
@@ -307,6 +323,14 @@ class TestConfig:
         cfg.write_text("epsilon_g = 0.07\n")
         assert main(["value", "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text("distance 300\n")
+        assert main(["value", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config: {cfg}:1: expected 'key = value'\n"
+        assert captured.out == ""
 
     def test_duplicate_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "twice.cfg"

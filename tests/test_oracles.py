@@ -74,5 +74,4 @@ def test_slow_method_takes_the_labeled_scan(monkeypatch, params):
     assert len(scans) == 1
     assert not slow.is_member
     assert slow == in_core(alloc, fleet, params)
-    in_core(alloc, fleet, params, method="fast")
     assert len(scans) == 1

@@ -24,7 +24,6 @@ from platoonshare import (
     shapley_allocation,
     shapley_core_condition_exact,
     shapley_core_condition_ratio,
-    stability_probability,
     stable_allocation,
     xi_upper_bound,
 )
@@ -62,13 +61,12 @@ class TestInCore:
         alloc = Allocation((0.0, 0.0), leader_id=0, scheme="test")
         with pytest.raises(NotEfficient):
             in_core(alloc, fleet, params)
-        with pytest.raises(NotEfficient):
-            stability_probability(alloc, fleet, params)
 
     def test_unknown_method_rejected(self, params, fleet23):
         alloc = shapley_allocation(fleet23, params)
-        with pytest.raises(ValueError, match="unknown method"):
-            in_core(alloc, fleet23, params, method="bogus")
+        for method in ("bogus", "fast"):
+            with pytest.raises(ValueError, match="unknown method"):
+                in_core(alloc, fleet23, params, method=method)
 
     def test_fleet_cap(self):
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
@@ -107,7 +105,7 @@ class TestFastSlowAgreement:
             n_f = rng.randint(2 if n_e < 2 else 0, 6)
             fleet = Fleet.from_composition(Composition(n_e, n_f))
             alloc = _random_structured_allocation(rng, fleet, params)
-            fast = in_core(alloc, fleet, params, method="fast")
+            fast = in_core(alloc, fleet, params)
             slow = in_core(alloc, fleet, params, method="slow")
             assert fast == slow
 
@@ -117,8 +115,7 @@ class TestFastSlowAgreement:
             (total - 10.0, 4.0, 3.0, 2.0, 1.0), leader_id=0, scheme="test"
         )
         # no two trucks are paid alike, yet every method gives the same report
-        report = in_core(alloc, fleet23, params, method="fast")
-        assert report == in_core(alloc, fleet23, params)
+        report = in_core(alloc, fleet23, params)
         assert report == in_core(alloc, fleet23, params, method="slow")
 
     @given(data=st.data(), n=st.integers(2, 10), ratio=st.floats(0.05, 0.95),
@@ -140,14 +137,14 @@ class TestFastSlowAgreement:
 class TestStabilityProbability:
     def test_member_is_one(self, params, fleet23, comp23):
         alloc = stable_allocation(fleet23, params, xi_upper_bound(comp23, params))
-        assert stability_probability(alloc, fleet23, params) == 1.0
+        assert in_core(alloc, fleet23, params).stability_probability == 1.0
 
     def test_far_beyond_bound_drops_below_one(self, params):
         comp = Composition(14, 1)
         fleet = Fleet.from_composition(comp)
         bound = xi_upper_bound(comp, params)
         alloc = stable_allocation(fleet, params, min(1.0, bound * 3))
-        assert stability_probability(alloc, fleet, params) < 1.0
+        assert in_core(alloc, fleet, params).stability_probability < 1.0
 
     def test_certified_region_small_grid(self, params):
         # leader-share allocations inside the bound stay in the core
@@ -347,9 +344,8 @@ class TestEdgeCases:
         raw = [1.0 + i for i in range(size)]
         alloc = Allocation(tuple(p * total / sum(raw) for p in raw), 0, scheme="test")
         assert len(set(alloc.payoffs)) == size
-        for method in ("auto", "fast"):
-            with pytest.raises(FleetTooLarge, match="subset classes"):
-                in_core(alloc, fleet, params, method=method)
+        with pytest.raises(FleetTooLarge, match="subset classes"):
+            in_core(alloc, fleet, params)
 
 
 def _scheme_allocation(scheme, fleet, params, xi):

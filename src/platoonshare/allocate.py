@@ -80,8 +80,9 @@ def _leader_share(fleet: Fleet, params: SavingsParams, xi: float):
     lead = xi * coalition_value(fleet.composition(), params)
     pay_e = (1.0 - xi) * params.epsilon_e * params.distance
     pay_f = (1.0 - xi) * params.epsilon_f * params.distance
+    electric = TruckType.ELECTRIC
     return leader, tuple(
-        lead if i == leader else pay_e if t is TruckType.ELECTRIC else pay_f
+        lead if i == leader else pay_e if t is electric else pay_f
         for i, t in enumerate(fleet.types)
     )
 
@@ -101,12 +102,15 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
 
 def stable_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
     """``stable_allocation`` along xi; every product is exact at xi = 0 and 1,
-    so the payoffs there give each truck's line exactly."""
+    so the payoffs there give each truck's line exactly. The table leaves out
+    the subsets holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so its
+    excess xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
     _check_fleet_size(fleet, params)
-    (_, at0), (_, at1) = (_leader_share(fleet, params, xi) for xi in (0.0, 1.0))
+    (leader, at0), (_, at1) = (_leader_share(fleet, params, xi) for xi in (0.0, 1.0))
     lines = [(p0, p1 - p0) for p0, p1 in zip(at0, at1)]
     return Breakpoints(fleet, params, lines, (params.epsilon_e, params.epsilon_f),
-                       (0.0, 0.0), lambda xi: (stable_allocation(fleet, params, xi), params))
+                       (0.0, 0.0), lambda xi: (stable_allocation(fleet, params, xi), params),
+                       leader)
 
 
 def _type_fair_weights(comp: Composition):
@@ -141,7 +145,8 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
     """Closed-form type-fair payoff as a per-truck allocation."""
     _check_fleet_size(fleet, params)
     phi_e, phi_f = shapley_closed_form(fleet.composition(), params)
-    payoffs = tuple(phi_e if t is TruckType.ELECTRIC else phi_f for t in fleet.types)
+    electric = TruckType.ELECTRIC
+    payoffs = tuple(phi_e if t is electric else phi_f for t in fleet.types)
     # the scheme is role-free; the leader id is metadata only
     return Allocation(payoffs, _leader_id(fleet), SCHEME_SHAPLEY)
 

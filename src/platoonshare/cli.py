@@ -171,7 +171,9 @@ SCHEMES = {
 
 def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> str:
     params = cfg.params()
-    fleet = game.Fleet.from_composition(cfg.composition())
+    comp = cfg.composition()
+    params.check_fleet_size(comp.total())  # before a roster of that size is built
+    fleet = game.Fleet.from_composition(comp)
     allocation = SCHEMES[args.scheme](fleet, params, cfg.xi)
     report = stability.in_core(allocation, fleet, params)
     head = f"scheme={allocation.scheme}"
@@ -197,7 +199,6 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> str:
         ]
         lines.append("blocking=" + ";".join(parts))
     if args.scheme == "shapley":
-        comp = fleet.composition()
         if comp.n_e >= 1 and comp.n_f >= 1:
             lines.append(
                 "core_ratio_condition="

@@ -99,6 +99,11 @@ class Fleet:
 
     types: tuple[TruckType, ...]
 
+    def __post_init__(self) -> None:
+        # counted once; not a field, so equality, hashing and repr ignore it
+        n_e = self.types.count(TruckType.ELECTRIC)
+        object.__setattr__(self, "_composition", Composition(n_e, len(self.types) - n_e))
+
     @classmethod
     def from_composition(cls, comp: Composition) -> "Fleet":
         """Deterministic roster: electric trucks first, then fuel-powered."""
@@ -114,8 +119,7 @@ class Fleet:
         return range(self.size)
 
     def composition(self) -> Composition:
-        n_e = self.types.count(TruckType.ELECTRIC)
-        return Composition(n_e, self.size - n_e)
+        return self._composition
 
     def subset_composition(self, members: Iterable[int]) -> Composition:
         ids = set(members)

@@ -57,15 +57,19 @@ class CoreReport:
     stability_probability: float
 
 
-def _subset_classes(types, *columns) -> tuple[list, list, list, list]:
+def _subset_classes(types, *columns, leave_out=None) -> tuple[list, list, list, list]:
     """n_e, n_f, labeled count and each column's sum, one entry per subset class.
 
     Trucks of one type with equal entries in ``columns`` (payoff components)
     are interchangeable: a subset takes k of such a class of m, comb(m, k) ways.
+    Subsets holding truck ``leave_out`` get no classes; the cap still counts them.
     """
-    classes = Counter(zip(types, *columns))
+    keys = list(zip(types, *columns))
+    classes = Counter(keys)
     if math.prod(size + 1 for size in classes.values()) > 1 << LABELED_SCAN_MAX_FLEET:
         raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
+    if leave_out is not None:
+        classes[keys[leave_out]] -= 1
     nes, nfs, counts, sums = [0], [0], [1], [[0.0] for _ in columns]
     for (truck_type, *pays), size in classes.items():
         taken = range(size + 1)
@@ -119,12 +123,16 @@ class Breakpoints:
     terms' magnitudes: near a root, or from some t on where ``b`` is
     rounding noise. A point there, or at another money tolerance than the
     table's (that of ``params``), gets ``_violations``' class scan instead.
+    The caller may name a truck ``leader`` whose subsets block at no point
+    it builds; their classes are left out of the table, though the class
+    cap still counts them.
     """
 
-    def __init__(self, fleet: Fleet, params: SavingsParams, lines, rates0, rates1, point):
+    def __init__(self, fleet: Fleet, params: SavingsParams, lines, rates0, rates1, point,
+                 leader=None):
         p0s, p1s = zip(*lines)
         nes, nfs, counts, sums = _subset_classes(
-            fleet.types, p0s, p1s, map(abs, p0s), map(abs, p1s))
+            fleet.types, p0s, p1s, map(abs, p0s), map(abs, p1s), leave_out=leader)
         self.fleet, self._point, self._tol = fleet, point, params.money_tol()
         n, dist, tol, inf = fleet.size, params.distance, self._tol, math.inf
         tiny = sys.float_info.min  # a floor for underflow

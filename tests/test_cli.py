@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+from platoonshare import game
 from platoonshare.cli import RunConfig, main
 
 TABLE_TOTALS = ["77.40", "56.40", "63.00", "56.40", "63.00", "56.40", "42.00", "42.00",
@@ -89,6 +90,16 @@ class TestAllocate:
         assert captured.err.startswith("error: FleetTooLarge:")
         assert captured.out == ""
         assert main(["value", *huge]) == 0
+
+    def test_platoon_cap_checked_before_the_roster(self, monkeypatch, capsys):
+        def no_roster(comp):
+            raise AssertionError("roster built for a fleet above the cap")
+
+        monkeypatch.setattr(game.Fleet, "from_composition", no_roster)
+        assert main(["allocate", "--ne", "16", "--nf", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: FleetTooLarge: fleet of 17 exceeds max platoon size 15\n"
+        assert captured.out == ""
 
     def test_stable_defaults_to_the_bound(self, capsys):
         assert main(["allocate", "--scheme", "stable"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tokenize
 from fractions import Fraction
@@ -213,6 +214,20 @@ class TestDomainTypes:
         assert fleet.size == 5
         assert fleet.types[:2] == (TruckType.ELECTRIC,) * 2
         assert fleet.composition() == comp23
+
+    def test_fleet_caches_its_composition_outside_the_fields(self, comp23):
+        # the cached counts leave equality, hashing and repr to the roster alone
+        types = (TruckType.FUEL, TruckType.ELECTRIC, TruckType.FUEL)
+        fleet = Fleet(types)
+        assert [f.name for f in dataclasses.fields(Fleet)] == ["types"]
+        assert repr(fleet) == ("Fleet(types=(<TruckType.FUEL: 'FPT'>, "
+                               "<TruckType.ELECTRIC: 'ET'>, <TruckType.FUEL: 'FPT'>))")
+        assert fleet == Fleet(types) and hash(fleet) == hash(Fleet(types)) == hash((types,))
+        assert fleet != Fleet.from_composition(Composition(1, 2))
+        assert fleet.composition() is fleet.composition() == Composition(1, 2)
+        moved = dataclasses.replace(fleet, types=types[:2])
+        assert moved.composition() == Composition(1, 1)
+        assert Fleet.from_composition(comp23) == Fleet(Fleet.from_composition(comp23).types)
 
     def test_subset_composition_validates(self, fleet23):
         with pytest.raises(ValueError):

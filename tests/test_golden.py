@@ -3,9 +3,9 @@
 Each file under ``tests/golden/`` is the stdout of the listed command at
 the default settings. Regenerate one with, for example,
 ``PYTHONPATH=src python -m platoonshare.cli sweep fig2 > tests/golden/sweep_fig2.csv``
-and only when an output change is intended. ``sweep_size40.sha256`` pins
-the four sweeps at ``--max-platoon-size 40`` by digest, in ``sha256sum``
-format, since those CSVs are large.
+and only when an output change is intended. ``sweep_size40.sha256`` and
+``sweep_size100.sha256`` pin the four sweeps at ``--max-platoon-size`` 40
+and 100 by digest, in ``sha256sum`` format, since those CSVs are large.
 """
 
 import hashlib
@@ -47,3 +47,15 @@ def test_size40_sweep_matches_digest(kind, tmp_path):
     out_path = tmp_path / f"{kind}.csv"
     assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out_path)]) == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SIZE40[kind]
+
+
+# size 100 builds larger class tables and rounding windows than size 40
+SIZE100 = dict(line.split()[::-1]
+               for line in (GOLDEN_DIR / "sweep_size100.sha256").read_text().splitlines())
+
+
+@pytest.mark.parametrize("kind", sorted(SIZE100))
+def test_size100_sweep_matches_digest(kind, tmp_path):
+    out_path = tmp_path / f"{kind}.csv"
+    assert main(["sweep", kind, "--max-platoon-size", "100", "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SIZE100[kind]

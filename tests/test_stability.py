@@ -508,6 +508,33 @@ class TestBreakpoints:
         with pytest.raises(FleetTooLarge):
             build(Fleet.from_composition(Composition(8, 8)), params)
 
+    @pytest.mark.parametrize("epsilon_e", [0.048, 0.08])  # with and without a bound
+    def test_leader_subsets_left_out(self, epsilon_e, params):
+        # the table holds only subsets without the leader; the count is the
+        # full scan's at the smallest xi, a tiny one and the largest
+        params = replace(params, epsilon_e=epsilon_e)
+        for n in range(2, 16):
+            for n_e in range(n + 1):
+                roster = Fleet.from_composition(Composition(n_e, n - n_e))
+                for fleet in (roster, Fleet(roster.types[::-1])):  # leader at 0, at n_f
+                    scan = stable_breakpoints(fleet, params)
+                    if 1 <= n_e < n:
+                        assert len(scan.windows) == n_e * (n - n_e + 1) - 1
+                    for xi in (5e-324, 1e-12, 1.0):
+                        alloc = stable_allocation(fleet, params, xi)
+                        assert scan.at(xi) == (alloc, _blocking(alloc, fleet, params))
+
+    def test_leader_subsets_count_toward_the_cap(self, params, monkeypatch):
+        # 2 * 1000 * 701 classes with the leader's, 1000 * 701 without: over 2^20
+        big = replace(params, max_platoon_size=1700)
+        with pytest.raises(FleetTooLarge, match="subset classes"):
+            stable_breakpoints(Fleet.from_composition(Composition(1000, 700)), big)
+        # at a cap of 2^5, 2 * 2 * 8 classes fit and 2 * 2 * 9 do not
+        monkeypatch.setattr(stability, "LABELED_SCAN_MAX_FLEET", 5)
+        stable_breakpoints(Fleet.from_composition(Composition(2, 7)), params)
+        with pytest.raises(FleetTooLarge, match="2\\^5 subset classes"):
+            stable_breakpoints(Fleet.from_composition(Composition(2, 8)), params)
+
     def test_not_efficient_raises(self, params, fleet23):
         alloc = Allocation((1.0,) * 5, leader_id=0, scheme="test")
         scan = stability.Breakpoints(fleet23, params, [(1.0, 0.0)] * 5,

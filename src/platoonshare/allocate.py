@@ -74,17 +74,10 @@ def xi_upper_bound(comp: Composition, params: SavingsParams) -> float:
     return 1.0 / (comp.total() - 1)
 
 
-def _leader_share(fleet: Fleet, params: SavingsParams, xi: float):
-    """The leader's id, and the payoffs: xi*v(N) to it, (1 - xi)*saving to others."""
-    leader = _leader_id(fleet)
-    lead = xi * coalition_value(fleet.composition(), params)
-    pay_e = (1.0 - xi) * params.epsilon_e * params.distance
-    pay_f = (1.0 - xi) * params.epsilon_f * params.distance
-    electric = TruckType.ELECTRIC
-    return leader, tuple(
-        lead if i == leader else pay_e if t is electric else pay_f
-        for i, t in enumerate(fleet.types)
-    )
+def _follower_pays(params: SavingsParams, xi: float) -> tuple[float, float]:
+    """Leader-share payoffs (ET, FPT) of a follower: (1 - xi) of its saving."""
+    return ((1.0 - xi) * params.epsilon_e * params.distance,
+            (1.0 - xi) * params.epsilon_f * params.distance)
 
 
 def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocation:
@@ -92,9 +85,14 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
     if not 0.0 < xi <= 1.0:
         raise XiOutOfRange(f"xi must be in (0, 1], got {xi}")
     _check_fleet_size(fleet, params)
-    leader, payoffs = _leader_share(fleet, params, xi)
+    leader, comp = _leader_id(fleet), fleet.composition()
+    lead = xi * coalition_value(comp, params)
+    pay_e, pay_f = _follower_pays(params, xi)
+    electric = TruckType.ELECTRIC
+    payoffs = tuple(lead if i == leader else pay_e if t is electric else pay_f
+                    for i, t in enumerate(fleet.types))
     try:
-        within = xi <= xi_upper_bound(fleet.composition(), params) + REL_TOL
+        within = xi <= xi_upper_bound(comp, params) + REL_TOL
     except EpsilonOrderError:  # no certified bound
         within = None
     return Allocation(payoffs, leader, SCHEME_STABLE, xi=xi, within_bound=within)
@@ -102,15 +100,15 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
 
 def stable_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
     """``stable_allocation`` along xi; every product is exact at xi = 0 and 1,
-    so the payoffs there give each truck's line exactly. The table leaves out
-    the subsets holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so its
-    excess xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
+    so the follower pays there give each type's line exactly. The table leaves
+    out the subsets holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so
+    its excess xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
     _check_fleet_size(fleet, params)
-    (leader, at0), (_, at1) = (_leader_share(fleet, params, xi) for xi in (0.0, 1.0))
-    lines = [(p0, p1 - p0) for p0, p1 in zip(at0, at1)]
-    return Breakpoints(fleet, params, lines, (params.epsilon_e, params.epsilon_f),
-                       (0.0, 0.0), lambda xi: (stable_allocation(fleet, params, xi), params),
-                       leader)
+    at0, at1 = _follower_pays(params, 0.0), _follower_pays(params, 1.0)
+    return Breakpoints(fleet, params, [(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
+                       (params.epsilon_e, params.epsilon_f), (0.0, 0.0),
+                       lambda xi: (stable_allocation(fleet, params, xi), params),
+                       optimal_leader_type(fleet.composition()))
 
 
 def _type_fair_weights(comp: Composition):
@@ -152,13 +150,14 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
 
 
 def shapley_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
-    """``shapley_allocation`` along epsilon_e, the other params fixed; the table
-    holds the money tolerance of every epsilon_e <= epsilon_f, whatever ``params``'."""
+    """``shapley_allocation`` along epsilon_e, the other params fixed: each type's
+    line comes from its rate weights, (0, 0) for an absent type, and no truck is
+    left out. The table holds the money tolerance of every epsilon_e <= epsilon_f,
+    whatever ``params``'."""
     _check_fleet_size(fleet, params)
     ef, dist = params.epsilon_f, params.distance
-    line_e, line_f = (None if w is None else (w[1] * ef * dist, w[0] * dist)
-                      for w in _type_fair_weights(fleet.composition()))
-    lines = [line_e if t is TruckType.ELECTRIC else line_f for t in fleet.types]
+    lines = [(0.0, 0.0) if w is None else (w[1] * ef * dist, w[0] * dist)
+             for w in _type_fair_weights(fleet.composition())]
 
     def point(eps_e: float):
         at = replace(params, epsilon_e=eps_e)

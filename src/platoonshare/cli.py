@@ -170,6 +170,8 @@ SCHEMES = {
 
 
 def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> str:
+    if cfg.xi is not None and args.scheme != "stable":
+        raise ConfigError(f"xi applies to scheme stable only, not {args.scheme}")
     params = cfg.params()
     comp = cfg.composition()
     params.check_fleet_size(comp.total())  # before a roster of that size is built

@@ -17,7 +17,7 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import TYPE_CHECKING
 
 from .errors import BothTypesRequired, FleetTooLarge, NotEfficient
@@ -57,37 +57,26 @@ class CoreReport:
     stability_probability: float
 
 
-def _subset_classes(types, *columns, leave_out=None) -> tuple[list, list, list, list]:
-    """n_e, n_f, labeled count and each column's sum, one entry per subset class.
+def _violations(
+    alloc: "Allocation", fleet: Fleet, params: SavingsParams
+) -> dict[tuple[int, int], int]:
+    """Scan of the subset classes of interchangeable trucks, weighted by count.
 
-    Trucks of one type with equal entries in ``columns`` (payoff components)
-    are interchangeable: a subset takes k of such a class of m, comb(m, k) ways.
-    Subsets holding truck ``leave_out`` get no classes; the cap still counts them.
+    Trucks of one type paid exactly the same are interchangeable: a subset
+    takes k of such a class of m in comb(m, k) ways.
     """
-    keys = list(zip(types, *columns))
-    classes = Counter(keys)
+    classes = Counter(zip(fleet.types, alloc.payoffs))
     if math.prod(size + 1 for size in classes.values()) > 1 << LABELED_SCAN_MAX_FLEET:
         raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
-    if leave_out is not None:
-        classes[keys[leave_out]] -= 1
-    nes, nfs, counts, sums = [0], [0], [1], [[0.0] for _ in columns]
-    for (truck_type, *pays), size in classes.items():
+    nes, nfs, counts, sums = [0], [0], [1], [0.0]
+    for (truck_type, pay), size in classes.items():
         taken = range(size + 1)
         if truck_type is TruckType.ELECTRIC:
             nes, nfs = [e + k for k in taken for e in nes], nfs * (size + 1)
         else:
             nes, nfs = nes * (size + 1), [f + k for k in taken for f in nfs]
-        sums = [[s + g for g in [k * pay for k in taken] for s in col]
-                for col, pay in zip(sums, pays)]
+        sums = [s + k * pay for k in taken for s in sums]
         counts = [c * w for w in [math.comb(size, k) for k in taken] for c in counts]
-    return nes, nfs, counts, sums
-
-
-def _violations(
-    alloc: "Allocation", fleet: Fleet, params: SavingsParams
-) -> dict[tuple[int, int], int]:
-    """Scan of the subset classes of interchangeable trucks, weighted by count."""
-    nes, nfs, counts, (sums,) = _subset_classes(fleet.types, alloc.payoffs)
     n, tol = fleet.size, params.money_tol()
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
     out: dict[tuple[int, int], int] = {}
@@ -98,6 +87,8 @@ def _violations(
 
 
 def _check_efficient(alloc: "Allocation", fleet: Fleet, params: SavingsParams) -> None:
+    if len(alloc.payoffs) != fleet.size:
+        raise ValueError(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
     params.check_fleet_size(fleet.size)
     total = coalition_value(fleet.composition(), params)
     # written so that a nan or inf sum fails the check
@@ -115,37 +106,45 @@ class Breakpoints:
     """Class scan of one fleet along allocations affine in a parameter t.
 
     ``point`` builds the family's member at t as ``(allocation, params)``;
-    truck i is paid ``p0 + p1*t`` for ``(p0, p1) = lines[i]`` and the rates
-    are ``rates0 + t*rates1``. Each subset class's excess v(S) - x(S) - tol
-    is ``a + b*t``, so a point's count bisects the sorted roots with
-    cumulative labeled counts. Rounding can flip a verdict only where
+    each truck of a type is paid ``p0 + p1*t`` for that type's
+    ``(p0, p1)`` in ``lines`` (ET line, FPT line), and the rates are
+    ``rates0 + t*rates1``. A class is a sub-composition (e, f) of the trucks
+    other than the ``leader`` (a ``TruckType``, or None), counting
+    comb(m_e, e)*comb(m_f, f) subsets; the caller names a leader, paid off
+    the lines, whose subsets block at no point it builds, and the class cap
+    still counts them. Each class's excess v(S) - x(S) - tol is ``a + b*t``,
+    so a point's count bisects the sorted roots with cumulative labeled
+    counts. Rounding can flip a verdict only where
     ``|a + b*t| <= err0 + err1*t``, the errs being ``_ROUNDING`` times the
     terms' magnitudes: near a root, or from some t on where ``b`` is
     rounding noise. A point there, or at another money tolerance than the
     table's (that of ``params``), gets ``_violations``' class scan instead.
-    The caller may name a truck ``leader`` whose subsets block at no point
-    it builds; their classes are left out of the table, though the class
-    cap still counts them.
     """
 
     def __init__(self, fleet: Fleet, params: SavingsParams, lines, rates0, rates1, point,
                  leader=None):
-        p0s, p1s = zip(*lines)
-        nes, nfs, counts, sums = _subset_classes(
-            fleet.types, p0s, p1s, map(abs, p0s), map(abs, p1s), leave_out=leader)
+        comp = fleet.composition()
+        m_e = comp.n_e - (leader is TruckType.ELECTRIC)
+        m_f = comp.n_f - (leader is TruckType.FUEL)
+        sizes = (leader is not None, m_e, m_f)  # the leader's class is still counted
+        if math.prod(size + 1 for size in sizes) > 1 << LABELED_SCAN_MAX_FLEET:
+            raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
+        combs = [[math.comb(m, k) for k in range(m + 1)] for m in (m_e, m_f)]
+        (pe0, pe1), (pf0, pf1) = lines
         self.fleet, self._point, self._tol = fleet, point, params.money_tol()
         n, dist, tol, inf = fleet.size, params.distance, self._tol, math.inf
         tiny = sys.float_info.min  # a floor for underflow
         (ee0, ef0), (ee1, ef1) = rates0, rates1
         base, rows = 0, []  # rows: (end, start, change in count) of each window
-        for e, f, count, x0, x1, m0, m1 in zip(nes, nfs, counts, *sums):
+        for (e, ways_e), (f, ways_f) in product(*map(enumerate, combs)):
             if not 0 < e + f < n:
                 continue
+            count = ways_e * ways_f
             v0 = rate_for_counts(e, f, ee0, ef0) * dist
             v1 = rate_for_counts(e, f, ee1, ef1) * dist
-            a, b = v0 - x0 - tol, v1 - x1
-            err0 = _ROUNDING * (abs(v0) + m0 + tol) + tiny
-            err1 = _ROUNDING * (abs(v1) + m1) + tiny
+            a, b = v0 - (e * pe0 + f * pf0) - tol, v1 - (e * pe1 + f * pf1)
+            err0 = _ROUNDING * (abs(v0) + (e * abs(pe0) + f * abs(pf0)) + tol) + tiny
+            err1 = _ROUNDING * (abs(v1) + (e * abs(pe1) + f * abs(pf1))) + tiny
             slope = abs(b)
             root = -a / b if slope > 2 * err1 else inf
             if -inf < root < inf:

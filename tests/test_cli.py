@@ -126,6 +126,18 @@ class TestAllocate:
         assert main(["allocate", "--scheme", "stable", "--xi", "1.5"]) == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("scheme", [
+        [], ["--scheme", "shapley"], ["--scheme", "even-split"],
+        ["--scheme", "deviation-min", "--epsilon-f", "0.72", "--ne", "1", "--nf", "14"],
+    ])
+    @pytest.mark.parametrize("xi", ["0.05", "0.9"])
+    def test_xi_only_with_the_stable_scheme(self, scheme, xi, capsys):
+        # no other scheme reads xi, so it is refused rather than dropped
+        assert main(["allocate", *scheme, "--xi", xi]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config: xi applies to scheme stable only")
+        assert captured.out == ""
+
     def test_invalid_scheme_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["allocate", "--scheme", "nucleolus"])
@@ -353,10 +365,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("command, code", [
         (["value"], 2), (["table1"], 2), (["sweep", "fig2"], 2),
-        (["allocate", "--scheme", "stable"], 0),
+        (["allocate", "--scheme", "stable"], 0), (["allocate"], 2),
+        (["allocate", "--scheme", "shapley"], 2), (["allocate", "--scheme", "even-split"], 2),
+        (["allocate", "--scheme", "deviation-min"], 2),
     ])
     def test_xi_key_only_on_allocate(self, command, code, tmp_path, capsys):
-        # like the --xi flag, the xi key belongs to allocate alone
+        # like the --xi flag, the xi key belongs to allocate's stable scheme alone
         cfg = tmp_path / "run.cfg"
         cfg.write_text("xi = 0.1\n")
         assert main([*command, "--config", str(cfg)]) == code

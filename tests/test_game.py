@@ -71,6 +71,17 @@ class TestLeaderSelection:
         assert et_led - fpt_led == pytest.approx(gain, abs=1e-9)
         assert coalition_value(comp, params) == pytest.approx(et_led, abs=1e-12)
 
+    def test_forced_leader_of_an_empty_coalition(self, params):
+        for leader in TruckType:
+            assert coalition_value_with_leader(Composition(0, 0), leader, params) == 0.0
+
+    @pytest.mark.parametrize("comp, leader", [
+        (Composition(0, 3), TruckType.ELECTRIC), (Composition(2, 0), TruckType.FUEL),
+    ])
+    def test_forced_leader_must_be_present(self, params, comp, leader):
+        with pytest.raises(ValueError, match="to lead"):
+            coalition_value_with_leader(comp, leader, params)
+
 
 class TestStructureValue:
     def test_two_platoon_split(self, params, fleet23):
@@ -90,6 +101,10 @@ class TestStructureValue:
     def test_overlap_rejected(self, params, fleet23):
         with pytest.raises(InvalidPartition):
             structure_value([frozenset({0, 1}), frozenset({1, 2, 3, 4})], fleet23, params)
+
+    def test_empty_block_rejected(self, params, fleet23):
+        with pytest.raises(InvalidPartition, match="empty block"):
+            structure_value([frozenset(range(5)), frozenset()], fleet23, params)
 
     def test_incomplete_cover_rejected(self, params, fleet23):
         with pytest.raises(InvalidPartition):

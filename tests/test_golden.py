@@ -6,6 +6,9 @@ the default settings. Regenerate one with, for example,
 and only when an output change is intended. ``sweep_size40.sha256`` and
 ``sweep_size100.sha256`` pin the four sweeps at ``--max-platoon-size`` 40
 and 100 by digest, in ``sha256sum`` format, since those CSVs are large.
+``sweep_settings.sha256`` pins them at ``--max-platoon-size`` 30 under
+non-default rates and distances; each name is the sweep and its flags,
+comma-separated.
 """
 
 import hashlib
@@ -59,3 +62,17 @@ def test_size100_sweep_matches_digest(kind, tmp_path):
     out_path = tmp_path / f"{kind}.csv"
     assert main(["sweep", kind, "--max-platoon-size", "100", "--out", str(out_path)]) == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SIZE100[kind]
+
+
+# tiny and huge distances and rates: money tolerances and rounding windows
+# far from the defaults'
+SETTINGS = dict(line.split()[::-1]
+                for line in (GOLDEN_DIR / "sweep_settings.sha256").read_text().splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_sweep_settings_match_digest(name, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    argv = ["sweep", *name.split(","), "--max-platoon-size", "30", "--out", str(out_path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SETTINGS[name]

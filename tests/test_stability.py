@@ -62,6 +62,15 @@ class TestInCore:
         with pytest.raises(NotEfficient):
             in_core(alloc, fleet, params)
 
+    @pytest.mark.parametrize("method", ["auto", "slow"])
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_allocation_of_another_length_rejected(self, params, fleet23, method, size):
+        # the payoffs sum to v(N), but index a fleet of another size
+        total = coalition_value(fleet23.composition(), params)
+        alloc = Allocation((total / size,) * size, leader_id=0, scheme="test")
+        with pytest.raises(ValueError, match=f"{size} payoffs for a fleet of 5"):
+            in_core(alloc, fleet23, params, method=method)
+
     def test_unknown_method_rejected(self, params, fleet23):
         alloc = shapley_allocation(fleet23, params)
         for method in ("bogus", "fast"):
@@ -524,6 +533,23 @@ class TestBreakpoints:
                         alloc = stable_allocation(fleet, params, xi)
                         assert scan.at(xi) == (alloc, _blocking(alloc, fleet, params))
 
+    @pytest.mark.parametrize("epsilon_f", [0.07, 0.5])  # rate ratio test holds, fails
+    def test_type_fair_table_keeps_every_class(self, epsilon_f, params):
+        # no truck is left out: every sub-composition but the empty and full
+        # ones has a window, and each probe reads the full scan's count
+        params = replace(params, epsilon_f=epsilon_f)
+        for n in range(2, 16):
+            for n_e in range(1, n):
+                roster = Fleet.from_composition(Composition(n_e, n - n_e))
+                for fleet in (roster, Fleet(roster.types[::-1])):
+                    scan = shapley_breakpoints(fleet, params)
+                    assert len(scan.windows) == (n_e + 1) * (n - n_e + 1) - 2
+                    for eps_e in _probe_points(scan):
+                        if 0.0 < eps_e < epsilon_f:
+                            at = replace(params, epsilon_e=eps_e)
+                            alloc = shapley_allocation(fleet, at)
+                            assert scan.at(eps_e) == (alloc, _blocking(alloc, fleet, at))
+
     def test_leader_subsets_count_toward_the_cap(self, params, monkeypatch):
         # 2 * 1000 * 701 classes with the leader's, 1000 * 701 without: over 2^20
         big = replace(params, max_platoon_size=1700)
@@ -536,12 +562,14 @@ class TestBreakpoints:
             stable_breakpoints(Fleet.from_composition(Composition(2, 8)), params)
 
     def test_not_efficient_raises(self, params, fleet23):
-        alloc = Allocation((1.0,) * 5, leader_id=0, scheme="test")
-        scan = stability.Breakpoints(fleet23, params, [(1.0, 0.0)] * 5,
-                                     (params.epsilon_e, params.epsilon_f), (0.0, 0.0),
-                                     lambda t: (alloc, params))
-        with pytest.raises(NotEfficient):
-            scan.at(0.1)
+        for size, error, match in ((5, NotEfficient, None),
+                                   (4, ValueError, "4 payoffs for a fleet of 5")):
+            alloc = Allocation((1.0,) * size, leader_id=0, scheme="test")
+            scan = stability.Breakpoints(fleet23, params, [(1.0, 0.0)] * 2,
+                                         (params.epsilon_e, params.epsilon_f), (0.0, 0.0),
+                                         lambda t: (alloc, params))
+            with pytest.raises(error, match=match):
+                scan.at(0.1)
 
     def test_default_sweeps_never_rescan(self, monkeypatch, tmp_path):
         calls = []

@@ -76,23 +76,29 @@ def xi_upper_bound(comp: Composition, params: SavingsParams) -> float:
 
 def _follower_pays(params: SavingsParams, xi: float) -> tuple[float, float]:
     """Leader-share payoffs (ET, FPT) of a follower: (1 - xi) of its saving."""
-    return ((1.0 - xi) * params.epsilon_e * params.distance,
-            (1.0 - xi) * params.epsilon_f * params.distance)
+    return ((1 - xi) * params.epsilon_e * params.distance,
+            (1 - xi) * params.epsilon_f * params.distance)
+
+
+def _stable_classes(fleet: Fleet, params: SavingsParams, xi: float) -> tuple:
+    """Payoff classes (truck type, pay, count): the leader, then its followers by type."""
+    if not 0.0 < xi <= 1.0:
+        raise XiOutOfRange(f"xi must be in (0, 1], got {xi}")
+    _check_fleet_size(fleet, params)
+    comp = fleet.composition()
+    leader = optimal_leader_type(comp)
+    pays = zip(TruckType, _follower_pays(params, xi), (comp.n_e, comp.n_f))
+    followers = [(t, pay, m - (t is leader)) for t, pay, m in pays if m > (t is leader)]
+    return ((leader, xi * coalition_value(comp, params), 1), *followers)
 
 
 def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocation:
     """Leader takes xi of the total; followers keep (1 - xi) of their rate."""
-    if not 0.0 < xi <= 1.0:
-        raise XiOutOfRange(f"xi must be in (0, 1], got {xi}")
-    _check_fleet_size(fleet, params)
-    leader, comp = _leader_id(fleet), fleet.composition()
-    lead = xi * coalition_value(comp, params)
-    pay_e, pay_f = _follower_pays(params, xi)
-    electric = TruckType.ELECTRIC
-    payoffs = tuple(lead if i == leader else pay_e if t is electric else pay_f
-                    for i, t in enumerate(fleet.types))
+    (_, lead, _), *followers = _stable_classes(fleet, params, xi)
+    leader, pays = _leader_id(fleet), {t: pay for t, pay, _ in followers}
+    payoffs = tuple(lead if i == leader else pays[t] for i, t in enumerate(fleet.types))
     try:
-        within = xi <= xi_upper_bound(comp, params) + REL_TOL
+        within = xi <= xi_upper_bound(fleet.composition(), params) + REL_TOL
     except EpsilonOrderError:  # no certified bound
         within = None
     return Allocation(payoffs, leader, SCHEME_STABLE, xi=xi, within_bound=within)
@@ -107,7 +113,8 @@ def stable_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
     at0, at1 = _follower_pays(params, 0.0), _follower_pays(params, 1.0)
     return Breakpoints(fleet, params, [(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
                        (params.epsilon_e, params.epsilon_f), (0.0, 0.0),
-                       lambda xi: (stable_allocation(fleet, params, xi), params),
+                       lambda xi: (_stable_classes(fleet, params, xi), params),
+                       lambda xi, _: stable_allocation(fleet, params, xi),
                        optimal_leader_type(fleet.composition()))
 
 
@@ -155,16 +162,17 @@ def shapley_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
     left out. The table holds the money tolerance of every epsilon_e <= epsilon_f,
     whatever ``params``'."""
     _check_fleet_size(fleet, params)
-    ef, dist = params.epsilon_f, params.distance
+    ef, dist, comp = params.epsilon_f, params.distance, fleet.composition()
     lines = [(0.0, 0.0) if w is None else (w[1] * ef * dist, w[0] * dist)
-             for w in _type_fair_weights(fleet.composition())]
+             for w in _type_fair_weights(comp)]
 
-    def point(eps_e: float):
+    def point(eps_e: float):  # the payoff classes of the types present
         at = replace(params, epsilon_e=eps_e)
-        return shapley_allocation(fleet, at), at
+        phis = zip(TruckType, shapley_closed_form(comp, at), (comp.n_e, comp.n_f))
+        return tuple(c for c in phis if c[2]), at
 
     return Breakpoints(fleet, replace(params, epsilon_e=ef), lines, (0.0, ef), (1.0, 0.0),
-                       point)
+                       point, lambda _, at: shapley_allocation(fleet, at))
 
 
 def even_split(fleet: Fleet, params: SavingsParams) -> Allocation:

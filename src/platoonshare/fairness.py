@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .allocate import Allocation, shapley_allocation, stable_breakpoints, xi_upper_bound
+from .allocate import Allocation, shapley_closed_form, stable_breakpoints, xi_upper_bound
 from .errors import ZeroShapleyPayoff
-from .game import Fleet, SavingsParams
+from .game import Fleet, SavingsParams, TruckType
 
 
 @dataclass(frozen=True)
@@ -17,14 +18,18 @@ class DeviationPoint:
     in_core: bool
 
 
+def _deviation(classes, n: int) -> float:
+    """delta from ((phi, x), count) classes: the sum of count*|phi - x|/phi over n."""
+    if any(p <= 0 for (p, _), _ in classes):
+        raise ZeroShapleyPayoff("benchmark payoff is zero for some truck")
+    return sum(count * abs(p - q) / p for (p, q), count in classes) / n
+
+
 def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
     """Average of |phi_i - x_i| / phi_i across trucks."""
     if len(x.payoffs) != len(phi.payoffs):
         raise ValueError("allocations index different fleets")
-    if any(p <= 0 for p in phi.payoffs):
-        raise ZeroShapleyPayoff("benchmark payoff is zero for some truck")
-    n = len(phi.payoffs)
-    return sum(abs(p - q) / p for p, q in zip(phi.payoffs, x.payoffs)) / n
+    return _deviation(Counter(zip(phi.payoffs, x.payoffs)).items(), len(x.payoffs))
 
 
 def deviation_curve(
@@ -35,19 +40,21 @@ def deviation_curve(
     On the certified interval (0, xi*] of a fleet where the ratio core
     condition fails, the deviation decreases strictly and bottoms out at
     xi*; points beyond the bound are reported as-is for inspection. Core
-    flags and allocations are read off the fleet's ``stable_breakpoints``,
-    built once; a point within rounding of a threshold gets the class scan.
+    flags and payoff classes are read off the fleet's ``stable_breakpoints``,
+    built once, and delta sums over the classes; a point within rounding of
+    a threshold gets the class scan.
     """
     if not xi_grid:
         raise ValueError("empty xi grid")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    phi = shapley_allocation(fleet, params)
     scan = stable_breakpoints(fleet, params)
+    phi = dict(zip(TruckType, shapley_closed_form(fleet.composition(), params)))
     points = []
     for xi in xi_grid:
-        x, blocking = scan.at(xi)
-        points.append(DeviationPoint(xi, mean_relative_deviation(x, phi), blocking == 0))
+        classes, blocking = scan.at(xi)
+        delta = _deviation([((phi[t], pay), k) for t, pay, k in classes], fleet.size)
+        points.append(DeviationPoint(xi, delta, blocking == 0))
     return tuple(points)
 
 

@@ -5,9 +5,10 @@ the same are interchangeable, so it visits the classes of such subsets
 and weights each by its binomial multiplicity. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
 turned into sorted thresholds once per fleet; the table builds each point
-itself, so a sweep passes only the parameter. The labeled enumeration over
-all 2^N - 2 proper subsets that cross-checks both is an oracle in
-``platoonshare.oracles``, run only on request (``method="slow"``).
+itself as payoff classes with counts, O(classes) rather than O(trucks), so
+a sweep passes only the parameter. The labeled enumeration over all 2^N - 2
+proper subsets that cross-checks both is an oracle in ``platoonshare.oracles``,
+run only on request (``method="slow"``).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _violations(
     classes = Counter(zip(fleet.types, alloc.payoffs))
     if math.prod(size + 1 for size in classes.values()) > 1 << LABELED_SCAN_MAX_FLEET:
         raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
-    nes, nfs, counts, sums = [0], [0], [1], [0.0]
+    nes, nfs, counts, sums = [0], [0], [1], [0]
     for (truck_type, pay), size in classes.items():
         taken = range(size + 1)
         if truck_type is TruckType.ELECTRIC:
@@ -86,16 +87,12 @@ def _violations(
     return out
 
 
-def _check_efficient(alloc: "Allocation", fleet: Fleet, params: SavingsParams) -> None:
-    if len(alloc.payoffs) != fleet.size:
-        raise ValueError(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
+def _check_efficient(paid, fleet: Fleet, params: SavingsParams) -> None:
+    """The payoffs' sum ``paid`` must be v(N) within money_tol(); nan or inf fails."""
     params.check_fleet_size(fleet.size)
     total = coalition_value(fleet.composition(), params)
-    # written so that a nan or inf sum fails the check
-    if not abs(sum(alloc.payoffs) - total) <= params.money_tol():
-        raise NotEfficient(
-            f"payoffs sum to {sum(alloc.payoffs):.8f}, grand value is {total:.8f}"
-        )
+    if not abs(paid - total) <= params.money_tol():
+        raise NotEfficient(f"payoffs sum to {float(paid):.8f}, grand value is {total:.8f}")
 
 
 def _share(n_violating: int, size: int) -> float:
@@ -105,24 +102,25 @@ def _share(n_violating: int, size: int) -> float:
 class Breakpoints:
     """Class scan of one fleet along allocations affine in a parameter t.
 
-    ``point`` builds the family's member at t as ``(allocation, params)``;
-    each truck of a type is paid ``p0 + p1*t`` for that type's
-    ``(p0, p1)`` in ``lines`` (ET line, FPT line), and the rates are
-    ``rates0 + t*rates1``. A class is a sub-composition (e, f) of the trucks
-    other than the ``leader`` (a ``TruckType``, or None), counting
-    comb(m_e, e)*comb(m_f, f) subsets; the caller names a leader, paid off
-    the lines, whose subsets block at no point it builds, and the class cap
-    still counts them. Each class's excess v(S) - x(S) - tol is ``a + b*t``,
-    so a point's count bisects the sorted roots with cumulative labeled
-    counts. Rounding can flip a verdict only where
-    ``|a + b*t| <= err0 + err1*t``, the errs being ``_ROUNDING`` times the
-    terms' magnitudes: near a root, or from some t on where ``b`` is
-    rounding noise. A point there, or at another money tolerance than the
+    ``point`` builds the family's member at t as ``(classes, params)``, with
+    ``(truck type, pay, count)`` classes that count the fleet, and
+    ``allocation(t, params)`` per truck, for a recheck only. Each truck of a
+    type is paid ``p0 + p1*t`` for its type's ``(p0, p1)`` in ``lines`` (ET
+    line, FPT line), and the rates are ``rates0 + t*rates1``. A class is a
+    sub-composition (e, f) of the trucks other than the ``leader`` (a
+    ``TruckType``, or None), counting comb(m_e, e)*comb(m_f, f) subsets; the
+    caller names a leader, paid off the lines, whose subsets block at no
+    point it builds, and the class cap still counts them. Each class's
+    excess v(S) - x(S) - tol is ``a + b*t``, so a point's count bisects the
+    sorted roots with cumulative labeled counts. Rounding can flip a verdict
+    only where ``|a + b*t| <= err0 + err1*t``, the errs being ``_ROUNDING``
+    times the terms' magnitudes: near a root, or from some t on where ``b``
+    is rounding noise. A point there, or at another money tolerance than the
     table's (that of ``params``), gets ``_violations``' class scan instead.
     """
 
     def __init__(self, fleet: Fleet, params: SavingsParams, lines, rates0, rates1, point,
-                 leader=None):
+                 allocation, leader=None):
         comp = fleet.composition()
         m_e = comp.n_e - (leader is TruckType.ELECTRIC)
         m_f = comp.n_f - (leader is TruckType.FUEL)
@@ -132,9 +130,11 @@ class Breakpoints:
         combs = [[math.comb(m, k) for k in range(m + 1)] for m in (m_e, m_f)]
         (pe0, pe1), (pf0, pf1) = lines
         self.fleet, self._point, self._tol = fleet, point, params.money_tol()
+        self._allocation = allocation
         n, dist, tol, inf = fleet.size, params.distance, self._tol, math.inf
         tiny = sys.float_info.min  # a floor for underflow
         (ee0, ef0), (ee1, ef1) = rates0, rates1
+        ape0, apf0, ape1, apf1 = abs(pe0), abs(pf0), abs(pe1), abs(pf1)
         base, rows = 0, []  # rows: (end, start, change in count) of each window
         for (e, ways_e), (f, ways_f) in product(*map(enumerate, combs)):
             if not 0 < e + f < n:
@@ -143,8 +143,8 @@ class Breakpoints:
             v0 = rate_for_counts(e, f, ee0, ef0) * dist
             v1 = rate_for_counts(e, f, ee1, ef1) * dist
             a, b = v0 - (e * pe0 + f * pf0) - tol, v1 - (e * pe1 + f * pf1)
-            err0 = _ROUNDING * (abs(v0) + (e * abs(pe0) + f * abs(pf0)) + tol) + tiny
-            err1 = _ROUNDING * (abs(v1) + (e * abs(pe1) + f * abs(pf1))) + tiny
+            err0 = _ROUNDING * (abs(v0) + (e * ape0 + f * apf0) + tol) + tiny
+            err1 = _ROUNDING * (abs(v1) + (e * ape1 + f * apf1)) + tiny
             slope = abs(b)
             root = -a / b if slope > 2 * err1 else inf
             if -inf < root < inf:
@@ -161,14 +161,17 @@ class Breakpoints:
         self._starts = list(accumulate((s for _, s, _ in reversed(self.windows)), min,
                                        initial=math.inf))[::-1]
 
-    def at(self, t: float) -> tuple["Allocation", int]:
-        """The allocation at ``t`` and the labeled count of the subsets blocking it."""
-        alloc, params = self._point(t)
-        _check_efficient(alloc, self.fleet, params)
+    def at(self, t: float) -> tuple[tuple, int]:
+        """The payoff classes at ``t`` and the labeled count of subsets blocking them."""
+        classes, params = self._point(t)
+        if sum(count for _, _, count in classes) != self.fleet.size:
+            raise ValueError(f"payoff classes do not count a fleet of {self.fleet.size}")
+        _check_efficient(sum(count * pay for _, pay, count in classes), self.fleet, params)
         j = bisect_left(self._ends, t)
         if t >= self._starts[j] or params.money_tol() != self._tol:
-            return alloc, sum(_violations(alloc, self.fleet, params).values())
-        return alloc, self._counts[j]
+            alloc = self._allocation(t, params)
+            return classes, sum(_violations(alloc, self.fleet, params).values())
+        return classes, self._counts[j]
 
     def probability(self, t: float) -> float:
         return _share(self.at(t)[1], self.fleet.size)
@@ -183,9 +186,11 @@ def in_core(
     allocation; "slow" takes the labeled oracle instead, loaded from
     ``platoonshare.oracles`` only then.
     """
-    _check_efficient(alloc, fleet, params)
     if method not in ("auto", "slow"):
         raise ValueError(f"unknown method {method!r}")
+    if len(alloc.payoffs) != fleet.size:
+        raise ValueError(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
+    _check_efficient(sum(alloc.payoffs), fleet, params)
     scan = _violations
     if method == "slow":
         from .oracles import labeled_violations as scan

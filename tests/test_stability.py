@@ -1,7 +1,9 @@
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,7 +29,7 @@ from platoonshare import (
     stable_allocation,
     xi_upper_bound,
 )
-from platoonshare import stability
+from platoonshare import allocate, stability
 from platoonshare.allocate import shapley_breakpoints, stable_breakpoints
 from platoonshare.cli import main
 from platoonshare.game import REL_TOL
@@ -76,6 +78,31 @@ class TestInCore:
         for method in ("bogus", "fast"):
             with pytest.raises(ValueError, match="unknown method"):
                 in_core(alloc, fleet23, params, method=method)
+
+    def test_method_checked_before_efficiency(self, params, fleet23):
+        # a usage error is reported as such, whatever the allocation
+        alloc = Allocation((0.0,) * 5, leader_id=0, scheme="test")
+        with pytest.raises(NotEfficient):
+            in_core(alloc, fleet23, params)
+        with pytest.raises(ValueError, match="unknown method") as caught:
+            in_core(alloc, fleet23, params, method="bogus")
+        assert not isinstance(caught.value, NotEfficient)
+
+    @pytest.mark.parametrize("rates, comp", [(("0.07", "0.048"), (2, 3)),
+                                             (("0.72", "0.048"), (13, 2))])
+    def test_exact_payoffs_at_the_bound(self, rates, comp):
+        # Fraction rates and distance flow through the leader-share scheme
+        # exactly, and the class scan gives the float run's verdict
+        fleet = Fleet.from_composition(Composition(*comp))
+        verdicts = []
+        for num in (float, Fraction):
+            eps_f, eps_e = map(num, rates)
+            params = SavingsParams(epsilon_f=eps_f, epsilon_e=eps_e, distance=num("300"))
+            alloc = stable_allocation(fleet, params, xi_upper_bound(fleet.composition(), params))
+            assert {type(pay) for pay in alloc.payoffs} == {num}
+            verdicts.append(in_core(alloc, fleet, params))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0].is_member
 
     def test_fleet_cap(self):
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
@@ -433,6 +460,20 @@ def _blocking(alloc, fleet, params):
     return sum(stability._violations(alloc, fleet, params).values())
 
 
+def _expected(alloc, fleet, params):
+    """A table point's reading, from the per-truck allocation and the class scan."""
+    return Counter(zip(fleet.types, alloc.payoffs)), _blocking(alloc, fleet, params)
+
+
+def _read(scan, t):
+    """``scan.at(t)`` with its payoff classes tallied by (truck type, pay)."""
+    classes, count = scan.at(t)
+    tally = Counter()
+    for truck_type, pay, size in classes:
+        tally[truck_type, pay] += size
+    return tally, count
+
+
 def _probe_points(scan):
     """Each window's edges and centre (its class's root), and their float neighbours."""
     points = set()
@@ -457,9 +498,8 @@ class TestBreakpoints:
         scan = stable_breakpoints(fleet, params)
         for xi in sorted(_probe_points(scan) | set(xis)):
             if 0.0 < xi <= 1.0:
-                alloc, count = scan.at(xi)
-                assert alloc == stable_allocation(fleet, params, xi)
-                assert count == _blocking(alloc, fleet, params)
+                alloc = stable_allocation(fleet, params, xi)
+                assert _read(scan, xi) == _expected(alloc, fleet, params)
 
     @given(data=st.data(), comp=compositions.filter(lambda c: min(c) >= 1),
            eps_f=fuel_rates, distance=distances, k=st.integers(-6, 9),
@@ -475,9 +515,8 @@ class TestBreakpoints:
         for eps_e in sorted(points):
             if 0.0 < eps_e < eps_f:
                 params = replace(base, epsilon_e=eps_e)
-                alloc, count = scan.at(eps_e)
-                assert alloc == shapley_allocation(fleet, params)
-                assert count == _blocking(alloc, fleet, params)
+                alloc = shapley_allocation(fleet, params)
+                assert _read(scan, eps_e) == _expected(alloc, fleet, params)
 
     def test_reads_the_thresholds_away_from_them(self, monkeypatch, params):
         fleet = Fleet.from_composition(Composition(3, 12))
@@ -502,10 +541,10 @@ class TestBreakpoints:
         scan_classes = stability._violations
         monkeypatch.setattr(stability, "_violations",
                             lambda *a: calls.append(a) or scan_classes(*a))
-        alloc, count = scan.at(other.epsilon_e)
-        assert alloc == shapley_allocation(fleet, other)
-        assert count == _blocking(alloc, fleet, other)
-        assert len(calls) == 2  # the recheck, then _blocking
+        reading = _read(scan, other.epsilon_e)
+        assert len(calls) == 1  # the recheck
+        assert reading == _expected(shapley_allocation(fleet, other), fleet, other)
+        assert len(calls) == 2  # and _blocking
         scan.at(0.05)  # below epsilon_f: read off the table
         assert len(calls) == 2
 
@@ -531,7 +570,7 @@ class TestBreakpoints:
                         assert len(scan.windows) == n_e * (n - n_e + 1) - 1
                     for xi in (5e-324, 1e-12, 1.0):
                         alloc = stable_allocation(fleet, params, xi)
-                        assert scan.at(xi) == (alloc, _blocking(alloc, fleet, params))
+                        assert _read(scan, xi) == _expected(alloc, fleet, params)
 
     @pytest.mark.parametrize("epsilon_f", [0.07, 0.5])  # rate ratio test holds, fails
     def test_type_fair_table_keeps_every_class(self, epsilon_f, params):
@@ -548,7 +587,7 @@ class TestBreakpoints:
                         if 0.0 < eps_e < epsilon_f:
                             at = replace(params, epsilon_e=eps_e)
                             alloc = shapley_allocation(fleet, at)
-                            assert scan.at(eps_e) == (alloc, _blocking(alloc, fleet, at))
+                            assert _read(scan, eps_e) == _expected(alloc, fleet, at)
 
     def test_leader_subsets_count_toward_the_cap(self, params, monkeypatch):
         # 2 * 1000 * 701 classes with the leader's, 1000 * 701 without: over 2^20
@@ -562,12 +601,17 @@ class TestBreakpoints:
             stable_breakpoints(Fleet.from_composition(Composition(2, 8)), params)
 
     def test_not_efficient_raises(self, params, fleet23):
-        for size, error, match in ((5, NotEfficient, None),
-                                   (4, ValueError, "4 payoffs for a fleet of 5")):
-            alloc = Allocation((1.0,) * size, leader_id=0, scheme="test")
+        # 2 ETs and 3 FPTs paid 1.0 each fall short of v(N); classes counting
+        # 4 trucks index another fleet, whatever they sum to
+        total = coalition_value(fleet23.composition(), params)
+        electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
+        for classes, error, match in (
+                (((electric, 1.0, 2), (fuel, 1.0, 3)), NotEfficient, None),
+                (((electric, total / 4, 2), (fuel, total / 4, 2)), ValueError,
+                 "payoff classes do not count a fleet of 5")):
             scan = stability.Breakpoints(fleet23, params, [(1.0, 0.0)] * 2,
                                          (params.epsilon_e, params.epsilon_f), (0.0, 0.0),
-                                         lambda t: (alloc, params))
+                                         lambda t: (classes, params), None)
             with pytest.raises(error, match=match):
                 scan.at(0.1)
 
@@ -581,3 +625,15 @@ class TestBreakpoints:
         assert calls == []
         assert main(["allocate", "--out", str(tmp_path / "a.txt")]) == 0
         assert len(calls) == 1  # the spy sees the class scan
+
+    def test_default_sweeps_build_no_per_truck_allocation(self, monkeypatch, tmp_path):
+        # every grid point is read as payoff classes with counts
+        built = []
+        cls = allocate.Allocation
+        monkeypatch.setattr(allocate, "Allocation", lambda *a, **k: built.append(a) or cls(*a, **k))
+        for kind in ("fig2", "fig3", "fig5", "fig6"):
+            out = tmp_path / f"{kind}.csv"
+            assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out)]) == 0
+        assert built == []
+        assert main(["allocate", "--out", str(tmp_path / "a.txt")]) == 0
+        assert len(built) == 1  # the spy sees the allocate command's allocation

@@ -10,7 +10,7 @@ cross-checks the closed form lives in ``platoonshare.oracles``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     BothTypesRequired,
@@ -28,7 +28,12 @@ from .game import (
     coalition_value,
     optimal_leader_type,
 )
-from .stability import Breakpoints, shapley_core_condition_ratio
+from .stability import (
+    Breakpoints,
+    ClassWindows,
+    SharedWindows,
+    shapley_core_condition_ratio,
+)
 
 SCHEME_STABLE = "stable"
 SCHEME_SHAPLEY = "shapley-closed-form"
@@ -104,15 +109,34 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
     return Allocation(payoffs, leader, SCHEME_STABLE, xi=xi, within_bound=within)
 
 
-def stable_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
-    """``stable_allocation`` along xi; every product is exact at xi = 0 and 1,
-    so the follower pays there give each type's line exactly. The table leaves
-    out the subsets holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so
-    its excess xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
-    _check_fleet_size(fleet, params)
+def _stable_family(params: SavingsParams) -> tuple:
+    """``stable_allocation``'s pay lines (ET, FPT) and rates along xi: every
+    product is exact at xi = 0 and 1, so the follower pays there give each
+    type's line exactly."""
     at0, at1 = _follower_pays(params, 0.0), _follower_pays(params, 1.0)
-    return Breakpoints(fleet, params, [(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
-                       (params.epsilon_e, params.epsilon_f), (0.0, 0.0),
+    return ([(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
+            (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
+
+
+def stable_windows(params: SavingsParams) -> SharedWindows:
+    """The class windows of ``stable_breakpoints`` at ``params``, for one sweep's
+    fleets to share: each sub-composition's window is computed once."""
+    return SharedWindows(params, *_stable_family(params))
+
+
+def stable_breakpoints(fleet: Fleet, params: SavingsParams,
+                       windows: Optional[SharedWindows] = None) -> Breakpoints:
+    """``stable_allocation`` along xi, its windows read from ``windows``
+    (``stable_windows(params)``) or else computed for this table alone. The
+    table leaves out the subsets holding the leader: each is paid
+    (1 - xi)*v(S) + xi*v(N), so its excess xi*(v(S) - v(N)) - tol is negative
+    on (0, 1]."""
+    _check_fleet_size(fleet, params)
+    if windows is None:
+        windows = ClassWindows(params, *_stable_family(params))
+    elif windows.params != params:
+        raise ValueError("windows of other params")
+    return Breakpoints(fleet, windows,
                        lambda xi: (_stable_classes(fleet, params, xi), params),
                        lambda xi, _: stable_allocation(fleet, params, xi),
                        optimal_leader_type(fleet.composition()))
@@ -156,23 +180,31 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
     return Allocation(payoffs, _leader_id(fleet), SCHEME_SHAPLEY)
 
 
-def shapley_breakpoints(fleet: Fleet, params: SavingsParams) -> Breakpoints:
+def shapley_breakpoints(fleet: Fleet, params: SavingsParams,
+                        rated: Sequence[SavingsParams] = ()) -> Breakpoints:
     """``shapley_allocation`` along epsilon_e, the other params fixed: each type's
     line comes from its rate weights, (0, 0) for an absent type, and no truck is
     left out. The table holds the money tolerance of every epsilon_e <= epsilon_f,
-    whatever ``params``'."""
+    whatever ``params``'. A point at the rate of one of ``rated``, params that
+    differ from ``params`` in epsilon_e alone and that a sweep builds once, reads
+    its params from there; any other point builds its own."""
     _check_fleet_size(fleet, params)
     ef, dist, comp = params.epsilon_f, params.distance, fleet.composition()
     lines = [(0.0, 0.0) if w is None else (w[1] * ef * dist, w[0] * dist)
              for w in _type_fair_weights(comp)]
+    by_rate = {}
+    for at in rated:
+        if {**vars(at), "epsilon_e": params.epsilon_e} != vars(params):
+            raise ValueError("rated params differ from the table's in more than epsilon_e")
+        by_rate[at.epsilon_e] = at
 
     def point(eps_e: float):  # the payoff classes of the types present
-        at = replace(params, epsilon_e=eps_e)
+        at = by_rate.get(eps_e) or replace(params, epsilon_e=eps_e)
         phis = zip(TruckType, shapley_closed_form(comp, at), (comp.n_e, comp.n_f))
         return tuple(c for c in phis if c[2]), at
 
-    return Breakpoints(fleet, replace(params, epsilon_e=ef), lines, (0.0, ef), (1.0, 0.0),
-                       point, lambda _, at: shapley_allocation(fleet, at))
+    windows = ClassWindows(replace(params, epsilon_e=ef), lines, (0.0, ef), (1.0, 0.0))
+    return Breakpoints(fleet, windows, point, lambda _, at: shapley_allocation(fleet, at))
 
 
 def even_split(fleet: Fleet, params: SavingsParams) -> Allocation:

@@ -13,7 +13,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 from . import allocate as alloc_mod
@@ -248,10 +248,11 @@ def _leader_share_rows(compositions, key):
 
     def rows(cfg: RunConfig):
         params = cfg.params()
+        windows = alloc_mod.stable_windows(params)  # this sweep's, shared by its fleets
         for comp in compositions(cfg.max_platoon_size):
             fleet = game.Fleet.from_composition(comp)
             bound = ratio6(alloc_mod.xi_upper_bound(comp, params))
-            scan = alloc_mod.stable_breakpoints(fleet, params)
+            scan = alloc_mod.stable_breakpoints(fleet, params, windows)
             for xi in _XI_GRID:
                 yield [*key(comp), ratio6(xi), ratio6(scan.probability(xi)), bound]
 
@@ -260,22 +261,25 @@ def _leader_share_rows(compositions, key):
 
 def _type_fair_rows(cfg: RunConfig):
     params = cfg.params()
+    # each grid rate's params, validated once for the sweep
+    rated = [replace(params, epsilon_e=ratio * cfg.epsilon_f) for ratio in _RATIO_GRID]
     for comp in _mixed_compositions(cfg.max_platoon_size):
         fleet = game.Fleet.from_composition(comp)
         threshold = ratio6(comp.n_f / comp.total())
-        scan = alloc_mod.shapley_breakpoints(fleet, params)
-        for ratio in _RATIO_GRID:
-            prob = scan.probability(ratio * cfg.epsilon_f)
+        scan = alloc_mod.shapley_breakpoints(fleet, params, rated)
+        for ratio, at in zip(_RATIO_GRID, rated):
+            prob = scan.probability(at.epsilon_e)
             yield [comp.n_e, comp.n_f, ratio6(ratio), ratio6(prob), threshold]
 
 
 def _deviation_rows(cfg: RunConfig):
     params = cfg.params()
+    windows = alloc_mod.stable_windows(params)  # this sweep's, shared by its fleets
     for comp in _mixed_compositions(cfg.max_platoon_size):
         fleet = game.Fleet.from_composition(comp)
         xi_star = ratio6(alloc_mod.xi_upper_bound(comp, params))
         grid = fairness.default_xi_grid(fleet, params)
-        curve = fairness.deviation_curve(fleet, params, grid)
+        curve = fairness.deviation_curve(fleet, params, grid, windows)
         delta_star = ratio6(curve[-1].delta)
         for point in curve:
             yield [comp.n_e, comp.n_f, ratio6(point.xi), ratio6(point.delta),

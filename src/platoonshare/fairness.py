@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .allocate import Allocation, shapley_closed_form, stable_breakpoints, xi_upper_bound
 from .errors import ZeroShapleyPayoff
 from .game import Fleet, SavingsParams, TruckType
+from .stability import SharedWindows
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,8 @@ def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
 
 
 def deviation_curve(
-    fleet: Fleet, params: SavingsParams, xi_grid: Sequence[float]
+    fleet: Fleet, params: SavingsParams, xi_grid: Sequence[float],
+    windows: Optional[SharedWindows] = None,
 ) -> tuple[DeviationPoint, ...]:
     """Deviation from the type-fair payoff and core verdict along a xi grid.
 
@@ -41,14 +43,14 @@ def deviation_curve(
     condition fails, the deviation decreases strictly and bottoms out at
     xi*; points beyond the bound are reported as-is for inspection. Core
     flags and payoff classes are read off the fleet's ``stable_breakpoints``,
-    built once, and delta sums over the classes; a point within rounding of
-    a threshold gets the class scan.
+    built once from ``windows`` if a sweep shares them, and delta sums over
+    the classes; a point within rounding of a threshold gets the class scan.
     """
     if not xi_grid:
         raise ValueError("empty xi grid")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    scan = stable_breakpoints(fleet, params)
+    scan = stable_breakpoints(fleet, params, windows)
     phi = dict(zip(TruckType, shapley_closed_form(fleet.composition(), params)))
     points = []
     for xi in xi_grid:

@@ -6,7 +6,10 @@ and weights each by its binomial multiplicity. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
 turned into sorted thresholds once per fleet; the table builds each point
 itself as payoff classes with counts, O(classes) rather than O(trucks), so
-a sweep passes only the parameter. The labeled enumeration over all 2^N - 2
+a sweep passes only the parameter. The leader-share sweeps keep one
+``SharedWindows`` per sweep call: it computes each sub-composition's window
+(where its excess may change sign) once, and each fleet's table multiplies
+in its own counts. The labeled enumeration over all 2^N - 2
 proper subsets that cross-checks both is an oracle in ``platoonshare.oracles``,
 run only on request (``method="slow"``).
 """
@@ -19,6 +22,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import BothTypesRequired, FleetTooLarge, NotEfficient
@@ -99,44 +103,38 @@ def _share(n_violating: int, size: int) -> float:
     return 1.0 if n_violating == 0 else 1.0 - n_violating / ((1 << size) - 2)
 
 
-class Breakpoints:
-    """Class scan of one fleet along allocations affine in a parameter t.
+class ClassWindows:
+    """The windows of one family's subset classes, computed for each table.
 
-    ``point`` builds the family's member at t as ``(classes, params)``, with
-    ``(truck type, pay, count)`` classes that count the fleet, and
-    ``allocation(t, params)`` per truck, for a recheck only. Each truck of a
-    type is paid ``p0 + p1*t`` for its type's ``(p0, p1)`` in ``lines`` (ET
-    line, FPT line), and the rates are ``rates0 + t*rates1``. A class is a
-    sub-composition (e, f) of the trucks other than the ``leader`` (a
-    ``TruckType``, or None), counting comb(m_e, e)*comb(m_f, f) subsets; the
-    caller names a leader, paid off the lines, whose subsets block at no
-    point it builds, and the class cap still counts them. Each class's
-    excess v(S) - x(S) - tol is ``a + b*t``, so a point's count bisects the
-    sorted roots with cumulative labeled counts. Rounding can flip a verdict
-    only where ``|a + b*t| <= err0 + err1*t``, the errs being ``_ROUNDING``
-    times the terms' magnitudes: near a root, or from some t on where ``b``
-    is rounding noise. A point there, or at another money tolerance than the
-    table's (that of ``params``), gets ``_violations``' class scan instead.
+    Each truck of a type is paid ``p0 + p1*t`` for its type's ``(p0, p1)`` in
+    ``lines`` (ET line, FPT line), and the rates are ``rates0 + t*rates1``, at
+    the distance and money tolerance of ``params``. A class (e, f) counting
+    ``count`` subsets has excess v(S) - x(S) - tol = ``a + b*t``; rounding can
+    flip its sign only where ``|a + b*t| <= err0 + err1*t``, the errs being
+    ``_ROUNDING`` times the terms' magnitudes: near the root ``-a/b``, or from
+    some t on where ``b`` is rounding noise. That span is the class's window
+    ``(end, start, change, below)``: ``below`` of its subsets block before
+    it, and ``below + change`` after it.
     """
 
-    def __init__(self, fleet: Fleet, params: SavingsParams, lines, rates0, rates1, point,
-                 allocation, leader=None):
-        comp = fleet.composition()
-        m_e = comp.n_e - (leader is TruckType.ELECTRIC)
-        m_f = comp.n_f - (leader is TruckType.FUEL)
-        sizes = (leader is not None, m_e, m_f)  # the leader's class is still counted
-        if math.prod(size + 1 for size in sizes) > 1 << LABELED_SCAN_MAX_FLEET:
-            raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
-        combs = [[math.comb(m, k) for k in range(m + 1)] for m in (m_e, m_f)]
-        (pe0, pe1), (pf0, pf1) = lines
-        self.fleet, self._point, self._tol = fleet, point, params.money_tol()
-        self._allocation = allocation
-        n, dist, tol, inf = fleet.size, params.distance, self._tol, math.inf
+    def __init__(self, params: SavingsParams, lines, rates0, rates1):
+        self.params, self.tol = params, params.money_tol()
+        self._family = (params.distance, lines, rates0, rates1)
+
+    def rows(self, combs, n: int) -> list:
+        """The windows of the classes (e, f) with e, f indexing ``combs``' two
+        lists of subset counts, in one pass; none for the empty class or a
+        class of all ``n`` trucks."""
+        return self._windows(product(*map(enumerate, combs)), n)
+
+    def _windows(self, classes, n: int) -> list:
+        """The one excess and rounding rule, over ((e, ways_e), (f, ways_f)) pairs."""
+        dist, ((pe0, pe1), (pf0, pf1)), (ee0, ef0), (ee1, ef1) = self._family
+        tol, inf = self.tol, math.inf
         tiny = sys.float_info.min  # a floor for underflow
-        (ee0, ef0), (ee1, ef1) = rates0, rates1
         ape0, apf0, ape1, apf1 = abs(pe0), abs(pf0), abs(pe1), abs(pf1)
-        base, rows = 0, []  # rows: (end, start, change in count) of each window
-        for (e, ways_e), (f, ways_f) in product(*map(enumerate, combs)):
+        rows = []
+        for (e, ways_e), (f, ways_f) in classes:
             if not 0 < e + f < n:
                 continue
             count = ways_e * ways_f
@@ -149,17 +147,88 @@ class Breakpoints:
             root = -a / b if slope > 2 * err1 else inf
             if -inf < root < inf:
                 half = 2 * (err0 + err1 * abs(root)) / slope
-                rows.append((root + half, root - half, count if b > 0 else -count))
-                base += count if b < 0 else 0
+                rows.append((root + half, root - half, count if b > 0 else -count,
+                             count if b < 0 else 0))
             else:
-                rows.append((inf, (abs(a) - err0) / (slope + err1), 0))
-                base += count if a > 0 else 0
-        self.windows = sorted(rows)
-        self._ends = [end for end, _, _ in self.windows]
-        self._counts = list(accumulate((c for _, _, c in self.windows), initial=base))
+                rows.append((inf, (abs(a) - err0) / (slope + err1), 0, count if a > 0 else 0))
+        return rows
+
+
+class SharedWindows(ClassWindows):
+    """``ClassWindows`` that the tables of one sweep call share: each (e, f)'s
+    window is computed once, for the first table that holds the class, and
+    each table multiplies in its own counts.
+
+    A window depends on (e, f) and the family alone wherever the family's pay
+    lines do not depend on the fleet: true of the leader-share lines, not of
+    fig5's type-fair ones. No table may hold the class of its whole fleet,
+    which has a window in a larger fleet's table but none in its own; the
+    leader-share tables leave out the leader, so they never do. The store
+    lives as long as the object, so each sweep call makes its own.
+    """
+
+    def __init__(self, params: SavingsParams, lines, rates0, rates1):
+        super().__init__(params, lines, rates0, rates1)
+        self._store: list[list] = []  # _store[e][f - (e == 0)]: (e, f)'s window at count 1
+
+    def rows(self, combs, n: int) -> list:
+        comb_e, comb_f = combs
+        if len(comb_e) + len(comb_f) - 2 >= n:
+            raise ValueError("shared windows hold no class of the whole fleet")
+        store = self._store
+        store += [[] for _ in range(len(comb_e) - len(store))]
+        rows = []
+        for e, (stored, ways_e) in enumerate(zip(store, comb_e)):
+            first = e == 0  # the empty class has no window
+            if len(stored) + first < len(comb_f):
+                fs = [(f, 1) for f in range(len(stored) + first, len(comb_f))]
+                stored += self._windows(product([(e, 1)], fs), n)
+            rows += [(end, start, change * count, count if below else 0)
+                     for (end, start, change, below), ways_f in zip(stored, comb_f[first:])
+                     for count in [ways_e * ways_f]]
+        return rows
+
+
+class Breakpoints:
+    """Class scan of one fleet along allocations affine in a parameter t.
+
+    ``point`` builds the family's member at t as ``(classes, params)``, with
+    ``(truck type, pay, count)`` classes that count the fleet, and
+    ``allocation(t, params)`` per truck, for a recheck only. A class is a
+    sub-composition (e, f) of the trucks other than the ``leader`` (a
+    ``TruckType``, or None), counting comb(m_e, e)*comb(m_f, f) subsets; the
+    caller names a leader, paid off the lines, whose subsets block at no
+    point it builds, and the class cap still counts them. The table checks
+    that cap, then takes its classes' windows from ``windows``: a
+    ``ClassWindows`` computes them for this table alone, in one pass; a
+    ``SharedWindows`` reads those an earlier table of the sweep computed. A
+    point's count bisects the windows sorted by end, with cumulative labeled
+    counts. A point inside a window, or at another money tolerance than the
+    table's (that of the windows' params), gets ``_violations``' class scan.
+    """
+
+    def __init__(self, fleet: Fleet, windows: ClassWindows, point, allocation, leader=None):
+        comp = fleet.composition()
+        m_e = comp.n_e - (leader is TruckType.ELECTRIC)
+        m_f = comp.n_f - (leader is TruckType.FUEL)
+        sizes = (leader is not None, m_e, m_f)  # the leader's class is still counted
+        if math.prod(size + 1 for size in sizes) > 1 << LABELED_SCAN_MAX_FLEET:
+            raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
+        combs = [[math.comb(m, k) for k in range(m + 1)] for m in (m_e, m_f)]
+        self.fleet, self._point, self._tol = fleet, point, windows.tol
+        self._allocation = allocation
+        # a stable sort keeps windows of equal end (every flat one ends at inf) in
+        # (e, f) order, whichever windows built them
+        self.windows = sorted(windows.rows(combs, fleet.size), key=itemgetter(0))
+        self._ends = list(map(itemgetter(0), self.windows))
+        base = sum(map(itemgetter(3), self.windows))
+        self._counts = list(accumulate(map(itemgetter(2), self.windows), initial=base))
         # _starts[j]: the earliest start among windows j and later
-        self._starts = list(accumulate((s for _, s, _ in reversed(self.windows)), min,
-                                       initial=math.inf))[::-1]
+        starts, least = [math.inf], math.inf
+        for _, start, _, _ in reversed(self.windows):
+            least = start if start < least else least
+            starts.append(least)
+        self._starts = starts[::-1]
 
     def at(self, t: float) -> tuple[tuple, int]:
         """The payoff classes at ``t`` and the labeled count of subsets blocking them."""

@@ -1,10 +1,13 @@
 import csv
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from platoonshare import game
 from platoonshare.cli import RunConfig, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TABLE_TOTALS = ["77.40", "56.40", "63.00", "56.40", "63.00", "56.40", "42.00", "42.00",
                 "35.40", "42.00", "42.00", "35.40", "21.00", "21.00", "14.40", "0.00"]
@@ -199,6 +202,15 @@ class TestSweeps:
         assert main(["sweep", "fig2", "--out", str(a)]) == 0
         assert main(["sweep", "fig2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("before", [["fig6"], ["fig2", "--distance", "1.7"]])
+    def test_no_state_outlives_a_sweep(self, before, capsys):
+        # after a sweep at other rates or another distance, in one process,
+        # fig2 prints the bytes of a fresh run: its golden file
+        assert main(["sweep", *before]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "fig2"]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / "sweep_fig2.csv").read_bytes()
 
     def test_fig2_columns_and_certified_side(self, tmp_path):
         out_path = tmp_path / "fig2.csv"

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -477,7 +478,7 @@ def _read(scan, t):
 def _probe_points(scan):
     """Each window's edges and centre (its class's root), and their float neighbours."""
     points = set()
-    for end, start, _ in scan.windows:
+    for end, start, *_ in scan.windows:
         for t in (start, end, (start + end) / 2):
             points |= {t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)}
     return points
@@ -609,11 +610,99 @@ class TestBreakpoints:
                 (((electric, 1.0, 2), (fuel, 1.0, 3)), NotEfficient, None),
                 (((electric, total / 4, 2), (fuel, total / 4, 2)), ValueError,
                  "payoff classes do not count a fleet of 5")):
-            scan = stability.Breakpoints(fleet23, params, [(1.0, 0.0)] * 2,
-                                         (params.epsilon_e, params.epsilon_f), (0.0, 0.0),
-                                         lambda t: (classes, params), None)
+            windows = stability.ClassWindows(params, [(1.0, 0.0)] * 2,
+                                             (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
+            scan = stability.Breakpoints(fleet23, windows, lambda t: (classes, params), None)
             with pytest.raises(error, match=match):
                 scan.at(0.1)
+
+    # the default rates, fig6's preset and the settings of sweep_settings.sha256
+    @pytest.mark.parametrize("change", [{}, {"epsilon_f": 0.72},
+                                        {"epsilon_f": 0.13, "distance": 1e-3},
+                                        {"epsilon_f": 0.5, "distance": 1e9},
+                                        {"distance": 1e-290}])
+    def test_shared_tables_match_standalone(self, change, params, monkeypatch):
+        # one store grows over every composition of 2-30 trucks, all-FPT ones
+        # (FPT leader) among the mixed (ET leader); each table it serves equals
+        # the table built for that fleet alone, and reads each window edge
+        # alike: off the table, or by a recheck. Neither the point nor the
+        # recheck consults the table, so both are stubbed: each point takes
+        # the fleet's classes at xi = 0.5, efficient at every xi
+        params = replace(params, max_platoon_size=30, **change)
+        classes = cache(partial(allocate._stable_classes, params=params, xi=0.5))
+        monkeypatch.setattr(allocate, "_stable_classes", lambda fleet, _, xi: classes(fleet))
+        monkeypatch.setattr(allocate, "stable_allocation", lambda *_: None)
+        monkeypatch.setattr(stability, "_violations", lambda *_: {"recheck": -1})
+        windows = allocate.stable_windows(params)
+        for n in range(2, 31):
+            for n_e in range(n):
+                fleet = Fleet.from_composition(Composition(n_e, n - n_e))
+                shared = stable_breakpoints(fleet, params, windows)
+                alone = stable_breakpoints(fleet, params)
+                assert shared.windows == alone.windows
+                assert shared._counts[0] == alone._counts[0]  # the base count
+                edges = {t for end, start, *_ in alone.windows for t in (start, end)}
+                for t in sorted(t for t in edges if 0.0 < t <= 1.0):
+                    assert shared.at(t) == alone.at(t)
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3", "fig6"])
+    def test_sweeps_compute_each_window_once(self, kind, monkeypatch, tmp_path):
+        # a size-30 sweep computes each leader-out class (e, f) of its fleets
+        # once: the staircase e <= 28, e + f <= 29 for fig2 and fig6, and
+        # f <= 29 of FPTs alone for fig3
+        computed = []
+        windows = stability.ClassWindows._windows
+
+        def spy(self, classes, n):
+            classes = list(classes)
+            computed.extend((e, f) for (e, _), (f, _) in classes)
+            return windows(self, classes, n)
+
+        monkeypatch.setattr(stability.ClassWindows, "_windows", spy)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", kind, "--max-platoon-size", "30", "--out", str(out)]) == 0
+        if kind == "fig3":
+            expected = {(0, f) for f in range(1, 30)}
+        else:
+            expected = {(e, f) for e in range(29) for f in range(30 - e)} - {(0, 0)}
+        assert len(computed) == len(expected)
+        assert set(computed) == expected
+
+    def test_shared_windows_checks(self, params, fleet23):
+        windows = allocate.stable_windows(params)
+        with pytest.raises(ValueError, match="other params"):
+            stable_breakpoints(fleet23, replace(params, distance=301.0), windows)
+        # a table that keeps every truck holds the class of its whole fleet
+        with pytest.raises(ValueError, match="whole fleet"):
+            stability.Breakpoints(fleet23, windows, None, None)
+
+    def test_points_read_rated_params(self, params, fleet23, monkeypatch):
+        # a point at a rated rate takes its params from there, and reads as
+        # without them; only params that differ in epsilon_e alone are accepted
+        rated = [replace(params, epsilon_e=r * params.epsilon_f) for r in (0.2, 0.4)]
+        with pytest.raises(ValueError, match="more than epsilon_e"):
+            shapley_breakpoints(fleet23, params, [replace(rated[0], distance=1.0)])
+        scan = shapley_breakpoints(fleet23, params, rated)
+        expected = shapley_breakpoints(fleet23, params).at(rated[1].epsilon_e)
+        built = []
+        post_init = SavingsParams.__post_init__
+        monkeypatch.setattr(SavingsParams, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        assert scan.at(rated[1].epsilon_e) == expected
+        assert built == []
+        scan.at(0.3 * params.epsilon_f)
+        assert len(built) == 1  # a rate off the list builds its own
+
+    def test_fig5_validates_params_per_table_not_per_point(self, monkeypatch, tmp_path):
+        # size 40: 39 tables of 19 points each; one set of params per grid
+        # rate, one per table (its windows' tolerance) and the config's two
+        built = []
+        post_init = SavingsParams.__post_init__
+        monkeypatch.setattr(SavingsParams, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        out = tmp_path / "fig5.csv"
+        assert main(["sweep", "fig5", "--max-platoon-size", "40", "--out", str(out)]) == 0
+        assert len(built) == 19 + 39 + 2
 
     def test_default_sweeps_never_rescan(self, monkeypatch, tmp_path):
         calls = []

@@ -85,21 +85,31 @@ def _follower_pays(params: SavingsParams, xi: float) -> tuple[float, float]:
             (1 - xi) * params.epsilon_f * params.distance)
 
 
-def _stable_classes(fleet: Fleet, params: SavingsParams, xi: float) -> tuple:
-    """Payoff classes (truck type, pay, count): the leader, then its followers by type."""
+def _check_xi(xi: float) -> None:
     if not 0.0 < xi <= 1.0:
         raise XiOutOfRange(f"xi must be in (0, 1], got {xi}")
+
+
+def _stable_classes(fleet: Fleet, params: SavingsParams):
+    """The leader-share payoff classes (truck type, pay, count) as a function of
+    xi: the leader, then its followers by type; the leader, counts and v(N) are
+    the fleet's, computed once."""
     _check_fleet_size(fleet, params)
     comp = fleet.composition()
-    leader = optimal_leader_type(comp)
-    pays = zip(TruckType, _follower_pays(params, xi), (comp.n_e, comp.n_f))
-    followers = [(t, pay, m - (t is leader)) for t, pay, m in pays if m > (t is leader)]
-    return ((leader, xi * coalition_value(comp, params), 1), *followers)
+    leader, total = optimal_leader_type(comp), coalition_value(comp, params)
+    counts = [(t, m - (t is leader)) for t, m in zip(TruckType, (comp.n_e, comp.n_f))]
+
+    def classes(xi: float) -> tuple:
+        _check_xi(xi)
+        pays = zip(counts, _follower_pays(params, xi))
+        return ((leader, xi * total, 1), *[(t, pay, m) for (t, m), pay in pays if m])
+    return classes
 
 
 def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocation:
     """Leader takes xi of the total; followers keep (1 - xi) of their rate."""
-    (_, lead, _), *followers = _stable_classes(fleet, params, xi)
+    _check_xi(xi)  # before the fleet checks
+    (_, lead, _), *followers = _stable_classes(fleet, params)(xi)
     leader, pays = _leader_id(fleet), {t: pay for t, pay, _ in followers}
     payoffs = tuple(lead if i == leader else pays[t] for i, t in enumerate(fleet.types))
     try:
@@ -131,24 +141,34 @@ def stable_breakpoints(fleet: Fleet, params: SavingsParams,
     table leaves out the subsets holding the leader: each is paid
     (1 - xi)*v(S) + xi*v(N), so its excess xi*(v(S) - v(N)) - tol is negative
     on (0, 1]."""
-    _check_fleet_size(fleet, params)
+    classes = _stable_classes(fleet, params)
     if windows is None:
         windows = ClassWindows(params, *_stable_family(params))
     elif windows.params != params:
         raise ValueError("windows of other params")
-    return Breakpoints(fleet, windows,
-                       lambda xi: (_stable_classes(fleet, params, xi), params),
+    return Breakpoints(fleet, windows, lambda xi: (classes(xi), params),
                        lambda xi, _: stable_allocation(fleet, params, xi),
                        optimal_leader_type(fleet.composition()))
 
 
-def _type_fair_weights(comp: Composition):
-    """Per type (ET, FPT): weights of (epsilon_e, epsilon_f) in its per-truck
-    type-fair rate, or None when no truck of that type is present."""
+def _type_fair_classes(comp: Composition):
+    """Per type (ET, FPT): the weights of (epsilon_e, epsilon_f) in its per-truck
+    type-fair rate, or None when no truck of that type is present; and, as a
+    function of params, the payoff classes (truck type, pay, count) of the types
+    present."""
     n = comp.total()
+    if n < 1:
+        raise FleetTooSmall("need at least one truck")
     w_e = (1.0 - 1.0 / comp.n_e, comp.n_f / (n * comp.n_e)) if comp.n_e else None
     w_f = (0.0, 1.0 - 1.0 / n) if comp.n_f else None
-    return w_e, w_f
+    present = [(t, w, m) for t, w, m in zip(TruckType, (w_e, w_f), (comp.n_e, comp.n_f)) if m]
+
+    def classes(params: SavingsParams) -> tuple:
+        if comp.n_e >= 1 and comp.n_f >= 1 and not params.epsilon_e < params.epsilon_f:
+            raise EpsilonOrderError("closed form requires epsilon_e < epsilon_f")
+        ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
+        return tuple((t, (w[0] * ee + w[1] * ef) * dist, m) for t, w, m in present)
+    return (w_e, w_f), classes
 
 
 def shapley_closed_form(
@@ -160,14 +180,8 @@ def shapley_closed_form(
     epsilon_e < epsilon_f on mixed compositions; the electric-leads rule
     baked into the valuation is only the optimum under that ordering.
     """
-    if comp.total() < 1:
-        raise FleetTooSmall("need at least one truck")
-    if comp.n_e >= 1 and comp.n_f >= 1 and not params.epsilon_e < params.epsilon_f:
-        raise EpsilonOrderError("closed form requires epsilon_e < epsilon_f")
-    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    phi_e, phi_f = (None if w is None else (w[0] * ee + w[1] * ef) * dist
-                    for w in _type_fair_weights(comp))
-    return phi_e, phi_f
+    phis = {t: pay for t, pay, _ in _type_fair_classes(comp)[1](params)}
+    return phis.get(TruckType.ELECTRIC), phis.get(TruckType.FUEL)
 
 
 def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
@@ -180,31 +194,40 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
     return Allocation(payoffs, _leader_id(fleet), SCHEME_SHAPLEY)
 
 
-def shapley_breakpoints(fleet: Fleet, params: SavingsParams,
-                        rated: Sequence[SavingsParams] = ()) -> Breakpoints:
-    """``shapley_allocation`` along epsilon_e, the other params fixed: each type's
-    line comes from its rate weights, (0, 0) for an absent type, and no truck is
-    left out. The table holds the money tolerance of every epsilon_e <= epsilon_f,
-    whatever ``params``'. A point at the rate of one of ``rated``, params that
-    differ from ``params`` in epsilon_e alone and that a sweep builds once, reads
-    its params from there; any other point builds its own."""
-    _check_fleet_size(fleet, params)
-    ef, dist, comp = params.epsilon_f, params.distance, fleet.composition()
-    lines = [(0.0, 0.0) if w is None else (w[1] * ef * dist, w[0] * dist)
-             for w in _type_fair_weights(comp)]
+def shapley_tables(params: SavingsParams, rated: Sequence[SavingsParams] = ()):
+    """``shapley_breakpoints`` of each fleet of a sweep, the params built and
+    checked once: each type's line comes from its rate weights, (0, 0) for an
+    absent type, and no truck is left out. A table holds the money tolerance of
+    every epsilon_e <= epsilon_f, whatever ``params``'. A point at the rate of
+    one of ``rated``, params that differ from ``params`` in epsilon_e alone,
+    reads its params from there; any other point builds its own."""
     by_rate = {}
     for at in rated:
         if {**vars(at), "epsilon_e": params.epsilon_e} != vars(params):
             raise ValueError("rated params differ from the table's in more than epsilon_e")
         by_rate[at.epsilon_e] = at
+    ef, dist = params.epsilon_f, params.distance
+    at_ef = replace(params, epsilon_e=ef)
 
-    def point(eps_e: float):  # the payoff classes of the types present
-        at = by_rate.get(eps_e) or replace(params, epsilon_e=eps_e)
-        phis = zip(TruckType, shapley_closed_form(comp, at), (comp.n_e, comp.n_f))
-        return tuple(c for c in phis if c[2]), at
+    def table(fleet: Fleet) -> Breakpoints:
+        _check_fleet_size(fleet, params)
+        weights, classes = _type_fair_classes(fleet.composition())
+        lines = [(0.0, 0.0) if w is None else (w[1] * ef * dist, w[0] * dist) for w in weights]
 
-    windows = ClassWindows(replace(params, epsilon_e=ef), lines, (0.0, ef), (1.0, 0.0))
-    return Breakpoints(fleet, windows, point, lambda _, at: shapley_allocation(fleet, at))
+        def point(eps_e: float):
+            at = by_rate.get(eps_e) or replace(params, epsilon_e=eps_e)
+            return classes(at), at
+
+        windows = ClassWindows(at_ef, lines, (0.0, ef), (1.0, 0.0))
+        return Breakpoints(fleet, windows, point, lambda _, at: shapley_allocation(fleet, at))
+    return table
+
+
+def shapley_breakpoints(fleet: Fleet, params: SavingsParams,
+                        rated: Sequence[SavingsParams] = ()) -> Breakpoints:
+    """``shapley_allocation`` along epsilon_e, the other params fixed: the table
+    of ``shapley_tables(params, rated)`` for ``fleet``."""
+    return shapley_tables(params, rated)(fleet)
 
 
 def even_split(fleet: Fleet, params: SavingsParams) -> Allocation:

@@ -249,12 +249,13 @@ def _leader_share_rows(compositions, key):
     def rows(cfg: RunConfig):
         params = cfg.params()
         windows = alloc_mod.stable_windows(params)  # this sweep's, shared by its fleets
+        labels = [ratio6(xi) for xi in _XI_GRID]
         for comp in compositions(cfg.max_platoon_size):
             fleet = game.Fleet.from_composition(comp)
             bound = ratio6(alloc_mod.xi_upper_bound(comp, params))
             scan = alloc_mod.stable_breakpoints(fleet, params, windows)
-            for xi in _XI_GRID:
-                yield [*key(comp), ratio6(xi), ratio6(scan.probability(xi)), bound]
+            for xi, label in zip(_XI_GRID, labels):
+                yield [*key(comp), label, ratio6(scan.probability(xi)), bound]
 
     return rows
 
@@ -263,13 +264,14 @@ def _type_fair_rows(cfg: RunConfig):
     params = cfg.params()
     # each grid rate's params, validated once for the sweep
     rated = [replace(params, epsilon_e=ratio * cfg.epsilon_f) for ratio in _RATIO_GRID]
+    labels = [ratio6(ratio) for ratio in _RATIO_GRID]
+    tables = alloc_mod.shapley_tables(params, rated)
     for comp in _mixed_compositions(cfg.max_platoon_size):
-        fleet = game.Fleet.from_composition(comp)
         threshold = ratio6(comp.n_f / comp.total())
-        scan = alloc_mod.shapley_breakpoints(fleet, params, rated)
-        for ratio, at in zip(_RATIO_GRID, rated):
+        scan = tables(game.Fleet.from_composition(comp))
+        for label, at in zip(labels, rated):
             prob = scan.probability(at.epsilon_e)
-            yield [comp.n_e, comp.n_f, ratio6(ratio), ratio6(prob), threshold]
+            yield [comp.n_e, comp.n_f, label, ratio6(prob), threshold]
 
 
 def _deviation_rows(cfg: RunConfig):

@@ -19,10 +19,14 @@ class DeviationPoint:
     in_core: bool
 
 
+def _check_benchmark(phis) -> None:
+    """Each phi that ``_deviation`` divides by must be positive."""
+    if any(p <= 0 for p in phis):
+        raise ZeroShapleyPayoff("benchmark payoff is zero for some truck")
+
+
 def _deviation(classes, n: int) -> float:
     """delta from ((phi, x), count) classes: the sum of count*|phi - x|/phi over n."""
-    if any(p <= 0 for (p, _), _ in classes):
-        raise ZeroShapleyPayoff("benchmark payoff is zero for some truck")
     return sum(count * abs(p - q) / p for (p, q), count in classes) / n
 
 
@@ -30,6 +34,7 @@ def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
     """Average of |phi_i - x_i| / phi_i across trucks."""
     if len(x.payoffs) != len(phi.payoffs):
         raise ValueError("allocations index different fleets")
+    _check_benchmark(phi.payoffs)
     return _deviation(Counter(zip(phi.payoffs, x.payoffs)).items(), len(x.payoffs))
 
 
@@ -45,6 +50,7 @@ def deviation_curve(
     flags and payoff classes are read off the fleet's ``stable_breakpoints``,
     built once from ``windows`` if a sweep shares them, and delta sums over
     the classes; a point within rounding of a threshold gets the class scan.
+    phi and its check for a zero payoff are made once per curve.
     """
     if not xi_grid:
         raise ValueError("empty xi grid")
@@ -52,6 +58,7 @@ def deviation_curve(
         raise ValueError("grid must be strictly increasing")
     scan = stable_breakpoints(fleet, params, windows)
     phi = dict(zip(TruckType, shapley_closed_form(fleet.composition(), params)))
+    _check_benchmark(p for p in phi.values() if p is not None)  # the types present
     points = []
     for xi in xi_grid:
         classes, blocking = scan.at(xi)

@@ -5,11 +5,12 @@ the same are interchangeable, so it visits the classes of such subsets
 and weights each by its binomial multiplicity. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
 turned into sorted thresholds once per fleet; the table builds each point
-itself as payoff classes with counts, O(classes) rather than O(trucks), so
-a sweep passes only the parameter. The leader-share sweeps keep one
-``SharedWindows`` per sweep call: it computes each sub-composition's window
-(where its excess may change sign) once, and each fleet's table multiplies
-in its own counts. The labeled enumeration over all 2^N - 2
+itself as payoff classes with counts off what it holds of the fleet (its
+leader, counts, v(N)), a few float operations, an efficiency check and one
+bisection, so a sweep passes only the parameter. The leader-share sweeps
+keep one ``SharedWindows`` per sweep call: it computes each sub-composition's
+window (where its excess may change sign) once, and each fleet's table
+multiplies in its own counts. The labeled enumeration over all 2^N - 2
 proper subsets that cross-checks both is an oracle in ``platoonshare.oracles``,
 run only on request (``method="slow"``).
 """
@@ -91,11 +92,15 @@ def _violations(
     return out
 
 
-def _check_efficient(paid, fleet: Fleet, params: SavingsParams) -> None:
-    """The payoffs' sum ``paid`` must be v(N) within money_tol(); nan or inf fails."""
+def _grand_value(fleet: Fleet, params: SavingsParams) -> tuple:
+    """v(N) and money_tol(), the terms of ``_check_efficient``."""
     params.check_fleet_size(fleet.size)
-    total = coalition_value(fleet.composition(), params)
-    if not abs(paid - total) <= params.money_tol():
+    return coalition_value(fleet.composition(), params), params.money_tol()
+
+
+def _check_efficient(paid, total: float, tol: float) -> None:
+    """The payoffs' sum ``paid`` must be v(N) ``total`` within ``tol``; nan or inf fails."""
+    if not abs(paid - total) <= tol:
         raise NotEfficient(f"payoffs sum to {float(paid):.8f}, grand value is {total:.8f}")
 
 
@@ -203,8 +208,10 @@ class Breakpoints:
     ``ClassWindows`` computes them for this table alone, in one pass; a
     ``SharedWindows`` reads those an earlier table of the sweep computed. A
     point's count bisects the windows sorted by end, with cumulative labeled
-    counts. A point inside a window, or at another money tolerance than the
-    table's (that of the windows' params), gets ``_violations``' class scan.
+    counts. Each point must sum to v(N) within its params' money tolerance,
+    both held for the last params object seen. A point inside a window, or at
+    another money tolerance than the table's (that of the windows' params),
+    gets ``_violations``' class scan.
     """
 
     def __init__(self, fleet: Fleet, windows: ClassWindows, point, allocation, leader=None):
@@ -216,6 +223,7 @@ class Breakpoints:
             raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
         combs = [[math.comb(m, k) for k in range(m + 1)] for m in (m_e, m_f)]
         self.fleet, self._point, self._tol = fleet, point, windows.tol
+        self._grand = None, None, None  # (params, v(N), money_tol) of the last point
         self._allocation = allocation
         # a stable sort keeps windows of equal end (every flat one ends at inf) in
         # (e, f) order, whichever windows built them
@@ -235,9 +243,12 @@ class Breakpoints:
         classes, params = self._point(t)
         if sum(count for _, _, count in classes) != self.fleet.size:
             raise ValueError(f"payoff classes do not count a fleet of {self.fleet.size}")
-        _check_efficient(sum(count * pay for _, pay, count in classes), self.fleet, params)
+        if params is not self._grand[0]:
+            self._grand = params, *_grand_value(self.fleet, params)
+        _, total, tol = self._grand
+        _check_efficient(sum(count * pay for _, pay, count in classes), total, tol)
         j = bisect_left(self._ends, t)
-        if t >= self._starts[j] or params.money_tol() != self._tol:
+        if t >= self._starts[j] or tol != self._tol:
             alloc = self._allocation(t, params)
             return classes, sum(_violations(alloc, self.fleet, params).values())
         return classes, self._counts[j]
@@ -259,7 +270,7 @@ def in_core(
         raise ValueError(f"unknown method {method!r}")
     if len(alloc.payoffs) != fleet.size:
         raise ValueError(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
-    _check_efficient(sum(alloc.payoffs), fleet, params)
+    _check_efficient(sum(alloc.payoffs), *_grand_value(fleet, params))
     scan = _violations
     if method == "slow":
         from .oracles import labeled_violations as scan

@@ -64,6 +64,13 @@ class TestMeanRelativeDeviation:
 
 
 class TestDeviationCurve:
+    def test_zero_benchmark_guard(self):
+        # 2 FPTs at the least subnormal rate: phi_f and v(N) round to 0
+        params = SavingsParams(epsilon_f=5e-324, epsilon_e=1.0, distance=0.5)
+        fleet = Fleet.from_composition(Composition(0, 2))
+        with pytest.raises(ZeroShapleyPayoff):
+            deviation_curve(fleet, params, [0.1, 0.2])
+
     def test_strictly_decreasing_on_feasible_interval(self, skewed_params):
         fleet = Fleet.from_composition(Composition(1, 14))
         grid = default_xi_grid(fleet, skewed_params)

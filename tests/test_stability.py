@@ -4,7 +4,6 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache, partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -30,7 +29,7 @@ from platoonshare import (
     stable_allocation,
     xi_upper_bound,
 )
-from platoonshare import allocate, stability
+from platoonshare import allocate, game, stability
 from platoonshare.allocate import shapley_breakpoints, stable_breakpoints
 from platoonshare.cli import main
 from platoonshare.game import REL_TOL
@@ -616,6 +615,40 @@ class TestBreakpoints:
             with pytest.raises(error, match=match):
                 scan.at(0.1)
 
+    def test_efficiency_checked_at_every_point(self, params, fleet23):
+        # a table holds v(N) for its params, yet checks every point against it:
+        # a later point of the same params object short by 2 money_tol fails
+        total = coalition_value(fleet23.composition(), params)
+        short = {0.1: 0.0, 0.2: 2 * params.money_tol()}
+        electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
+        windows = stability.ClassWindows(params, [(1.0, 0.0)] * 2,
+                                         (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
+        scan = stability.Breakpoints(fleet23, windows, lambda t: (
+            ((electric, (total - short[t]) / 5, 2), (fuel, (total - short[t]) / 5, 3)),
+            params), None)
+        assert scan.at(0.1)[0][0][1] == total / 5
+        with pytest.raises(NotEfficient):
+            scan.at(0.2)
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3", "fig6"])
+    def test_sweeps_compute_invariants_per_table(self, kind, monkeypatch, tmp_path):
+        # size 40: 39 tables of 30 or 60 points each; v(N) and the fleet-size
+        # check are a table's, so each is made a few times per table at most
+        calls = Counter()
+
+        def spy(name, original):
+            return lambda *a: calls.update([name]) or original(*a)
+
+        value = spy("value", game.coalition_value)
+        for module in (game, allocate, stability):
+            monkeypatch.setattr(module, "coalition_value", value)
+        monkeypatch.setattr(SavingsParams, "check_fleet_size",
+                            spy("size", SavingsParams.check_fleet_size))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out)]) == 0
+        assert 39 <= calls["value"] <= 3 * 39
+        assert 39 <= calls["size"] <= 3 * 39
+
     # the default rates, fig6's preset and the settings of sweep_settings.sha256
     @pytest.mark.parametrize("change", [{}, {"epsilon_f": 0.72},
                                         {"epsilon_f": 0.13, "distance": 1e-3},
@@ -625,12 +658,9 @@ class TestBreakpoints:
         # one store grows over every composition of 2-30 trucks, all-FPT ones
         # (FPT leader) among the mixed (ET leader); each table it serves equals
         # the table built for that fleet alone, and reads each window edge
-        # alike: off the table, or by a recheck. Neither the point nor the
-        # recheck consults the table, so both are stubbed: each point takes
-        # the fleet's classes at xi = 0.5, efficient at every xi
+        # alike: off the table, or by a recheck. The recheck does not consult
+        # the table, so it is stubbed; each point is the fleet's own classes
         params = replace(params, max_platoon_size=30, **change)
-        classes = cache(partial(allocate._stable_classes, params=params, xi=0.5))
-        monkeypatch.setattr(allocate, "_stable_classes", lambda fleet, _, xi: classes(fleet))
         monkeypatch.setattr(allocate, "stable_allocation", lambda *_: None)
         monkeypatch.setattr(stability, "_violations", lambda *_: {"recheck": -1})
         windows = allocate.stable_windows(params)
@@ -695,14 +725,15 @@ class TestBreakpoints:
 
     def test_fig5_validates_params_per_table_not_per_point(self, monkeypatch, tmp_path):
         # size 40: 39 tables of 19 points each; one set of params per grid
-        # rate, one per table (its windows' tolerance) and the config's two
+        # rate and one for the windows' tolerance, both per sweep, and the
+        # config's two
         built = []
         post_init = SavingsParams.__post_init__
         monkeypatch.setattr(SavingsParams, "__post_init__",
                             lambda self: built.append(self) or post_init(self))
         out = tmp_path / "fig5.csv"
         assert main(["sweep", "fig5", "--max-platoon-size", "40", "--out", str(out)]) == 0
-        assert len(built) == 19 + 39 + 2
+        assert len(built) == 19 + 1 + 2
 
     def test_default_sweeps_never_rescan(self, monkeypatch, tmp_path):
         calls = []

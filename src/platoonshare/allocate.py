@@ -92,8 +92,7 @@ def _check_xi(xi: float) -> None:
 
 def _stable_classes(fleet: Fleet, params: SavingsParams):
     """The leader-share payoff classes (truck type, pay, count) as a function of
-    xi: the leader, then its followers by type; the leader, counts and v(N) are
-    the fleet's, computed once."""
+    xi: the leader, then its followers by type."""
     _check_fleet_size(fleet, params)
     comp = fleet.composition()
     leader, total = optimal_leader_type(comp), coalition_value(comp, params)
@@ -119,35 +118,26 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
     return Allocation(payoffs, leader, SCHEME_STABLE, xi=xi, within_bound=within)
 
 
-def _stable_family(params: SavingsParams) -> tuple:
-    """``stable_allocation``'s pay lines (ET, FPT) and rates along xi: every
-    product is exact at xi = 0 and 1, so the follower pays there give each
-    type's line exactly."""
-    at0, at1 = _follower_pays(params, 0.0), _follower_pays(params, 1.0)
-    return ([(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
-            (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
-
-
 def stable_windows(params: SavingsParams) -> SharedWindows:
     """The class windows of ``stable_breakpoints`` at ``params``, for one sweep's
-    fleets to share: each sub-composition's window is computed once."""
-    return SharedWindows(params, *_stable_family(params))
+    fleets to share. ``stable_allocation``'s pay lines (ET, FPT) along xi come
+    from the follower pays at xi = 0 and 1, where every product is exact."""
+    at0, at1 = _follower_pays(params, 0.0), _follower_pays(params, 1.0)
+    return SharedWindows(params, [(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
+                         (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
 
 
 def stable_breakpoints(fleet: Fleet, params: SavingsParams,
                        windows: Optional[SharedWindows] = None) -> Breakpoints:
-    """``stable_allocation`` along xi, its windows read from ``windows``
-    (``stable_windows(params)``) or else computed for this table alone. The
-    table leaves out the subsets holding the leader: each is paid
-    (1 - xi)*v(S) + xi*v(N), so its excess xi*(v(S) - v(N)) - tol is negative
-    on (0, 1]."""
+    """``stable_allocation`` along xi, its windows read from ``windows``, by
+    default a fresh ``stable_windows(params)``. The table leaves out the
+    subsets holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so its
+    excess xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
     classes = _stable_classes(fleet, params)
-    if windows is None:
-        windows = ClassWindows(params, *_stable_family(params))
-    elif windows.params != params:
+    windows = windows or stable_windows(params)
+    if windows.params != params:
         raise ValueError("windows of other params")
     return Breakpoints(fleet, windows, lambda xi: (classes(xi), params),
-                       lambda xi, _: stable_allocation(fleet, params, xi),
                        optimal_leader_type(fleet.composition()))
 
 
@@ -195,7 +185,8 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
 
 
 def shapley_tables(params: SavingsParams, rated: Sequence[SavingsParams] = ()):
-    """``shapley_breakpoints`` of each fleet of a sweep, the params built and
+    """The ``Breakpoints`` table of ``shapley_allocation`` along epsilon_e, the
+    other params fixed, for each fleet of a sweep, the params built and
     checked once: each type's line comes from its rate weights, (0, 0) for an
     absent type, and no truck is left out. A table holds the money tolerance of
     every epsilon_e <= epsilon_f, whatever ``params``'. A point at the rate of
@@ -219,15 +210,8 @@ def shapley_tables(params: SavingsParams, rated: Sequence[SavingsParams] = ()):
             return classes(at), at
 
         windows = ClassWindows(at_ef, lines, (0.0, ef), (1.0, 0.0))
-        return Breakpoints(fleet, windows, point, lambda _, at: shapley_allocation(fleet, at))
+        return Breakpoints(fleet, windows, point)
     return table
-
-
-def shapley_breakpoints(fleet: Fleet, params: SavingsParams,
-                        rated: Sequence[SavingsParams] = ()) -> Breakpoints:
-    """``shapley_allocation`` along epsilon_e, the other params fixed: the table
-    of ``shapley_tables(params, rated)`` for ``fleet``."""
-    return shapley_tables(params, rated)(fleet)
 
 
 def even_split(fleet: Fleet, params: SavingsParams) -> Allocation:

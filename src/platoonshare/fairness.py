@@ -48,9 +48,8 @@ def deviation_curve(
     condition fails, the deviation decreases strictly and bottoms out at
     xi*; points beyond the bound are reported as-is for inspection. Core
     flags and payoff classes are read off the fleet's ``stable_breakpoints``,
-    built once from ``windows`` if a sweep shares them, and delta sums over
+    its windows from ``windows`` if a sweep shares them, and delta sums over
     the classes; a point within rounding of a threshold gets the class scan.
-    phi and its check for a zero payoff are made once per curve.
     """
     if not xi_grid:
         raise ValueError("empty xi grid")

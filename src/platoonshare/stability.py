@@ -4,15 +4,10 @@ One subset scan backs every verdict: trucks of the same type paid exactly
 the same are interchangeable, so it visits the classes of such subsets
 and weights each by its binomial multiplicity. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
-turned into sorted thresholds once per fleet; the table builds each point
-itself as payoff classes with counts off what it holds of the fleet (its
-leader, counts, v(N)), a few float operations, an efficiency check and one
-bisection, so a sweep passes only the parameter. The leader-share sweeps
-keep one ``SharedWindows`` per sweep call: it computes each sub-composition's
-window (where its excess may change sign) once, and each fleet's table
-multiplies in its own counts. The labeled enumeration over all 2^N - 2
-proper subsets that cross-checks both is an oracle in ``platoonshare.oracles``,
-run only on request (``method="slow"``).
+turned into sorted thresholds per fleet, each point given as payoff
+classes. The labeled enumeration over all 2^N - 2 proper subsets that
+cross-checks both is an oracle in ``platoonshare.oracles``, run only on
+request (``method="slow"``).
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import BothTypesRequired, FleetTooLarge, NotEfficient
 from .game import (
@@ -64,14 +59,14 @@ class CoreReport:
 
 
 def _violations(
-    alloc: "Allocation", fleet: Fleet, params: SavingsParams
+    classes: Mapping[tuple[TruckType, float], int], n: int, params: SavingsParams
 ) -> dict[tuple[int, int], int]:
     """Scan of the subset classes of interchangeable trucks, weighted by count.
 
-    Trucks of one type paid exactly the same are interchangeable: a subset
-    takes k of such a class of m in comb(m, k) ways.
+    ``classes`` maps (truck type, pay) to its number of trucks in a fleet of
+    ``n``; such trucks are interchangeable: a subset takes k of a class of m
+    in comb(m, k) ways. The classes are summed in the mapping's order.
     """
-    classes = Counter(zip(fleet.types, alloc.payoffs))
     if math.prod(size + 1 for size in classes.values()) > 1 << LABELED_SCAN_MAX_FLEET:
         raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
     nes, nfs, counts, sums = [0], [0], [1], [0]
@@ -83,7 +78,7 @@ def _violations(
             nes, nfs = nes * (size + 1), [f + k for k in taken for f in nfs]
         sums = [s + k * pay for k in taken for s in sums]
         counts = [c * w for w in [math.comb(size, k) for k in taken] for c in counts]
-    n, tol = fleet.size, params.money_tol()
+    tol = params.money_tol()
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
     out: dict[tuple[int, int], int] = {}
     for e, f, got, count in zip(nes, nfs, sums, counts):
@@ -160,16 +155,14 @@ class ClassWindows:
 
 
 class SharedWindows(ClassWindows):
-    """``ClassWindows`` that the tables of one sweep call share: each (e, f)'s
-    window is computed once, for the first table that holds the class, and
-    each table multiplies in its own counts.
+    """``ClassWindows`` that the tables of one family share, each (e, f)'s
+    window stored at count 1 and multiplied by each table's counts.
 
     A window depends on (e, f) and the family alone wherever the family's pay
     lines do not depend on the fleet: true of the leader-share lines, not of
     fig5's type-fair ones. No table may hold the class of its whole fleet,
     which has a window in a larger fleet's table but none in its own; the
-    leader-share tables leave out the leader, so they never do. The store
-    lives as long as the object, so each sweep call makes its own.
+    leader-share tables leave out the leader, so they never do.
     """
 
     def __init__(self, params: SavingsParams, lines, rates0, rates1):
@@ -197,24 +190,19 @@ class SharedWindows(ClassWindows):
 class Breakpoints:
     """Class scan of one fleet along allocations affine in a parameter t.
 
-    ``point`` builds the family's member at t as ``(classes, params)``, with
-    ``(truck type, pay, count)`` classes that count the fleet, and
-    ``allocation(t, params)`` per truck, for a recheck only. A class is a
-    sub-composition (e, f) of the trucks other than the ``leader`` (a
+    ``point(t)`` gives the member at t as ``(classes, params)``, its
+    ``(truck type, pay, count)`` classes counting the fleet. A table class is
+    a sub-composition (e, f) of the trucks other than ``leader`` (a
     ``TruckType``, or None), counting comb(m_e, e)*comb(m_f, f) subsets; the
-    caller names a leader, paid off the lines, whose subsets block at no
-    point it builds, and the class cap still counts them. The table checks
-    that cap, then takes its classes' windows from ``windows``: a
-    ``ClassWindows`` computes them for this table alone, in one pass; a
-    ``SharedWindows`` reads those an earlier table of the sweep computed. A
-    point's count bisects the windows sorted by end, with cumulative labeled
-    counts. Each point must sum to v(N) within its params' money tolerance,
-    both held for the last params object seen. A point inside a window, or at
-    another money tolerance than the table's (that of the windows' params),
-    gets ``_violations``' class scan.
+    caller names a leader, paid off the lines, whose subsets block at no point
+    it builds, and the class cap still counts them. A point must sum to v(N)
+    within its params' money tolerance; its count bisects ``windows``' rows
+    sorted by end, with cumulative labeled counts. Inside a window, or at
+    another money tolerance than the windows', ``_violations`` scans the
+    point's own classes, equal (type, pay) pairs merged in the order given.
     """
 
-    def __init__(self, fleet: Fleet, windows: ClassWindows, point, allocation, leader=None):
+    def __init__(self, fleet: Fleet, windows: ClassWindows, point, leader=None):
         comp = fleet.composition()
         m_e = comp.n_e - (leader is TruckType.ELECTRIC)
         m_f = comp.n_f - (leader is TruckType.FUEL)
@@ -224,7 +212,6 @@ class Breakpoints:
         combs = [[math.comb(m, k) for k in range(m + 1)] for m in (m_e, m_f)]
         self.fleet, self._point, self._tol = fleet, point, windows.tol
         self._grand = None, None, None  # (params, v(N), money_tol) of the last point
-        self._allocation = allocation
         # a stable sort keeps windows of equal end (every flat one ends at inf) in
         # (e, f) order, whichever windows built them
         self.windows = sorted(windows.rows(combs, fleet.size), key=itemgetter(0))
@@ -249,8 +236,10 @@ class Breakpoints:
         _check_efficient(sum(count * pay for _, pay, count in classes), total, tol)
         j = bisect_left(self._ends, t)
         if t >= self._starts[j] or tol != self._tol:
-            alloc = self._allocation(t, params)
-            return classes, sum(_violations(alloc, self.fleet, params).values())
+            tally = Counter()
+            for truck_type, pay, count in classes:
+                tally[truck_type, pay] += count
+            return classes, sum(_violations(tally, self.fleet.size, params).values())
         return classes, self._counts[j]
 
     def probability(self, t: float) -> float:
@@ -271,10 +260,11 @@ def in_core(
     if len(alloc.payoffs) != fleet.size:
         raise ValueError(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
     _check_efficient(sum(alloc.payoffs), *_grand_value(fleet, params))
-    scan = _violations
     if method == "slow":
-        from .oracles import labeled_violations as scan
-    violations = scan(alloc, fleet, params)
+        from .oracles import labeled_violations
+        violations = labeled_violations(alloc, fleet, params)
+    else:
+        violations = _violations(Counter(zip(fleet.types, alloc.payoffs)), fleet.size, params)
 
     n_violating = sum(violations.values())
     blocking = tuple(

@@ -30,7 +30,7 @@ from platoonshare import (
     xi_upper_bound,
 )
 from platoonshare import allocate, game, stability
-from platoonshare.allocate import shapley_breakpoints, stable_breakpoints
+from platoonshare.allocate import shapley_tables, stable_breakpoints
 from platoonshare.cli import main
 from platoonshare.game import REL_TOL
 from platoonshare.stability import LABELED_SCAN_MAX_FLEET
@@ -457,7 +457,8 @@ class TestMetamorphic:
 
 
 def _blocking(alloc, fleet, params):
-    return sum(stability._violations(alloc, fleet, params).values())
+    classes = Counter(zip(fleet.types, alloc.payoffs))
+    return sum(stability._violations(classes, fleet.size, params).values())
 
 
 def _expected(alloc, fleet, params):
@@ -510,7 +511,7 @@ class TestBreakpoints:
                              distance=distance * 10.0 ** k)
         fleet = Fleet(tuple(data.draw(st.permutations(
             Fleet.from_composition(Composition(*comp)).types))))
-        scan = shapley_breakpoints(fleet, base)
+        scan = shapley_tables(base)(fleet)
         points = _probe_points(scan) | {r * eps_f for r in ratios}
         for eps_e in sorted(points):
             if 0.0 < eps_e < eps_f:
@@ -534,7 +535,7 @@ class TestBreakpoints:
         # tolerance: past epsilon_f it grows with epsilon_e, so a table built
         # at the tolerance of epsilon_e <= epsilon_f cannot answer there
         fleet = Fleet.from_composition(Composition(4, 0))
-        scan = shapley_breakpoints(fleet, params)
+        scan = shapley_tables(params)(fleet)
         other = replace(params, **change)
         assert other.money_tol() > params.money_tol()
         calls = []
@@ -548,7 +549,53 @@ class TestBreakpoints:
         scan.at(0.05)  # below epsilon_f: read off the table
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("build", [stable_breakpoints, shapley_breakpoints])
+    @pytest.mark.parametrize("epsilon_e", [0.2, 0.5])
+    def test_recheck_scans_the_points_classes(self, epsilon_e, params, monkeypatch):
+        # past epsilon_f a fig5 table rechecks at another money tolerance; it
+        # scans the point's payoff classes and rebuilds no per-truck allocation
+        fleet = Fleet.from_composition(Composition(4, 0))
+        other = replace(params, epsilon_e=epsilon_e)
+        expected = _blocking(shapley_allocation(fleet, other), fleet, other)
+        scan = shapley_tables(params)(fleet)
+        built, calls = [], []
+        for name in ("Allocation", "shapley_allocation", "stable_allocation"):
+            original = getattr(allocate, name)
+            monkeypatch.setattr(allocate, name, lambda *a, name=name, original=original, **k:
+                                built.append(name) or original(*a, **k))
+        scan_classes = stability._violations
+        monkeypatch.setattr(stability, "_violations",
+                            lambda *a: calls.append(a) or scan_classes(*a))
+        assert scan.at(epsilon_e)[1] == expected
+        assert len(calls) == 1  # the recheck
+        assert built == []
+
+    def test_equal_pay_classes_merge(self, params, monkeypatch):
+        # the point pays the leader exactly what it pays each ET follower, and
+        # windows at another money tolerance force the recheck: it scans one
+        # ET class of 3, as in_core does on the per-truck allocation
+        fleet = Fleet.from_composition(Composition(3, 1))
+        electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
+        pay_e = 0.1 * params.epsilon_e * params.distance
+        pay_f = coalition_value(fleet.composition(), params) - 3 * pay_e
+        classes = ((electric, pay_e, 1), (electric, pay_e, 2), (fuel, pay_f, 1))
+        other = replace(params, distance=2 * params.distance)
+        windows = stability.ClassWindows(other, [(1.0, 0.0)] * 2,
+                                         (other.epsilon_e, other.epsilon_f), (0.0, 0.0))
+        assert windows.tol != params.money_tol()
+        scan = stability.Breakpoints(fleet, windows, lambda t: (classes, params))
+        alloc = Allocation((pay_e,) * 3 + (pay_f,), leader_id=0, scheme="test")
+        report = in_core(alloc, fleet, params)
+        expected = sum(count for _, count in report.blocking_coalitions)
+        assert expected > 0
+        assert scan.at(0.1)[1] == expected
+        # 4 * 2 classes fit a cap of 2^3; two ET classes, 2 * 3 * 2, would not
+        monkeypatch.setattr(stability, "LABELED_SCAN_MAX_FLEET", 3)
+        assert scan.at(0.1)[1] == expected
+        assert in_core(alloc, fleet, params) == report
+
+    @pytest.mark.parametrize("build", [stable_breakpoints,
+                                       lambda fleet, params: shapley_tables(params)(fleet)],
+                             ids=["stable_breakpoints", "shapley_tables"])
     def test_fleet_checks(self, build, params):
         for fleet in (Fleet(()), Fleet((TruckType.FUEL,))):
             with pytest.raises(FleetTooSmall):
@@ -581,7 +628,7 @@ class TestBreakpoints:
             for n_e in range(1, n):
                 roster = Fleet.from_composition(Composition(n_e, n - n_e))
                 for fleet in (roster, Fleet(roster.types[::-1])):
-                    scan = shapley_breakpoints(fleet, params)
+                    scan = shapley_tables(params)(fleet)
                     assert len(scan.windows) == (n_e + 1) * (n - n_e + 1) - 2
                     for eps_e in _probe_points(scan):
                         if 0.0 < eps_e < epsilon_f:
@@ -661,7 +708,6 @@ class TestBreakpoints:
         # alike: off the table, or by a recheck. The recheck does not consult
         # the table, so it is stubbed; each point is the fleet's own classes
         params = replace(params, max_platoon_size=30, **change)
-        monkeypatch.setattr(allocate, "stable_allocation", lambda *_: None)
         monkeypatch.setattr(stability, "_violations", lambda *_: {"recheck": -1})
         windows = allocate.stable_windows(params)
         for n in range(2, 31):
@@ -711,9 +757,9 @@ class TestBreakpoints:
         # without them; only params that differ in epsilon_e alone are accepted
         rated = [replace(params, epsilon_e=r * params.epsilon_f) for r in (0.2, 0.4)]
         with pytest.raises(ValueError, match="more than epsilon_e"):
-            shapley_breakpoints(fleet23, params, [replace(rated[0], distance=1.0)])
-        scan = shapley_breakpoints(fleet23, params, rated)
-        expected = shapley_breakpoints(fleet23, params).at(rated[1].epsilon_e)
+            shapley_tables(params, [replace(rated[0], distance=1.0)])(fleet23)
+        scan = shapley_tables(params, rated)(fleet23)
+        expected = shapley_tables(params)(fleet23).at(rated[1].epsilon_e)
         built = []
         post_init = SavingsParams.__post_init__
         monkeypatch.setattr(SavingsParams, "__post_init__",

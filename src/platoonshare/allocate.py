@@ -128,7 +128,7 @@ def stable_windows(params: SavingsParams) -> SharedWindows:
 
 
 def stable_breakpoints(fleet: Fleet, params: SavingsParams,
-                       windows: Optional[SharedWindows] = None) -> Breakpoints:
+                       windows: Optional[ClassWindows] = None) -> Breakpoints:
     """``stable_allocation`` along xi, its windows read from ``windows``, by
     default a fresh ``stable_windows(params)``. The table leaves out the
     subsets holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so its

@@ -193,13 +193,13 @@ class Breakpoints:
     ``point(t)`` gives the member at t as ``(classes, params)``, its
     ``(truck type, pay, count)`` classes counting the fleet. A table class is
     a sub-composition (e, f) of the trucks other than ``leader`` (a
-    ``TruckType``, or None), counting comb(m_e, e)*comb(m_f, f) subsets; the
-    caller names a leader, paid off the lines, whose subsets block at no point
-    it builds, and the class cap still counts them. A point must sum to v(N)
-    within its params' money tolerance; its count bisects ``windows``' rows
-    sorted by end, with cumulative labeled counts. Inside a window, or at
-    another money tolerance than the windows', ``_violations`` scans the
-    point's own classes, equal (type, pay) pairs merged in the order given.
+    ``TruckType``, or None), counting comb(m_e, e)*comb(m_f, f) subsets; a
+    named leader's subsets must block at no point, and the class cap counts
+    them. A point must sum to v(N) within its params' money tolerance; its
+    count bisects ``windows``' rows sorted by end, with cumulative labeled
+    counts. Inside a window, or at another money tolerance than the windows',
+    ``_violations`` scans the point's classes, equal (type, pay) pairs merged
+    in order (``in_core``'s order on ``Fleet.from_composition`` rosters only).
     """
 
     def __init__(self, fleet: Fleet, windows: ClassWindows, point, leader=None):

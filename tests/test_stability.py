@@ -462,8 +462,13 @@ def _blocking(alloc, fleet, params):
 
 
 def _expected(alloc, fleet, params):
-    """A table point's reading, from the per-truck allocation and the class scan."""
-    return Counter(zip(fleet.types, alloc.payoffs)), _blocking(alloc, fleet, params)
+    """A table point's reading, from the per-truck allocation and the class scan,
+    its classes tallied in a table's order whatever the roster's: the leader,
+    the other ETs, the FPTs (a ``Fleet.from_composition`` roster's order)."""
+    order = sorted(range(fleet.size), key=lambda j: (fleet.types[j] is not TruckType.ELECTRIC,
+                                                     j != alloc.leader_id))
+    classes = Counter((fleet.types[j], alloc.payoffs[j]) for j in order)
+    return classes, sum(stability._violations(classes, fleet.size, params).values())
 
 
 def _read(scan, t):
@@ -706,7 +711,8 @@ class TestBreakpoints:
         # (FPT leader) among the mixed (ET leader); each table it serves equals
         # the table built for that fleet alone, and reads each window edge
         # alike: off the table, or by a recheck. The recheck does not consult
-        # the table, so it is stubbed; each point is the fleet's own classes
+        # the table, so it is stubbed; each point is the fleet's own classes.
+        # The lone table computes its windows in one ClassWindows pass
         params = replace(params, max_platoon_size=30, **change)
         monkeypatch.setattr(stability, "_violations", lambda *_: {"recheck": -1})
         windows = allocate.stable_windows(params)
@@ -714,7 +720,8 @@ class TestBreakpoints:
             for n_e in range(n):
                 fleet = Fleet.from_composition(Composition(n_e, n - n_e))
                 shared = stable_breakpoints(fleet, params, windows)
-                alone = stable_breakpoints(fleet, params)
+                own = stability.ClassWindows(params, *windows._family[1:])
+                alone = stable_breakpoints(fleet, params, own)
                 assert shared.windows == alone.windows
                 assert shared._counts[0] == alone._counts[0]  # the base count
                 edges = {t for end, start, *_ in alone.windows for t in (start, end)}

@@ -7,6 +7,7 @@ and the package's re-exports load it on first use.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from .allocate import Allocation, _check_fleet_size, _leader_id
@@ -99,13 +100,16 @@ def check_superadditivity(
 def shapley_bruteforce(fleet: Fleet, params: SavingsParams) -> Allocation:
     """Subset-weighted marginal-contribution payoff, the slow oracle.
 
-    Sums s!(N-s-1)!/N! * (v(S+i) - v(S)) over every subset S that
-    excludes i. One walk over the 2^N bit masks values each subset once
-    (a mask extends the mask without its lowest truck, as in
-    ``labeled_violations``); the payoffs then take N * 2^(N-1) marginal
-    terms. Labeled and exhaustive: it assumes no type symmetry, so it
-    stays independent of the closed form. Capped at small fleets; the
-    closed form exists for a reason.
+    Shapley's sum of w[s] * (v(S+i) - v(S)) over every subset S that
+    excludes i, w[s] = s!(N-s-1)!/N!, regrouped by subset: phi_i sums
+    (w[|T|-1] + w[|T|]) * v(T) over the subsets T holding i, less
+    w[|T|] * v(T) over every T, with w[N] = 0. Each of the 2^N bit masks
+    (bit i is truck i) is keyed by its (ET count, size), so v is computed
+    once per key; halving the mask list from the top bit down then gives
+    each truck's sum over the masks holding it. Labeled and exhaustive:
+    it values every subset and assumes no type symmetry, so it stays
+    independent of the closed form. Capped at small fleets; the closed
+    form exists for a reason.
     """
     n = fleet.size
     if n > BRUTE_FORCE_MAX_FLEET:
@@ -114,31 +118,26 @@ def shapley_bruteforce(fleet: Fleet, params: SavingsParams) -> Allocation:
     weights = [
         math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
         for s in range(n)
-    ]
-    full = 1 << n
+    ] + [0.0]
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    et = [1 if t is TruckType.ELECTRIC else 0 for t in fleet.types]
-
-    nes = [0] * full
-    sizes = [0] * full
-    worth = [0.0] * full  # the float coalition_value returns for the subset
-    for mask in range(1, full):
-        low = mask & -mask
-        idx = low.bit_length() - 1
-        rest = mask ^ low
-        n_e = nes[rest] + et[idx]
-        size = sizes[rest] + 1
-        nes[mask] = n_e
-        sizes[mask] = size
-        worth[mask] = rate_for_counts(n_e, size - n_e, ee, ef) * dist
-    payoffs = []
-    for i in fleet.ids():
-        bit = 1 << i
-        phi = 0.0
-        for mask in range(full):
-            if not mask & bit:
-                phi += weights[sizes[mask]] * (worth[mask | bit] - worth[mask])
-        payoffs.append(phi)
+    keys = [0]  # ET count * (n + 1) + size, for each mask in mask order
+    for t in fleet.types:
+        step = n + 2 if t is TruckType.ELECTRIC else 1
+        keys += [key + step for key in keys]
+    holding = [0.0] * (n + 1) ** 2  # (w[s-1] + w[s]) * v, per key
+    every = [0.0] * (n + 1) ** 2  # w[s] * v, per key
+    for key in set(keys) - {0}:
+        n_e, size = divmod(key, n + 1)
+        worth = rate_for_counts(n_e, size - n_e, ee, ef) * dist
+        holding[key] = (weights[size - 1] + weights[size]) * worth
+        every[key] = weights[size] * worth
+    base = sum(map(every.__getitem__, keys))
+    terms = list(map(holding.__getitem__, keys))
+    payoffs = [0.0] * n
+    for i in reversed(range(n)):
+        low, high = terms[: 1 << i], terms[1 << i:]
+        payoffs[i] = sum(high) - base
+        terms = list(map(operator.add, low, high))
     return Allocation(tuple(payoffs), _leader_id(fleet), SCHEME_SHAPLEY_BF)
 
 

@@ -25,6 +25,8 @@ from platoonshare import (
     stable_allocation,
     xi_upper_bound,
 )
+from platoonshare import oracles
+from platoonshare.game import rate_for_counts
 from platoonshare.oracles import BRUTE_FORCE_MAX_FLEET
 
 
@@ -243,6 +245,44 @@ class TestShapleyBruteforce:
                 assert got == pytest.approx(want, abs=tol), fleet.types
                 back = list(shapley_bruteforce(Fleet(fleet.types[::-1]), params).payoffs)
                 assert back == pytest.approx(got[::-1], abs=tol), fleet.types
+
+    def test_values_each_key_once(self, params, monkeypatch):
+        # v depends only on a subset's (ET count, size): a shuffled 10-truck
+        # roster needs at most (N+1)^2 valuations, not one per subset.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rate_for_counts(*args)
+
+        monkeypatch.setattr(oracles, "rate_for_counts", counted)
+        n = BRUTE_FORCE_MAX_FLEET
+        fleet = self._shuffled(4, n - 4, random.Random(n))
+        shapley_bruteforce(fleet, params)
+        assert 0 < len(calls) <= (n + 1) ** 2
+
+    @given(
+        types=st.lists(st.sampled_from(TruckType), min_size=2,
+                       max_size=BRUTE_FORCE_MAX_FLEET),
+        epsilon_f=st.floats(0.05, 0.95),
+        ratio=st.floats(0.05, 0.95),
+        exponent=st.floats(-6, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cancellation_stays_within_money_tol(self, types, epsilon_f, ratio, exponent):
+        # phi_i is a sum over the subsets holding i less a sum over all
+        # subsets; the subtraction must not cost more than the tolerance.
+        params = SavingsParams(epsilon_f=epsilon_f, epsilon_e=ratio * epsilon_f,
+                               distance=10.0 ** exponent)
+        tol = params.money_tol()
+        fleet = Fleet(tuple(types))
+        phi_e, phi_f = shapley_closed_form(fleet.composition(), params)
+        want = [phi_e if t is TruckType.ELECTRIC else phi_f for t in types]
+        alloc = shapley_bruteforce(fleet, params)
+        assert list(alloc.payoffs) == pytest.approx(want, abs=tol), types
+        assert alloc.total() == pytest.approx(
+            coalition_value(fleet.composition(), params), abs=tol
+        )
 
 
 class TestEvenSplit:

@@ -10,7 +10,8 @@ cross-checks the closed form lives in ``platoonshare.oracles``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional
 
 from .errors import (
     BothTypesRequired,
@@ -184,21 +185,15 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
     return Allocation(payoffs, _leader_id(fleet), SCHEME_SHAPLEY)
 
 
-def shapley_tables(params: SavingsParams, rated: Sequence[SavingsParams] = ()):
+def shapley_tables(params: SavingsParams):
     """The ``Breakpoints`` table of ``shapley_allocation`` along epsilon_e, the
-    other params fixed, for each fleet of a sweep, the params built and
-    checked once: each type's line comes from its rate weights, (0, 0) for an
-    absent type, and no truck is left out. A table holds the money tolerance of
-    every epsilon_e <= epsilon_f, whatever ``params``'. A point at the rate of
-    one of ``rated``, params that differ from ``params`` in epsilon_e alone,
-    reads its params from there; any other point builds its own."""
-    by_rate = {}
-    for at in rated:
-        if {**vars(at), "epsilon_e": params.epsilon_e} != vars(params):
-            raise ValueError("rated params differ from the table's in more than epsilon_e")
-        by_rate[at.epsilon_e] = at
+    other params fixed, for each fleet of a sweep: each type's line comes from
+    its rate weights, (0, 0) for an absent type, and no truck is left out. A
+    table holds the money tolerance of every epsilon_e <= epsilon_f, whatever
+    ``params``'. The factory's tables share each rate's params, built and
+    checked on first read; it keeps the 32 last read, more than a grid."""
     ef, dist = params.epsilon_f, params.distance
-    at_ef = replace(params, epsilon_e=ef)
+    at_rate = lru_cache(maxsize=32)(lambda eps_e: replace(params, epsilon_e=eps_e))
 
     def table(fleet: Fleet) -> Breakpoints:
         _check_fleet_size(fleet, params)
@@ -206,10 +201,10 @@ def shapley_tables(params: SavingsParams, rated: Sequence[SavingsParams] = ()):
         lines = [(0.0, 0.0) if w is None else (w[1] * ef * dist, w[0] * dist) for w in weights]
 
         def point(eps_e: float):
-            at = by_rate.get(eps_e) or replace(params, epsilon_e=eps_e)
+            at = at_rate(eps_e)
             return classes(at), at
 
-        windows = ClassWindows(at_ef, lines, (0.0, ef), (1.0, 0.0))
+        windows = ClassWindows(at_rate(ef), lines, (0.0, ef), (1.0, 0.0))
         return Breakpoints(fleet, windows, point)
     return table
 

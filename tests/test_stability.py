@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -103,6 +105,21 @@ class TestInCore:
             verdicts.append(in_core(alloc, fleet, params))
         assert verdicts[0] == verdicts[1]
         assert verdicts[0].is_member
+
+    def test_efficiency_summed_over_payoff_classes(self, monkeypatch):
+        # 7,749 equal FPT payoffs added one by one, left to right, drift past
+        # money_tol (built-in sum compensates from Python 3.12 on, so the
+        # naive sum is spelled out); the sum of count * pay over the payoff
+        # classes does not. The subset scan of so large a fleet is slow, so
+        # it is stubbed
+        params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
+                               max_platoon_size=7750)
+        fleet = Fleet.from_composition(Composition(1, 7749))
+        alloc = shapley_allocation(fleet, params)
+        total = coalition_value(fleet.composition(), params)
+        assert abs(functools.reduce(operator.add, alloc.payoffs) - total) > params.money_tol()
+        monkeypatch.setattr(stability, "_violations", lambda *_: {})
+        assert in_core(alloc, fleet, params).is_member
 
     def test_fleet_cap(self):
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
@@ -755,26 +772,51 @@ class TestBreakpoints:
         windows = allocate.stable_windows(params)
         with pytest.raises(ValueError, match="other params"):
             stable_breakpoints(fleet23, replace(params, distance=301.0), windows)
-        # a table that keeps every truck holds the class of its whole fleet
-        with pytest.raises(ValueError, match="whole fleet"):
-            stability.Breakpoints(fleet23, windows, None, None)
 
-    def test_points_read_rated_params(self, params, fleet23, monkeypatch):
-        # a point at a rated rate takes its params from there, and reads as
-        # without them; only params that differ in epsilon_e alone are accepted
-        rated = [replace(params, epsilon_e=r * params.epsilon_f) for r in (0.2, 0.4)]
-        with pytest.raises(ValueError, match="more than epsilon_e"):
-            shapley_tables(params, [replace(rated[0], distance=1.0)])(fleet23)
-        scan = shapley_tables(params, rated)(fleet23)
-        expected = shapley_tables(params)(fleet23).at(rated[1].epsilon_e)
+    @pytest.mark.parametrize("change", [{}, {"epsilon_f": 0.72}, {"distance": 1e-290}])
+    def test_shared_windows_serve_whole_fleet_tables(self, change, params, monkeypatch):
+        # tables that keep every truck hold the class of their whole fleet; a
+        # store holds it as well, a proper class of larger fleets, and each
+        # table cuts it off: its rows and base count are the one-pass windows',
+        # for type-fair lines (a fresh store per table) and for one leader-share
+        # store grown over every composition of 2-30 trucks, read with no leader
+        params = replace(params, max_platoon_size=30, **change)
+        grown = allocate.stable_windows(params)
+        one_pass = stability.ClassWindows(params, *grown._family[1:])
+        tables = shapley_tables(params)
+        for n in range(2, 31):
+            for n_e in range(n + 1):
+                fleet = Fleet.from_composition(Composition(n_e, n - n_e))
+                alone = tables(fleet)
+                with monkeypatch.context() as patch:
+                    patch.setattr(allocate, "ClassWindows", stability.SharedWindows)
+                    type_fair = tables(fleet)
+                for shared, own in ((type_fair, alone),
+                                    (stability.Breakpoints(fleet, grown, None),
+                                     stability.Breakpoints(fleet, one_pass, None))):
+                    assert shared.windows == own.windows
+                    assert shared._counts[0] == own._counts[0]  # the base count
+
+    def test_tables_share_each_rates_params(self, params, fleet23, monkeypatch):
+        # two tables of one factory read at one rate build its params once,
+        # and each reads as a table of a fresh factory
+        fleets = [fleet23, Fleet.from_composition(Composition(3, 4))]
+        eps_e = 0.4 * params.epsilon_f
+        expected = [shapley_tables(params)(fleet).at(eps_e) for fleet in fleets]
+        tables = shapley_tables(params)
+        scans = [tables(fleet) for fleet in fleets]
         built = []
         post_init = SavingsParams.__post_init__
         monkeypatch.setattr(SavingsParams, "__post_init__",
                             lambda self: built.append(self) or post_init(self))
-        assert scan.at(rated[1].epsilon_e) == expected
-        assert built == []
-        scan.at(0.3 * params.epsilon_f)
-        assert len(built) == 1  # a rate off the list builds its own
+        assert [scan.at(eps_e) for scan in scans] == expected
+        assert [at.epsilon_e for at in built] == [eps_e]
+        assert [scan.at(eps_e) for scan in scans] == expected
+        assert len(built) == 1
+        for scan in scans:  # a rate the params refuse is refused at every read
+            with pytest.raises(ValueError, match="positive"):
+                scan.at(-eps_e)
+        assert len(built) == 3
 
     def test_fig5_validates_params_per_table_not_per_point(self, monkeypatch, tmp_path):
         # size 40: 39 tables of 19 points each; one set of params per grid

@@ -91,11 +91,10 @@ def _check_xi(xi: float) -> None:
         raise XiOutOfRange(f"xi must be in (0, 1], got {xi}")
 
 
-def _stable_classes(fleet: Fleet, params: SavingsParams):
+def _stable_classes(comp: Composition, params: SavingsParams):
     """The leader-share payoff classes (truck type, pay, count) as a function of
     xi: the leader, then its followers by type."""
-    _check_fleet_size(fleet, params)
-    comp = fleet.composition()
+    _check_fleet_size(comp.total(), params)
     leader, total = optimal_leader_type(comp), coalition_value(comp, params)
     counts = [(t, m - (t is leader)) for t, m in zip(TruckType, (comp.n_e, comp.n_f))]
 
@@ -109,7 +108,7 @@ def _stable_classes(fleet: Fleet, params: SavingsParams):
 def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocation:
     """Leader takes xi of the total; followers keep (1 - xi) of their rate."""
     _check_xi(xi)  # before the fleet checks
-    (_, lead, _), *followers = _stable_classes(fleet, params)(xi)
+    (_, lead, _), *followers = _stable_classes(fleet.composition(), params)(xi)
     leader, pays = _leader_id(fleet), {t: pay for t, pay, _ in followers}
     payoffs = tuple(lead if i == leader else pays[t] for i, t in enumerate(fleet.types))
     try:
@@ -119,27 +118,22 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
     return Allocation(payoffs, leader, SCHEME_STABLE, xi=xi, within_bound=within)
 
 
-def stable_windows(params: SavingsParams) -> SharedWindows:
-    """The class windows of ``stable_breakpoints`` at ``params``, for one sweep's
-    fleets to share. ``stable_allocation``'s pay lines (ET, FPT) along xi come
-    from the follower pays at xi = 0 and 1, where every product is exact."""
+def stable_tables(params: SavingsParams):
+    """The ``Breakpoints`` table of ``stable_allocation`` along xi, for each
+    composition of a sweep. The factory's tables share their class windows;
+    the pay lines (ET, FPT) along xi come from the follower pays at xi = 0
+    and 1, where every product is exact. A table leaves out the subsets
+    holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so its excess
+    xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
     at0, at1 = _follower_pays(params, 0.0), _follower_pays(params, 1.0)
-    return SharedWindows(params, [(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
-                         (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
+    windows = SharedWindows(params, [(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
+                            (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
 
-
-def stable_breakpoints(fleet: Fleet, params: SavingsParams,
-                       windows: Optional[ClassWindows] = None) -> Breakpoints:
-    """``stable_allocation`` along xi, its windows read from ``windows``, by
-    default a fresh ``stable_windows(params)``. The table leaves out the
-    subsets holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so its
-    excess xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
-    classes = _stable_classes(fleet, params)
-    windows = windows or stable_windows(params)
-    if windows.params != params:
-        raise ValueError("windows of other params")
-    return Breakpoints(fleet, windows, lambda xi: (classes(xi), params),
-                       optimal_leader_type(fleet.composition()))
+    def table(comp: Composition) -> Breakpoints:
+        classes = _stable_classes(comp, params)
+        return Breakpoints(comp, windows, lambda xi: (classes(xi), params),
+                           optimal_leader_type(comp))
+    return table
 
 
 def _type_fair_classes(comp: Composition):
@@ -177,7 +171,7 @@ def shapley_closed_form(
 
 def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
     """Closed-form type-fair payoff as a per-truck allocation."""
-    _check_fleet_size(fleet, params)
+    _check_fleet_size(fleet.size, params)
     phi_e, phi_f = shapley_closed_form(fleet.composition(), params)
     electric = TruckType.ELECTRIC
     payoffs = tuple(phi_e if t is electric else phi_f for t in fleet.types)
@@ -187,7 +181,7 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
 
 def shapley_tables(params: SavingsParams):
     """The ``Breakpoints`` table of ``shapley_allocation`` along epsilon_e, the
-    other params fixed, for each fleet of a sweep: each type's line comes from
+    other params fixed, for each composition of a sweep: each type's line comes from
     its rate weights, (0, 0) for an absent type, and no truck is left out. A
     table holds the money tolerance of every epsilon_e <= epsilon_f, whatever
     ``params``'. The factory's tables share each rate's params, built and
@@ -195,9 +189,9 @@ def shapley_tables(params: SavingsParams):
     ef, dist = params.epsilon_f, params.distance
     at_rate = lru_cache(maxsize=32)(lambda eps_e: replace(params, epsilon_e=eps_e))
 
-    def table(fleet: Fleet) -> Breakpoints:
-        _check_fleet_size(fleet, params)
-        weights, classes = _type_fair_classes(fleet.composition())
+    def table(comp: Composition) -> Breakpoints:
+        _check_fleet_size(comp.total(), params)
+        weights, classes = _type_fair_classes(comp)
         lines = [(0.0, 0.0) if w is None else (w[1] * ef * dist, w[0] * dist) for w in weights]
 
         def point(eps_e: float):
@@ -205,13 +199,13 @@ def shapley_tables(params: SavingsParams):
             return classes(at), at
 
         windows = ClassWindows(at_rate(ef), lines, (0.0, ef), (1.0, 0.0))
-        return Breakpoints(fleet, windows, point)
+        return Breakpoints(comp, windows, point)
     return table
 
 
 def even_split(fleet: Fleet, params: SavingsParams) -> Allocation:
     """Everyone gets v(N)/N, the customary homogeneous-platoon split."""
-    _check_fleet_size(fleet, params)
+    _check_fleet_size(fleet.size, params)
     share = coalition_value(fleet.composition(), params) / fleet.size
     return Allocation((share,) * fleet.size, _leader_id(fleet), SCHEME_EVEN_SPLIT)
 
@@ -235,10 +229,10 @@ def deviation_minimizing_allocation(
     return replace(base, scheme=SCHEME_DEVIATION_MIN), xi_star
 
 
-def _check_fleet_size(fleet: Fleet, params: SavingsParams) -> None:
-    if fleet.size < 2:
+def _check_fleet_size(size: int, params: SavingsParams) -> None:
+    if size < 2:
         raise FleetTooSmall("grand coalition needs at least two trucks")
-    params.check_fleet_size(fleet.size)
+    params.check_fleet_size(size)
 
 
 def __getattr__(name: str):

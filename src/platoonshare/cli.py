@@ -248,12 +248,11 @@ def _leader_share_rows(compositions, key):
 
     def rows(cfg: RunConfig):
         params = cfg.params()
-        windows = alloc_mod.stable_windows(params)  # this sweep's, shared by its fleets
+        tables = alloc_mod.stable_tables(params)  # one per sweep, shared by its fleets
         labels = [ratio6(xi) for xi in _XI_GRID]
         for comp in compositions(cfg.max_platoon_size):
-            fleet = game.Fleet.from_composition(comp)
             bound = ratio6(alloc_mod.xi_upper_bound(comp, params))
-            scan = alloc_mod.stable_breakpoints(fleet, params, windows)
+            scan = tables(comp)
             for xi, label in zip(_XI_GRID, labels):
                 yield [*key(comp), label, ratio6(scan.probability(xi)), bound]
 
@@ -265,7 +264,7 @@ def _type_fair_rows(cfg: RunConfig):
     tables = alloc_mod.shapley_tables(cfg.params())
     for comp in _mixed_compositions(cfg.max_platoon_size):
         threshold = ratio6(comp.n_f / comp.total())
-        scan = tables(game.Fleet.from_composition(comp))
+        scan = tables(comp)
         for ratio, label in zip(_RATIO_GRID, labels):
             prob = scan.probability(ratio * cfg.epsilon_f)
             yield [comp.n_e, comp.n_f, label, ratio6(prob), threshold]
@@ -273,12 +272,12 @@ def _type_fair_rows(cfg: RunConfig):
 
 def _deviation_rows(cfg: RunConfig):
     params = cfg.params()
-    windows = alloc_mod.stable_windows(params)  # this sweep's, shared by its fleets
+    tables = alloc_mod.stable_tables(params)  # one per sweep, shared by its fleets
     for comp in _mixed_compositions(cfg.max_platoon_size):
         fleet = game.Fleet.from_composition(comp)
         xi_star = ratio6(alloc_mod.xi_upper_bound(comp, params))
         grid = fairness.default_xi_grid(fleet, params)
-        curve = fairness.deviation_curve(fleet, params, grid, windows)
+        curve = fairness.deviation_curve(fleet, params, grid, tables)
         delta_star = ratio6(curve[-1].delta)
         for point in curve:
             yield [comp.n_e, comp.n_f, ratio6(point.xi), ratio6(point.delta),

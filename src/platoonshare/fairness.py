@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .allocate import Allocation, shapley_closed_form, stable_breakpoints, xi_upper_bound
+from .allocate import Allocation, shapley_closed_form, stable_tables, xi_upper_bound
 from .errors import ZeroShapleyPayoff
 from .game import Fleet, SavingsParams, TruckType
-from .stability import SharedWindows
 
 
 @dataclass(frozen=True)
@@ -40,22 +39,25 @@ def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
 
 def deviation_curve(
     fleet: Fleet, params: SavingsParams, xi_grid: Sequence[float],
-    windows: Optional[SharedWindows] = None,
+    tables: Optional[Callable] = None,
 ) -> tuple[DeviationPoint, ...]:
     """Deviation from the type-fair payoff and core verdict along a xi grid.
 
     On the certified interval (0, xi*] of a fleet where the ratio core
     condition fails, the deviation decreases strictly and bottoms out at
     xi*; points beyond the bound are reported as-is for inspection. Core
-    flags and payoff classes are read off the fleet's ``stable_breakpoints``,
-    its windows from ``windows`` if a sweep shares them, and delta sums over
-    the classes; a point within rounding of a threshold gets the class scan.
+    flags and payoff classes are read off the fleet composition's table of
+    ``tables``, a sweep's shared ``stable_tables(params)`` factory (by default
+    a fresh one), and delta sums over the classes; a point within rounding of
+    a threshold gets the class scan. Tables of other params are refused.
     """
     if not xi_grid:
         raise ValueError("empty xi grid")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    scan = stable_breakpoints(fleet, params, windows)
+    scan = (tables or stable_tables(params))(fleet.composition())
+    if scan.params != params:
+        raise ValueError("tables of other params")
     phi = dict(zip(TruckType, shapley_closed_form(fleet.composition(), params)))
     _check_benchmark(p for p in phi.values() if p is not None)  # the types present
     points = []

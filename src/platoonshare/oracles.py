@@ -114,7 +114,7 @@ def shapley_bruteforce(fleet: Fleet, params: SavingsParams) -> Allocation:
     n = fleet.size
     if n > BRUTE_FORCE_MAX_FLEET:
         raise FleetTooLarge(f"brute force capped at {BRUTE_FORCE_MAX_FLEET} trucks")
-    _check_fleet_size(fleet, params)
+    _check_fleet_size(fleet.size, params)
     weights = [
         math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
         for s in range(n)

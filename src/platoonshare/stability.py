@@ -4,7 +4,7 @@ One subset scan backs every verdict: trucks of the same type paid exactly
 the same are interchangeable, so it visits the classes of such subsets
 and weights each by its binomial multiplicity. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
-turned into sorted thresholds per fleet, each point given as payoff
+turned into sorted thresholds per composition, each point given as payoff
 classes. The labeled enumeration over all 2^N - 2 proper subsets that
 cross-checks both is an oracle in ``platoonshare.oracles``, run only on
 request (``method="slow"``).
@@ -64,6 +64,14 @@ def _check_class_cap(sizes) -> None:
         raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
 
 
+def _binomials(m: int) -> list[int]:
+    """The row comb(m, k) for k = 0..m, each entry from the one before."""
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    return row
+
+
 def _violations(
     classes: Mapping[tuple[TruckType, float], int], n: int, params: SavingsParams
 ) -> dict[tuple[int, int], int]:
@@ -82,7 +90,7 @@ def _violations(
         else:
             nes, nfs = nes * (size + 1), [f + k for k in taken for f in nfs]
         sums = [s + k * pay for k in taken for s in sums]
-        counts = [c * w for w in [math.comb(size, k) for k in taken] for c in counts]
+        counts = [c * w for w in _binomials(size) for c in counts]
     tol = params.money_tol()
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
     out: dict[tuple[int, int], int] = {}
@@ -92,10 +100,10 @@ def _violations(
     return out
 
 
-def _grand_value(fleet: Fleet, params: SavingsParams) -> tuple:
+def _grand_value(comp: Composition, params: SavingsParams) -> tuple:
     """v(N) and money_tol(), the terms of ``_check_efficient``."""
-    params.check_fleet_size(fleet.size)
-    return coalition_value(fleet.composition(), params), params.money_tol()
+    params.check_fleet_size(comp.total())
+    return coalition_value(comp, params), params.money_tol()
 
 
 def _check_efficient(paid, total: float, tol: float) -> None:
@@ -194,31 +202,32 @@ class SharedWindows(ClassWindows):
 
 
 class Breakpoints:
-    """Class scan of one fleet along allocations affine in a parameter t.
+    """Class scan of a composition along allocations affine in a parameter t.
 
     ``point(t)`` gives the member at t as ``(classes, params)``, its
-    ``(truck type, pay, count)`` classes counting the fleet. A table class is
-    a sub-composition (e, f) of the trucks other than ``leader`` (a
+    ``(truck type, pay, count)`` classes counting ``comp``'s trucks. A table
+    class is a sub-composition (e, f) of the trucks other than ``leader`` (a
     ``TruckType``, or None), counting comb(m_e, e)*comb(m_f, f) subsets; a
     named leader's subsets must block at no point, and the class cap counts
     them. A point must sum to v(N) within its params' money tolerance; its
     count bisects ``windows``' rows sorted by end, with cumulative labeled
     counts. Inside a window, or at another money tolerance than the windows',
     ``_violations`` scans the point's classes, equal (type, pay) pairs merged
-    in order (``in_core``'s order on ``Fleet.from_composition`` rosters only).
+    in order, as ``in_core`` merges them on ``Fleet.from_composition(comp)``.
+    ``params`` are the windows' params.
     """
 
-    def __init__(self, fleet: Fleet, windows: ClassWindows, point, leader=None):
-        comp = fleet.composition()
+    def __init__(self, comp: Composition, windows: ClassWindows, point, leader=None):
         m_e = comp.n_e - (leader is TruckType.ELECTRIC)
         m_f = comp.n_f - (leader is TruckType.FUEL)
         _check_class_cap((leader is not None, m_e, m_f))  # the leader's class still counts
-        combs = [[math.comb(m, k) for k in range(m + 1)] for m in (m_e, m_f)]
-        self.fleet, self._point, self._tol = fleet, point, windows.tol
+        self.comp, self.size, self._point = comp, comp.total(), point
+        self.params, self._tol = windows.params, windows.tol
         self._grand = None, None, None  # (params, v(N), money_tol) of the last point
         # a stable sort keeps windows of equal end (every flat one ends at inf) in
         # (e, f) order, whichever windows built them
-        self.windows = sorted(windows.rows(combs, fleet.size), key=itemgetter(0))
+        self.windows = sorted(windows.rows(map(_binomials, (m_e, m_f)), self.size),
+                              key=itemgetter(0))
         self._ends = list(map(itemgetter(0), self.windows))
         base = sum(map(itemgetter(3), self.windows))
         self._counts = list(accumulate(map(itemgetter(2), self.windows), initial=base))
@@ -232,10 +241,10 @@ class Breakpoints:
     def at(self, t: float) -> tuple[tuple, int]:
         """The payoff classes at ``t`` and the labeled count of subsets blocking them."""
         classes, params = self._point(t)
-        if sum(count for _, _, count in classes) != self.fleet.size:
-            raise ValueError(f"payoff classes do not count a fleet of {self.fleet.size}")
+        if sum(count for _, _, count in classes) != self.size:
+            raise ValueError(f"payoff classes do not count a fleet of {self.size}")
         if params is not self._grand[0]:
-            self._grand = params, *_grand_value(self.fleet, params)
+            self._grand = params, *_grand_value(self.comp, params)
         _, total, tol = self._grand
         _check_efficient(sum(count * pay for _, pay, count in classes), total, tol)
         j = bisect_left(self._ends, t)
@@ -243,11 +252,11 @@ class Breakpoints:
             tally = Counter()
             for truck_type, pay, count in classes:
                 tally[truck_type, pay] += count
-            return classes, sum(_violations(tally, self.fleet.size, params).values())
+            return classes, sum(_violations(tally, self.size, params).values())
         return classes, self._counts[j]
 
     def probability(self, t: float) -> float:
-        return _share(self.at(t)[1], self.fleet.size)
+        return _share(self.at(t)[1], self.size)
 
 
 def in_core(
@@ -265,7 +274,7 @@ def in_core(
         raise ValueError(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
     classes = Counter(zip(fleet.types, alloc.payoffs))
     paid = sum(count * pay for (_, pay), count in classes.items())
-    _check_efficient(paid, *_grand_value(fleet, params))
+    _check_efficient(paid, *_grand_value(fleet.composition(), params))
     if method == "slow":
         from .oracles import labeled_violations
         violations = labeled_violations(alloc, fleet, params)

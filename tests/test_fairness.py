@@ -20,6 +20,7 @@ from platoonshare import (
     stable_allocation,
     xi_upper_bound,
 )
+from platoonshare.allocate import stable_tables
 
 
 @pytest.fixture
@@ -100,6 +101,14 @@ class TestDeviationCurve:
             deviation_curve(fleet, skewed_params, [0.003, 0.002])
         with pytest.raises(ValueError):
             deviation_curve(fleet, skewed_params, [])
+
+    def test_tables_of_other_params_refused(self, params, fleet23):
+        grid, other = [0.01, 0.1], replace(params, distance=301.0)
+        with pytest.raises(ValueError, match="other params"):
+            deviation_curve(fleet23, params, grid, stable_tables(other))
+        # a factory of the same params serves the fleet as a fresh one does
+        assert (deviation_curve(fleet23, params, grid, stable_tables(params))
+                == deviation_curve(fleet23, params, grid))
 
     def test_points_beyond_bound_reported(self, params, fleet23, comp23):
         bound = xi_upper_bound(comp23, params)

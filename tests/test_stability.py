@@ -32,7 +32,7 @@ from platoonshare import (
     xi_upper_bound,
 )
 from platoonshare import allocate, game, stability
-from platoonshare.allocate import shapley_tables, stable_breakpoints
+from platoonshare.allocate import shapley_tables, stable_tables
 from platoonshare.cli import main
 from platoonshare.game import REL_TOL
 from platoonshare.stability import LABELED_SCAN_MAX_FLEET
@@ -106,20 +106,21 @@ class TestInCore:
         assert verdicts[0] == verdicts[1]
         assert verdicts[0].is_member
 
-    def test_efficiency_summed_over_payoff_classes(self, monkeypatch):
+    def test_efficiency_summed_over_payoff_classes(self):
         # 7,749 equal FPT payoffs added one by one, left to right, drift past
         # money_tol (built-in sum compensates from Python 3.12 on, so the
         # naive sum is spelled out); the sum of count * pay over the payoff
-        # classes does not. The subset scan of so large a fleet is slow, so
-        # it is stubbed
+        # classes does not. The scan's binomial rows come from a recurrence,
+        # so the real verdict of so large a fleet is quick
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
                                max_platoon_size=7750)
         fleet = Fleet.from_composition(Composition(1, 7749))
         alloc = shapley_allocation(fleet, params)
         total = coalition_value(fleet.composition(), params)
         assert abs(functools.reduce(operator.add, alloc.payoffs) - total) > params.money_tol()
-        monkeypatch.setattr(stability, "_violations", lambda *_: {})
-        assert in_core(alloc, fleet, params).is_member
+        report = in_core(alloc, fleet, params)
+        assert report.is_member
+        assert report.stability_probability == 1.0
 
     def test_fleet_cap(self):
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
@@ -387,6 +388,10 @@ class TestEdgeCases:
         assert (in_core(relabeled, Fleet(fleet.types[::-1]), params)
                 == in_core(skewed, fleet, params))
 
+    def test_binomial_rows(self):
+        for m in range(401):
+            assert stability._binomials(m) == [math.comb(m, k) for k in range(m + 1)]
+
     @pytest.mark.parametrize("size", [LABELED_SCAN_MAX_FLEET + 1, 64])
     def test_class_scan_cap(self, size):
         # all payoffs distinct: one class per truck, 2^size subset classes
@@ -506,6 +511,14 @@ def _probe_points(scan):
     return points
 
 
+def _leader_share_family(params):
+    """The leader-share pay lines and rates along xi, built here rather than
+    read off a table: the follower pays at xi = 0 and 1."""
+    at0, at1 = allocate._follower_pays(params, 0.0), allocate._follower_pays(params, 1.0)
+    return ([(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
+            (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
+
+
 class TestBreakpoints:
     """The parametric class scan gives the blocking count of ``_violations``."""
 
@@ -518,7 +531,7 @@ class TestBreakpoints:
                                distance=distance * 10.0 ** k)
         fleet = Fleet(tuple(data.draw(st.permutations(
             Fleet.from_composition(Composition(*comp)).types))))
-        scan = stable_breakpoints(fleet, params)
+        scan = stable_tables(params)(fleet.composition())
         for xi in sorted(_probe_points(scan) | set(xis)):
             if 0.0 < xi <= 1.0:
                 alloc = stable_allocation(fleet, params, xi)
@@ -533,7 +546,7 @@ class TestBreakpoints:
                              distance=distance * 10.0 ** k)
         fleet = Fleet(tuple(data.draw(st.permutations(
             Fleet.from_composition(Composition(*comp)).types))))
-        scan = shapley_tables(base)(fleet)
+        scan = shapley_tables(base)(fleet.composition())
         points = _probe_points(scan) | {r * eps_f for r in ratios}
         for eps_e in sorted(points):
             if 0.0 < eps_e < eps_f:
@@ -543,7 +556,7 @@ class TestBreakpoints:
 
     def test_reads_the_thresholds_away_from_them(self, monkeypatch, params):
         fleet = Fleet.from_composition(Composition(3, 12))
-        scan = stable_breakpoints(fleet, params)
+        scan = stable_tables(params)(fleet.composition())
         expected = [_blocking(stable_allocation(fleet, params, xi), fleet, params)
                     for xi in (0.01, 0.1, 0.5)]
         monkeypatch.setattr(stability, "_violations", None)  # any recheck would fail
@@ -557,7 +570,7 @@ class TestBreakpoints:
         # tolerance: past epsilon_f it grows with epsilon_e, so a table built
         # at the tolerance of epsilon_e <= epsilon_f cannot answer there
         fleet = Fleet.from_composition(Composition(4, 0))
-        scan = shapley_tables(params)(fleet)
+        scan = shapley_tables(params)(fleet.composition())
         other = replace(params, **change)
         assert other.money_tol() > params.money_tol()
         calls = []
@@ -578,7 +591,7 @@ class TestBreakpoints:
         fleet = Fleet.from_composition(Composition(4, 0))
         other = replace(params, epsilon_e=epsilon_e)
         expected = _blocking(shapley_allocation(fleet, other), fleet, other)
-        scan = shapley_tables(params)(fleet)
+        scan = shapley_tables(params)(fleet.composition())
         built, calls = [], []
         for name in ("Allocation", "shapley_allocation", "stable_allocation"):
             original = getattr(allocate, name)
@@ -604,7 +617,7 @@ class TestBreakpoints:
         windows = stability.ClassWindows(other, [(1.0, 0.0)] * 2,
                                          (other.epsilon_e, other.epsilon_f), (0.0, 0.0))
         assert windows.tol != params.money_tol()
-        scan = stability.Breakpoints(fleet, windows, lambda t: (classes, params))
+        scan = stability.Breakpoints(fleet.composition(), windows, lambda t: (classes, params))
         alloc = Allocation((pay_e,) * 3 + (pay_f,), leader_id=0, scheme="test")
         report = in_core(alloc, fleet, params)
         expected = sum(count for _, count in report.blocking_coalitions)
@@ -615,15 +628,14 @@ class TestBreakpoints:
         assert scan.at(0.1)[1] == expected
         assert in_core(alloc, fleet, params) == report
 
-    @pytest.mark.parametrize("build", [stable_breakpoints,
-                                       lambda fleet, params: shapley_tables(params)(fleet)],
-                             ids=["stable_breakpoints", "shapley_tables"])
-    def test_fleet_checks(self, build, params):
-        for fleet in (Fleet(()), Fleet((TruckType.FUEL,))):
+    @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
+                             ids=["stable_tables", "shapley_tables"])
+    def test_fleet_checks(self, tables, params):
+        for comp in (Composition(0, 0), Composition(0, 1)):
             with pytest.raises(FleetTooSmall):
-                build(fleet, params)
+                tables(params)(comp)
         with pytest.raises(FleetTooLarge):
-            build(Fleet.from_composition(Composition(8, 8)), params)
+            tables(params)(Composition(8, 8))
 
     @pytest.mark.parametrize("epsilon_e", [0.048, 0.08])  # with and without a bound
     def test_leader_subsets_left_out(self, epsilon_e, params):
@@ -633,10 +645,10 @@ class TestBreakpoints:
         for n in range(2, 16):
             for n_e in range(n + 1):
                 roster = Fleet.from_composition(Composition(n_e, n - n_e))
+                scan = stable_tables(params)(roster.composition())
+                if 1 <= n_e < n:
+                    assert len(scan.windows) == n_e * (n - n_e + 1) - 1
                 for fleet in (roster, Fleet(roster.types[::-1])):  # leader at 0, at n_f
-                    scan = stable_breakpoints(fleet, params)
-                    if 1 <= n_e < n:
-                        assert len(scan.windows) == n_e * (n - n_e + 1) - 1
                     for xi in (5e-324, 1e-12, 1.0):
                         alloc = stable_allocation(fleet, params, xi)
                         assert _read(scan, xi) == _expected(alloc, fleet, params)
@@ -649,9 +661,9 @@ class TestBreakpoints:
         for n in range(2, 16):
             for n_e in range(1, n):
                 roster = Fleet.from_composition(Composition(n_e, n - n_e))
+                scan = shapley_tables(params)(roster.composition())
+                assert len(scan.windows) == (n_e + 1) * (n - n_e + 1) - 2
                 for fleet in (roster, Fleet(roster.types[::-1])):
-                    scan = shapley_tables(params)(fleet)
-                    assert len(scan.windows) == (n_e + 1) * (n - n_e + 1) - 2
                     for eps_e in _probe_points(scan):
                         if 0.0 < eps_e < epsilon_f:
                             at = replace(params, epsilon_e=eps_e)
@@ -662,17 +674,17 @@ class TestBreakpoints:
         # 2 * 1000 * 701 classes with the leader's, 1000 * 701 without: over 2^20
         big = replace(params, max_platoon_size=1700)
         with pytest.raises(FleetTooLarge, match="subset classes"):
-            stable_breakpoints(Fleet.from_composition(Composition(1000, 700)), big)
+            stable_tables(big)(Composition(1000, 700))
         # at a cap of 2^5, 2 * 2 * 8 classes fit and 2 * 2 * 9 do not
         monkeypatch.setattr(stability, "LABELED_SCAN_MAX_FLEET", 5)
-        stable_breakpoints(Fleet.from_composition(Composition(2, 7)), params)
+        stable_tables(params)(Composition(2, 7))
         with pytest.raises(FleetTooLarge, match="2\\^5 subset classes"):
-            stable_breakpoints(Fleet.from_composition(Composition(2, 8)), params)
+            stable_tables(params)(Composition(2, 8))
 
-    def test_not_efficient_raises(self, params, fleet23):
+    def test_not_efficient_raises(self, params, comp23):
         # 2 ETs and 3 FPTs paid 1.0 each fall short of v(N); classes counting
         # 4 trucks index another fleet, whatever they sum to
-        total = coalition_value(fleet23.composition(), params)
+        total = coalition_value(comp23, params)
         electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
         for classes, error, match in (
                 (((electric, 1.0, 2), (fuel, 1.0, 3)), NotEfficient, None),
@@ -680,19 +692,19 @@ class TestBreakpoints:
                  "payoff classes do not count a fleet of 5")):
             windows = stability.ClassWindows(params, [(1.0, 0.0)] * 2,
                                              (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
-            scan = stability.Breakpoints(fleet23, windows, lambda t: (classes, params), None)
+            scan = stability.Breakpoints(comp23, windows, lambda t: (classes, params), None)
             with pytest.raises(error, match=match):
                 scan.at(0.1)
 
-    def test_efficiency_checked_at_every_point(self, params, fleet23):
+    def test_efficiency_checked_at_every_point(self, params, comp23):
         # a table holds v(N) for its params, yet checks every point against it:
         # a later point of the same params object short by 2 money_tol fails
-        total = coalition_value(fleet23.composition(), params)
+        total = coalition_value(comp23, params)
         short = {0.1: 0.0, 0.2: 2 * params.money_tol()}
         electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
         windows = stability.ClassWindows(params, [(1.0, 0.0)] * 2,
                                          (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
-        scan = stability.Breakpoints(fleet23, windows, lambda t: (
+        scan = stability.Breakpoints(comp23, windows, lambda t: (
             ((electric, (total - short[t]) / 5, 2), (fuel, (total - short[t]) / 5, 3)),
             params), None)
         assert scan.at(0.1)[0][0][1] == total / 5
@@ -718,27 +730,43 @@ class TestBreakpoints:
         assert 39 <= calls["value"] <= 3 * 39
         assert 39 <= calls["size"] <= 3 * 39
 
+    @pytest.mark.parametrize("kind, rosters", [("fig2", 0), ("fig3", 0), ("fig5", 0),
+                                               ("fig6", 39)])
+    def test_sweeps_build_rosters_for_deviation_only(self, kind, rosters, monkeypatch,
+                                                     tmp_path):
+        # size 40: a table takes the composition it reads, so only fig6, whose
+        # deviation curve takes a fleet, builds a roster for each of its 39
+        built = []
+        from_composition = game.Fleet.from_composition
+        monkeypatch.setattr(game.Fleet, "from_composition", staticmethod(
+            lambda comp: built.append(comp) or from_composition(comp)))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out)]) == 0
+        assert len(built) == rosters
+
     # the default rates, fig6's preset and the settings of sweep_settings.sha256
     @pytest.mark.parametrize("change", [{}, {"epsilon_f": 0.72},
                                         {"epsilon_f": 0.13, "distance": 1e-3},
                                         {"epsilon_f": 0.5, "distance": 1e9},
                                         {"distance": 1e-290}])
     def test_shared_tables_match_standalone(self, change, params, monkeypatch):
-        # one store grows over every composition of 2-30 trucks, all-FPT ones
-        # (FPT leader) among the mixed (ET leader); each table it serves equals
-        # the table built for that fleet alone, and reads each window edge
-        # alike: off the table, or by a recheck. The recheck does not consult
-        # the table, so it is stubbed; each point is the fleet's own classes.
-        # The lone table computes its windows in one ClassWindows pass
+        # one factory's store grows over every composition of 2-30 trucks,
+        # all-FPT ones (FPT leader) among the mixed (ET leader); each table it
+        # serves equals the table built for that composition alone, and reads
+        # each window edge alike: off the table, or by a recheck. The recheck
+        # does not consult the table, so it is stubbed; each point is the
+        # composition's own classes. The lone table computes its windows in one
+        # ClassWindows pass of the leader-share lines, never through a store
         params = replace(params, max_platoon_size=30, **change)
         monkeypatch.setattr(stability, "_violations", lambda *_: {"recheck": -1})
-        windows = allocate.stable_windows(params)
+        tables = stable_tables(params)
+        own = stability.ClassWindows(params, *_leader_share_family(params))
         for n in range(2, 31):
             for n_e in range(n):
-                fleet = Fleet.from_composition(Composition(n_e, n - n_e))
-                shared = stable_breakpoints(fleet, params, windows)
-                own = stability.ClassWindows(params, *windows._family[1:])
-                alone = stable_breakpoints(fleet, params, own)
+                comp = Composition(n_e, n - n_e)
+                shared = tables(comp)
+                alone = stability.Breakpoints(comp, own, shared._point,
+                                              game.optimal_leader_type(comp))
                 assert shared.windows == alone.windows
                 assert shared._counts[0] == alone._counts[0]  # the base count
                 edges = {t for end, start, *_ in alone.windows for t in (start, end)}
@@ -768,11 +796,6 @@ class TestBreakpoints:
         assert len(computed) == len(expected)
         assert set(computed) == expected
 
-    def test_shared_windows_checks(self, params, fleet23):
-        windows = allocate.stable_windows(params)
-        with pytest.raises(ValueError, match="other params"):
-            stable_breakpoints(fleet23, replace(params, distance=301.0), windows)
-
     @pytest.mark.parametrize("change", [{}, {"epsilon_f": 0.72}, {"distance": 1e-290}])
     def test_shared_windows_serve_whole_fleet_tables(self, change, params, monkeypatch):
         # tables that keep every truck hold the class of their whole fleet; a
@@ -781,30 +804,30 @@ class TestBreakpoints:
         # for type-fair lines (a fresh store per table) and for one leader-share
         # store grown over every composition of 2-30 trucks, read with no leader
         params = replace(params, max_platoon_size=30, **change)
-        grown = allocate.stable_windows(params)
-        one_pass = stability.ClassWindows(params, *grown._family[1:])
+        grown = stability.SharedWindows(params, *_leader_share_family(params))
+        one_pass = stability.ClassWindows(params, *_leader_share_family(params))
         tables = shapley_tables(params)
         for n in range(2, 31):
             for n_e in range(n + 1):
-                fleet = Fleet.from_composition(Composition(n_e, n - n_e))
-                alone = tables(fleet)
+                comp = Composition(n_e, n - n_e)
+                alone = tables(comp)
                 with monkeypatch.context() as patch:
                     patch.setattr(allocate, "ClassWindows", stability.SharedWindows)
-                    type_fair = tables(fleet)
+                    type_fair = tables(comp)
                 for shared, own in ((type_fair, alone),
-                                    (stability.Breakpoints(fleet, grown, None),
-                                     stability.Breakpoints(fleet, one_pass, None))):
+                                    (stability.Breakpoints(comp, grown, None),
+                                     stability.Breakpoints(comp, one_pass, None))):
                     assert shared.windows == own.windows
                     assert shared._counts[0] == own._counts[0]  # the base count
 
-    def test_tables_share_each_rates_params(self, params, fleet23, monkeypatch):
+    def test_tables_share_each_rates_params(self, params, comp23, monkeypatch):
         # two tables of one factory read at one rate build its params once,
         # and each reads as a table of a fresh factory
-        fleets = [fleet23, Fleet.from_composition(Composition(3, 4))]
+        comps = [comp23, Composition(3, 4)]
         eps_e = 0.4 * params.epsilon_f
-        expected = [shapley_tables(params)(fleet).at(eps_e) for fleet in fleets]
+        expected = [shapley_tables(params)(comp).at(eps_e) for comp in comps]
         tables = shapley_tables(params)
-        scans = [tables(fleet) for fleet in fleets]
+        scans = [tables(comp) for comp in comps]
         built = []
         post_init = SavingsParams.__post_init__
         monkeypatch.setattr(SavingsParams, "__post_init__",

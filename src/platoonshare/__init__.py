@@ -12,6 +12,7 @@ from .allocate import (
     shapley_allocation,
     shapley_closed_form,
     stable_allocation,
+    stable_tables,
     xi_upper_bound,
 )
 from .errors import (

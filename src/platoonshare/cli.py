@@ -274,10 +274,9 @@ def _deviation_rows(cfg: RunConfig):
     params = cfg.params()
     tables = alloc_mod.stable_tables(params)  # one per sweep, shared by its fleets
     for comp in _mixed_compositions(cfg.max_platoon_size):
-        fleet = game.Fleet.from_composition(comp)
         xi_star = ratio6(alloc_mod.xi_upper_bound(comp, params))
-        grid = fairness.default_xi_grid(fleet, params)
-        curve = fairness.deviation_curve(fleet, params, grid, tables)
+        grid = fairness.default_xi_grid(comp, params)
+        curve = fairness.deviation_curve(tables(comp), grid)
         delta_star = ratio6(curve[-1].delta)
         for point in curve:
             yield [comp.n_e, comp.n_f, ratio6(point.xi), ratio6(point.delta),

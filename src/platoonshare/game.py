@@ -99,11 +99,6 @@ class Fleet:
 
     types: tuple[TruckType, ...]
 
-    def __post_init__(self) -> None:
-        # counted once; not a field, so equality, hashing and repr ignore it
-        n_e = self.types.count(TruckType.ELECTRIC)
-        object.__setattr__(self, "_composition", Composition(n_e, len(self.types) - n_e))
-
     @classmethod
     def from_composition(cls, comp: Composition) -> "Fleet":
         """Deterministic roster: electric trucks first, then fuel-powered."""
@@ -119,7 +114,8 @@ class Fleet:
         return range(self.size)
 
     def composition(self) -> Composition:
-        return self._composition
+        n_e = self.types.count(TruckType.ELECTRIC)
+        return Composition(n_e, self.size - n_e)
 
     def subset_composition(self, members: Iterable[int]) -> Composition:
         ids = set(members)

@@ -68,52 +68,55 @@ class TestDeviationCurve:
     def test_zero_benchmark_guard(self):
         # 2 FPTs at the least subnormal rate: phi_f and v(N) round to 0
         params = SavingsParams(epsilon_f=5e-324, epsilon_e=1.0, distance=0.5)
-        fleet = Fleet.from_composition(Composition(0, 2))
+        table = stable_tables(params)(Composition(0, 2))
         with pytest.raises(ZeroShapleyPayoff):
-            deviation_curve(fleet, params, [0.1, 0.2])
+            deviation_curve(table, [0.1, 0.2])
 
     def test_strictly_decreasing_on_feasible_interval(self, skewed_params):
-        fleet = Fleet.from_composition(Composition(1, 14))
-        grid = default_xi_grid(fleet, skewed_params)
-        curve = deviation_curve(fleet, skewed_params, grid)
+        comp = Composition(1, 14)
+        grid = default_xi_grid(comp, skewed_params)
+        curve = deviation_curve(stable_tables(skewed_params)(comp), grid)
         deltas = [p.delta for p in curve]
         assert all(b < a for a, b in zip(deltas, deltas[1:]))
         assert all(p.in_core for p in curve)
 
     def test_endpoint_matches_min_deviation_scheme(self, skewed_params):
-        fleet = Fleet.from_composition(Composition(1, 14))
+        comp = Composition(1, 14)
+        fleet = Fleet.from_composition(comp)
         alloc, xi_star = deviation_minimizing_allocation(fleet, skewed_params)
         phi = shapley_allocation(fleet, skewed_params)
-        grid = default_xi_grid(fleet, skewed_params)
-        curve = deviation_curve(fleet, skewed_params, grid)
-        assert curve[-1].xi == pytest.approx(xi_star, abs=1e-12)
+        grid = default_xi_grid(comp, skewed_params)
+        curve = deviation_curve(stable_tables(skewed_params)(comp), grid)
+        assert curve[-1].xi == xi_star
         assert curve[-1].delta == pytest.approx(
             mean_relative_deviation(alloc, phi), abs=1e-12
         )
 
     def test_grid_validation(self, skewed_params):
-        fleet = Fleet.from_composition(Composition(1, 14))
+        table = stable_tables(skewed_params)(Composition(1, 14))
         with pytest.raises(XiOutOfRange):
-            deviation_curve(fleet, skewed_params, [0.0, 0.001])
+            deviation_curve(table, [0.0, 0.001])
         with pytest.raises(XiOutOfRange):
-            deviation_curve(fleet, skewed_params, [0.5, 1.2])
+            deviation_curve(table, [0.5, 1.2])
         with pytest.raises(ValueError):
-            deviation_curve(fleet, skewed_params, [0.003, 0.002])
+            deviation_curve(table, [0.003, 0.002])
         with pytest.raises(ValueError):
-            deviation_curve(fleet, skewed_params, [])
+            deviation_curve(table, [])
 
-    def test_tables_of_other_params_refused(self, params, fleet23):
-        grid, other = [0.01, 0.1], replace(params, distance=301.0)
-        with pytest.raises(ValueError, match="other params"):
-            deviation_curve(fleet23, params, grid, stable_tables(other))
-        # a factory of the same params serves the fleet as a fresh one does
-        assert (deviation_curve(fleet23, params, grid, stable_tables(params))
-                == deviation_curve(fleet23, params, grid))
+    def test_curve_takes_its_tables_params(self, params, fleet23, comp23):
+        # the table's params, here another distance, value both x(xi) and phi
+        other = replace(params, distance=301.0)
+        grid = [0.01, 0.1, xi_upper_bound(comp23, other), 0.5]
+        curve = deviation_curve(stable_tables(other)(comp23), grid)
+        phi = shapley_allocation(fleet23, other)
+        assert [p.delta for p in curve] == [
+            mean_relative_deviation(stable_allocation(fleet23, other, xi), phi)
+            for xi in grid]
 
     def test_points_beyond_bound_reported(self, params, fleet23, comp23):
         bound = xi_upper_bound(comp23, params)
         grid = [bound / 2, bound, min(1.0, bound * 2)]
-        curve = deviation_curve(fleet23, params, grid)
+        curve = deviation_curve(stable_tables(params)(comp23), grid)
         assert len(curve) == 3
         assert curve[0].in_core and curve[1].in_core
 
@@ -121,8 +124,7 @@ class TestDeviationCurve:
         # on a single-ET fleet the type-fair payoff equals the leader-share
         # allocation at xi = 1/n, so delta hits zero exactly there
         comp = Composition(1, 4)
-        fleet = Fleet.from_composition(comp)
-        curve = deviation_curve(fleet, params, [0.1, 0.2, 0.3])
+        curve = deviation_curve(stable_tables(params)(comp), [0.1, 0.2, 0.3])
         assert all(p.delta >= 0.0 for p in curve)
         assert curve[1].delta == pytest.approx(0.0, abs=1e-12)
         assert curve[0].delta > 0.0
@@ -130,8 +132,7 @@ class TestDeviationCurve:
 
 class TestDefaultXiGrid:
     def test_ends_at_the_bound(self, skewed_params):
-        fleet = Fleet.from_composition(Composition(1, 14))
-        grid = default_xi_grid(fleet, skewed_params)
+        grid = default_xi_grid(Composition(1, 14), skewed_params)
         assert len(grid) == 60
         assert grid[0] == pytest.approx(0.002, abs=1e-12)
         assert grid[-1] == pytest.approx(
@@ -139,22 +140,32 @@ class TestDefaultXiGrid:
         )
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
+    @pytest.mark.parametrize("epsilon_f", [0.07, 0.72, 0.05])
+    def test_last_point_is_the_bound(self, epsilon_f):
+        # start + 59*step may miss the bound by an ulp either way: 1 ET + 4 FPT
+        # at epsilon_f 0.05 would end at 0.24000000000000002, past 0.24
+        params = SavingsParams(epsilon_f=epsilon_f, epsilon_e=0.048, distance=300.0)
+        for n in range(2, 16):
+            for n_e in range(n + 1):
+                comp = Composition(n_e, n - n_e)
+                grid = default_xi_grid(comp, params)
+                assert grid[-1] == xi_upper_bound(comp, params)
+                assert all(b > a for a, b in zip(grid, grid[1:]))
+
     def test_tiny_bound_still_increasing(self):
         params = SavingsParams(epsilon_f=7.2, epsilon_e=0.048, distance=300.0)
-        fleet = Fleet.from_composition(Composition(1, 14))
-        grid = default_xi_grid(fleet, params)
+        grid = default_xi_grid(Composition(1, 14), params)
         assert all(b > a for a, b in zip(grid, grid[1:]))
         assert all(0.0 < xi <= 1.0 for xi in grid)
 
     def test_mixed_fleet_needs_ordered_rates(self):
         params = SavingsParams(epsilon_f=0.048, epsilon_e=0.07, distance=300.0)
-        fleet = Fleet.from_composition(Composition(2, 3))
         with pytest.raises(EpsilonOrderError):
-            default_xi_grid(fleet, params)
+            default_xi_grid(Composition(2, 3), params)
 
     def test_homogeneous_fleet_ignores_rate_order(self):
         params = SavingsParams(epsilon_f=0.048, epsilon_e=0.07, distance=300.0)
-        grid = default_xi_grid(Fleet.from_composition(Composition(0, 5)), params)
+        grid = default_xi_grid(Composition(0, 5), params)
         assert grid[-1] == pytest.approx(0.25, abs=1e-12)
 
 
@@ -183,7 +194,7 @@ class TestScaleFree:
     def test_scaling_keeps_the_curve(self, n_e, n_f, eps_f, ratio, distance, scaling):
         what, k = scaling
         factor = 10.0 ** k
-        fleet = Fleet.from_composition(Composition(n_e, n_f))
+        comp = Composition(n_e, n_f)
         params = SavingsParams(epsilon_f=eps_f, epsilon_e=ratio * eps_f, distance=distance)
         if what == "rates":
             scaled = replace(params, epsilon_f=params.epsilon_f * factor,
@@ -191,8 +202,8 @@ class TestScaleFree:
         else:
             scaled = replace(params, distance=distance * factor)
         grid = [i / 20 for i in range(1, 21)]
-        base = deviation_curve(fleet, params, grid)
-        moved = deviation_curve(fleet, scaled, grid)
+        base = deviation_curve(stable_tables(params)(comp), grid)
+        moved = deviation_curve(stable_tables(scaled)(comp), grid)
         assert [p.delta for p in moved] == pytest.approx([p.delta for p in base],
                                                          rel=1e-9, abs=1e-9)
         assert [p.in_core for p in moved] == [p.in_core for p in base]

@@ -8,14 +8,20 @@ and only when an output change is intended. ``sweep_size40.sha256`` and
 and 100 by digest, in ``sha256sum`` format, since those CSVs are large.
 ``sweep_settings.sha256`` pins them at ``--max-platoon-size`` 30 under
 non-default rates and distances; each name is the sweep and its flags,
-comma-separated.
+comma-separated. The fig2, fig3 and fig5 cells are also recomputed from
+each subset class's closed-form excess, in exact arithmetic.
 """
 
+import csv
 import hashlib
+from dataclasses import replace
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from platoonshare import SavingsParams
 from platoonshare.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -76,3 +82,66 @@ def test_sweep_settings_match_digest(name, tmp_path):
     argv = ["sweep", *name.split(","), "--max-platoon-size", "30", "--out", str(out_path)]
     assert main(argv) == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SETTINGS[name]
+
+
+
+DEFAULT = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0)
+
+
+def _blocking(m_e, m_f, params, excess):
+    """Subsets of m_e ETs and m_f FPTs that block: the class (e, f) counts
+    comb(m_e, e)*comb(m_f, f) of them, and blocks if its exact excess per km
+    ``excess(e, f, epsilon_e, epsilon_f)`` times the distance exceeds the
+    money tolerance."""
+    ee, ef, dist = map(Fraction, (params.epsilon_e, params.epsilon_f, params.distance))
+    tol = Fraction(params.money_tol())
+    return sum(comb(m_e, e) * comb(m_f, f) for e in range(m_e + 1) for f in range(m_f + 1)
+               if e + f and dist * excess(e, f, ee, ef) > tol)
+
+
+def _leader_share_cells(compositions, key):
+    """fig2 and fig3 rows: x(xi) leaves the leader's subsets out, since they
+    never block; a class of e follower ETs and f follower FPTs has excess per
+    km xi*(e*ee + f*ef) - ee, or ef*(xi*f - 1) with no ET."""
+    for n_e, n_f in compositions:
+        m_e, m_f = (n_e - 1, n_f) if n_e else (0, n_f - 1)
+        for i in range(1, 31):
+            xi = Fraction(i * 0.005)
+            blocking = _blocking(m_e, m_f, DEFAULT, lambda e, f, ee, ef: (
+                xi * (e * ee + f * ef) - ee if e else ef * (xi * f - 1)))
+            yield [*key(n_e, n_f), i * 0.005], n_e + n_f, blocking
+
+
+def _type_fair_cells():
+    """fig5 rows: under the type-fair payoff only classes of 1 <= e < n_e
+    ETs can block, with excess per km ee*(e/n_e - 1) + ef*(f/n - e*n_f/(n*n_e))."""
+    n = 15
+    for n_e in range(1, n):
+        n_f = n - n_e
+        for i in range(1, 20):
+            params = replace(DEFAULT, epsilon_e=i * 0.05 * DEFAULT.epsilon_f)
+            blocking = _blocking(n_e, n_f, params, lambda e, f, ee, ef: (
+                ee * (Fraction(e, n_e) - 1) + ef * (Fraction(f, n) - Fraction(e * n_f, n * n_e))
+                if 1 <= e < n_e else -1))
+            yield [n_e, n_f, i * 0.05], n, blocking
+
+
+CELLS = {
+    "sweep_fig2.csv": lambda: _leader_share_cells(
+        [(n_e, 15 - n_e) for n_e in range(1, 15)], lambda n_e, n_f: (n_e, n_f)),
+    "sweep_fig3.csv": lambda: _leader_share_cells(
+        [(0, n) for n in range(2, 16)], lambda n_e, n_f: (n_f,)),
+    "sweep_fig5.csv": _type_fair_cells,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_golden_cells_from_closed_form_excesses(name):
+    # no table, window or class scan: the key columns and the stability
+    # probability of each row, from the blocking classes alone
+    with open(GOLDEN_DIR / name, newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    expected = [[*map(str, key[:-1]), f"{key[-1]:.6f}", f"{1.0 - blocking / ((1 << n) - 2):.6f}"]
+                for key, n, blocking in CELLS[name]()]
+    assert [row[:len(cells)] for row, cells in zip(rows, expected)] == expected
+    assert len(rows) == len(expected)

@@ -15,6 +15,7 @@ from platoonshare import (
     Allocation,
     BothTypesRequired,
     Composition,
+    EpsilonOrderError,
     Fleet,
     FleetTooLarge,
     FleetTooSmall,
@@ -210,6 +211,52 @@ class TestStabilityProbability:
                 for k in (1, 2, 3):
                     alloc = stable_allocation(fleet, params, bound * k / 3)
                     assert in_core(alloc, fleet, params, method="slow").is_member
+
+
+def _stable_interval_end(comp, params):
+    """rho: x(xi) is in the core exactly on (0, rho]. The binding leader-out
+    class holds every follower, or the follower FPTs alone."""
+    ee, ef = params.epsilon_e, params.epsilon_f
+    if comp.n_e == 0:
+        return 1.0 / (comp.total() - 1)
+    ends = [1.0]
+    if comp.n_e >= 2:
+        ends.append(ee / (ee * (comp.n_e - 1) + ef * comp.n_f))  # xi_upper_bound's expression
+    if comp.n_f >= 2:
+        ends.append(1.0 / comp.n_f)
+    return min(ends)
+
+
+class TestStableInterval:
+    @pytest.mark.parametrize("epsilon_f, epsilon_e",
+                             [(0.07, 0.048), (0.72, 0.048), (0.07, 0.07), (0.05, 0.07)])
+    def test_core_exactly_up_to_rho(self, epsilon_f, epsilon_e):
+        # every fleet of 2-30 trucks; the bound is rho wherever it is defined,
+        # except on single-ET fleets, where it is strictly tighter
+        params = SavingsParams(epsilon_f=epsilon_f, epsilon_e=epsilon_e, distance=300.0,
+                               max_platoon_size=30)
+        single_et = 0
+        for n in range(2, 31):
+            for n_e in range(n + 1):
+                comp = Composition(n_e, n - n_e)
+                fleet = Fleet.from_composition(comp)
+                rho = _stable_interval_end(comp, params)
+
+                def member(xi):
+                    return in_core(stable_allocation(fleet, params, xi), fleet, params).is_member
+
+                assert member(rho * (1 - 1e-7)) and member(rho), comp
+                assert rho == 1.0 or not member(rho * (1 + 1e-7)), comp
+                try:
+                    bound = xi_upper_bound(comp, params)
+                except EpsilonOrderError:
+                    continue
+                if n_e == 1:
+                    assert bound < rho, comp
+                    single_et += 1
+                else:
+                    assert bound == rho, comp
+        assert single_et == (29 if epsilon_e < epsilon_f else 0)
 
 
 def _exact_condition_loop(comp, params):
@@ -730,19 +777,17 @@ class TestBreakpoints:
         assert 39 <= calls["value"] <= 3 * 39
         assert 39 <= calls["size"] <= 3 * 39
 
-    @pytest.mark.parametrize("kind, rosters", [("fig2", 0), ("fig3", 0), ("fig5", 0),
-                                               ("fig6", 39)])
-    def test_sweeps_build_rosters_for_deviation_only(self, kind, rosters, monkeypatch,
-                                                     tmp_path):
-        # size 40: a table takes the composition it reads, so only fig6, whose
-        # deviation curve takes a fleet, builds a roster for each of its 39
+    @pytest.mark.parametrize("kind", ["fig2", "fig3", "fig5", "fig6"])
+    def test_sweeps_build_no_rosters(self, kind, monkeypatch, tmp_path):
+        # size 40: a table takes the composition it reads, and fig6's deviation
+        # curve takes the table, so no sweep builds a roster
         built = []
         from_composition = game.Fleet.from_composition
         monkeypatch.setattr(game.Fleet, "from_composition", staticmethod(
             lambda comp: built.append(comp) or from_composition(comp)))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out)]) == 0
-        assert len(built) == rosters
+        assert built == []
 
     # the default rates, fig6's preset and the settings of sweep_settings.sha256
     @pytest.mark.parametrize("change", [{}, {"epsilon_f": 0.72},

@@ -9,9 +9,8 @@ cross-checks the closed form lives in ``platoonshare.oracles``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BothTypesRequired,
@@ -42,8 +41,7 @@ SCHEME_EVEN_SPLIT = "even-split"
 SCHEME_DEVIATION_MIN = "deviation-min"
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Payoff vector indexed by truck id plus scheme metadata.
 
     ``within_bound`` is only meaningful for the leader-share schemes: it
@@ -149,9 +147,9 @@ def _type_fair_classes(comp: Composition):
     present = [(t, w, m) for t, w, m in zip(TruckType, (w_e, w_f), (comp.n_e, comp.n_f)) if m]
 
     def classes(params: SavingsParams) -> tuple:
-        if comp.n_e >= 1 and comp.n_f >= 1 and not params.epsilon_e < params.epsilon_f:
-            raise EpsilonOrderError("closed form requires epsilon_e < epsilon_f")
         ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
+        if w_e and w_f and not ee < ef:  # a mixed fleet
+            raise EpsilonOrderError("closed form requires epsilon_e < epsilon_f")
         return tuple((t, (w[0] * ee + w[1] * ef) * dist, m) for t, w, m in present)
     return (w_e, w_f), classes
 
@@ -187,7 +185,7 @@ def shapley_tables(params: SavingsParams):
     ``params``'. The factory's tables share each rate's params, built and
     checked on first read; it keeps the 32 last read, more than a grid."""
     ef, dist = params.epsilon_f, params.distance
-    at_rate = lru_cache(maxsize=32)(lambda eps_e: replace(params, epsilon_e=eps_e))
+    at_rate = lru_cache(maxsize=32)(lambda eps_e: params._replace(epsilon_e=eps_e))
 
     def table(comp: Composition) -> Breakpoints:
         _check_fleet_size(comp.total(), params)
@@ -226,7 +224,7 @@ def deviation_minimizing_allocation(
         raise ConditionHolds("ratio core condition holds; use shapley")
     xi_star = xi_upper_bound(comp, params)
     base = stable_allocation(fleet, params, xi_star)
-    return replace(base, scheme=SCHEME_DEVIATION_MIN), xi_star
+    return base._replace(scheme=SCHEME_DEVIATION_MIN), xi_star
 
 
 def _check_fleet_size(size: int, params: SavingsParams) -> None:

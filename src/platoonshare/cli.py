@@ -3,8 +3,8 @@
 Subcommands: ``value``, ``allocate``, ``table1``, ``sweep``. Options may
 come from a flat ``key = value`` config file; command-line flags win.
 All CSV output is deterministic: same config, same bytes. Each decision is
-declared once: options in the ``RunConfig`` fields, and subcommands,
-schemes and sweeps in the ``COMMANDS``, ``SCHEMES`` and ``SWEEPS`` tables.
+declared once, in a table: options (the ``RunConfig`` fields) in ``OPTIONS``,
+and subcommands, schemes and sweeps in ``COMMANDS``, ``SCHEMES`` and ``SWEEPS``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from . import allocate as alloc_mod
@@ -32,58 +32,46 @@ class ConfigError(Exception):
     """Bad config file or invalid field value; maps to exit code 2."""
 
 
-def _option(default, flag: str, convert, help: str, only: Optional[tuple] = None):
-    """A RunConfig field plus its flag, converter, help and ``only`` commands."""
-    return field(default=default, metadata=dict(flag=flag, convert=convert, help=help,
-                                                only=only))
+# One option: its RunConfig field and config key, default, flag, converter, help
+# text and the commands it belongs to (None: every command).
+Option = namedtuple("Option", "name default flag convert help only", defaults=[None])
+
+OPTIONS = (
+    Option("epsilon_f", 0.07, "--epsilon-f", float,
+           "fuel-powered follower saving rate [EUR/km]"),
+    Option("epsilon_e", 0.048, "--epsilon-e", float, "electric follower saving rate [EUR/km]"),
+    Option("distance", 300.0, "--distance", float, "trip distance [km]"),
+    Option("n_e", 2, "--ne", int, "number of electric trucks", FLEET_CMDS),
+    Option("n_f", 3, "--nf", int, "number of fuel-powered trucks", FLEET_CMDS),
+    Option("max_platoon_size", 15, "--max-platoon-size", int,
+           "platoon size cap (also the sweep fleet size)"),
+    Option("output_path", None, "--out", str, "write output to this file instead of stdout"),
+    Option("xi", None, "--xi", float, "leader share in (0, 1]", ("allocate",)),
+)
 
 
-@dataclass
-class RunConfig:
-    """One field per option: its config key, flag, converter and help text."""
+class RunConfig(namedtuple("RunConfig", [o.name for o in OPTIONS],
+                           defaults=[o.default for o in OPTIONS])):
+    """One field per entry of ``OPTIONS``, in its order."""
 
-    epsilon_f: float = _option(0.07, "--epsilon-f", float,
-                               "fuel-powered follower saving rate [EUR/km]")
-    epsilon_e: float = _option(0.048, "--epsilon-e", float,
-                               "electric follower saving rate [EUR/km]")
-    distance: float = _option(300.0, "--distance", float, "trip distance [km]")
-    n_e: int = _option(2, "--ne", int, "number of electric trucks", only=FLEET_CMDS)
-    n_f: int = _option(3, "--nf", int, "number of fuel-powered trucks", only=FLEET_CMDS)
-    max_platoon_size: int = _option(15, "--max-platoon-size", int,
-                                    "platoon size cap (also the sweep fleet size)")
-    output_path: Optional[str] = _option(None, "--out", str,
-                                         "write output to this file instead of stdout")
-    xi: Optional[float] = _option(None, "--xi", float, "leader share in (0, 1]",
-                                  only=("allocate",))
-
-    def __post_init__(self) -> None:
-        """Reject values the domain types reject, as a config error."""
-        try:
-            self.params()
-            self.composition()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    __slots__ = ()
 
     def params(self) -> game.SavingsParams:
-        return game.SavingsParams(
-            epsilon_f=self.epsilon_f,
-            epsilon_e=self.epsilon_e,
-            distance=self.distance,
-            max_platoon_size=self.max_platoon_size,
-        )
+        return game.SavingsParams(self.epsilon_f, self.epsilon_e, self.distance,
+                                  self.max_platoon_size)
 
     def composition(self) -> game.Composition:
         return game.Composition(self.n_e, self.n_f)
 
 
 def _options(cmd: str) -> list:
-    """The RunConfig fields ``cmd`` takes; an ``only`` of None admits every command."""
-    return [f for f in fields(RunConfig) if cmd in (f.metadata["only"] or (cmd,))]
+    """The options ``cmd`` takes; an ``only`` of None admits every command."""
+    return [o for o in OPTIONS if cmd in (o.only or (cmd,))]
 
 
 def parse_config_file(path: str, command: str) -> dict:
     """Flat ``key = value`` lines, ``command``'s options only; full-line '#' comments."""
-    converters = {f.name: f.metadata["convert"] for f in _options(command)}
+    converters = {o.name: o.convert for o in _options(command)}
     values: dict = {}
     try:
         with open(path, encoding="utf-8-sig") as fh:  # -sig skips a byte-order mark
@@ -113,12 +101,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence defaults < sweep preset < config file < flags."""
     preset, swept = SWEEPS[args.kind][3:] if "kind" in args else ({}, None)
     values = parse_config_file(args.config, args.command) if args.config else {}
-    for f in fields(RunConfig):
-        if getattr(args, f.name, None) is not None:
-            values[f.name] = getattr(args, f.name)
+    for o in OPTIONS:
+        if getattr(args, o.name, None) is not None:
+            values[o.name] = getattr(args, o.name)
     if swept in values:
         raise ConfigError(f"sweep {args.kind} sets {swept} itself")
-    return RunConfig(**{**preset, **values})
+    cfg = RunConfig(**{**preset, **values})
+    try:  # values the domain types reject are config errors
+        cfg.params()
+        cfg.composition()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def money(v: float) -> str:
@@ -251,23 +245,23 @@ def _leader_share_rows(compositions, key):
         tables = alloc_mod.stable_tables(params)  # one per sweep, shared by its fleets
         labels = [ratio6(xi) for xi in _XI_GRID]
         for comp in compositions(cfg.max_platoon_size):
-            bound = ratio6(alloc_mod.xi_upper_bound(comp, params))
+            head, bound = key(comp), ratio6(alloc_mod.xi_upper_bound(comp, params))
             scan = tables(comp)
             for xi, label in zip(_XI_GRID, labels):
-                yield [*key(comp), label, ratio6(scan.probability(xi)), bound]
+                yield [*head, label, ratio6(scan.probability(xi)), bound]
 
     return rows
 
 
 def _type_fair_rows(cfg: RunConfig):
     labels = [ratio6(ratio) for ratio in _RATIO_GRID]
-    tables = alloc_mod.shapley_tables(cfg.params())
+    tables, epsilon_f = alloc_mod.shapley_tables(cfg.params()), cfg.epsilon_f
     for comp in _mixed_compositions(cfg.max_platoon_size):
         threshold = ratio6(comp.n_f / comp.total())
         scan = tables(comp)
         for ratio, label in zip(_RATIO_GRID, labels):
-            prob = scan.probability(ratio * cfg.epsilon_f)
-            yield [comp.n_e, comp.n_f, label, ratio6(prob), threshold]
+            prob = scan.probability(ratio * epsilon_f)
+            yield [*comp, label, ratio6(prob), threshold]
 
 
 def _deviation_rows(cfg: RunConfig):
@@ -278,9 +272,8 @@ def _deviation_rows(cfg: RunConfig):
         grid = fairness.default_xi_grid(comp, params)
         curve = fairness.deviation_curve(tables(comp), grid)
         delta_star = ratio6(curve[-1].delta)
-        for point in curve:
-            yield [comp.n_e, comp.n_f, ratio6(point.xi), ratio6(point.delta),
-                   str(point.in_core).lower(), xi_star, delta_star]
+        for xi, delta, in_core in curve:
+            yield [*comp, ratio6(xi), ratio6(delta), str(in_core).lower(), xi_star, delta_star]
 
 
 # kind -> (comment line, header, row generator, preset, swept field); {n}
@@ -346,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(run=run)
         command.add_argument("--config", help="flat key = value config file")
-        for f in _options(name):
-            command.add_argument(f.metadata["flag"], dest=f.name,
-                                 type=f.metadata["convert"], help=f.metadata["help"])
+        for o in _options(name):
+            command.add_argument(o.flag, dest=o.name, type=o.convert, help=o.help)
         for flag, kwargs in extra.items():
             command.add_argument(flag, **kwargs)
     return parser

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .allocate import Allocation, shapley_closed_form, xi_upper_bound
 from .errors import ZeroShapleyPayoff
 from .game import Composition, SavingsParams, TruckType
 
 
-@dataclass(frozen=True)
-class DeviationPoint:
+class DeviationPoint(NamedTuple):
     xi: float
     delta: float
     in_core: bool

@@ -14,8 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import FleetTooLarge
 
@@ -35,34 +34,56 @@ class TruckType(enum.Enum):
         return "E" if self is TruckType.ELECTRIC else "D"
 
 
-@dataclass(frozen=True)
-class SavingsParams:
-    """Monetary saving rates (EUR/km), trip distance (km) and platoon cap.
+class _Checked:
+    """Mixin over a NamedTuple whose ``__new__`` checks its values: stock
+    ``_make``, and so ``_replace``, would call ``tuple.__new__`` and skip it."""
 
-    The rates only need to be positive, their product with the distance
-    and the platoon cap finite, and ``money_tol`` a normal float; operations
-    whose derivation relies on epsilon_e < epsilon_f enforce that ordering
-    themselves, so ratio sweeps up to epsilon_e/epsilon_f = 1 stay expressible.
-    """
+    __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SavingsFields(NamedTuple):
     epsilon_f: float
     epsilon_e: float
     distance: float
-    max_platoon_size: int = 15
+    max_platoon_size: int
 
-    def __post_init__(self) -> None:
+
+class SavingsParams(_Checked, _SavingsFields):
+    """Monetary saving rates (EUR/km), trip distance (km) and platoon cap.
+
+    The rates only need to be positive, their product with the platoon cap
+    and the larger of 1 and the distance finite, and ``money_tol`` a normal
+    float; operations whose derivation relies on epsilon_e < epsilon_f
+    enforce that ordering themselves, so ratio sweeps up to
+    epsilon_e/epsilon_f = 1 stay expressible.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, epsilon_f: float, epsilon_e: float, distance: float,
+                max_platoon_size: int = 15):
+        self = tuple.__new__(cls, (epsilon_f, epsilon_e, distance, max_platoon_size))
+        self._check()
+        return self
+
+    def _check(self) -> None:
         if not (self.epsilon_f > 0 and self.epsilon_e > 0 and self.distance > 0):
             raise ValueError("saving rates and distance must be positive")
         if self.max_platoon_size < 2:
             raise ValueError("max_platoon_size must be at least 2")
-        # bounds every coalition worth and payoff sum, and rejects inf inputs
-        largest = max(self.epsilon_e, self.epsilon_f) * self.distance
+        # bounds every rate sum, coalition worth and payoff sum, and rejects inf
+        # inputs; below a distance of 1 the rate sums are the larger terms
+        largest = max(self.epsilon_e, self.epsilon_f) * max(1, self.distance)
         try:
             worth = largest * self.max_platoon_size
         except OverflowError:  # an integer cap beyond float range
             worth = math.inf
         if not worth < math.inf:
-            raise ValueError("max rate x distance x max_platoon_size must be finite")
+            raise ValueError("max rate x max(1, distance) x max_platoon_size must be finite")
         # a subnormal or zero tolerance would fail exact payoff sums as inefficient
         if self.money_tol() < sys.float_info.min:
             raise ValueError("max rate x distance is too small for a money tolerance")
@@ -78,23 +99,21 @@ class SavingsParams:
             )
 
 
-@dataclass(frozen=True, order=True)
-class Composition:
+class Composition(_Checked, NamedTuple("_CompositionFields", [("n_e", int), ("n_f", int)])):
     """Unordered type counts (electric, fuel-powered) of a coalition."""
 
-    n_e: int
-    n_f: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_e < 0 or self.n_f < 0:
+    def __new__(cls, n_e: int, n_f: int):
+        if n_e < 0 or n_f < 0:
             raise ValueError("counts must be non-negative")
+        return tuple.__new__(cls, (n_e, n_f))
 
     def total(self) -> int:
         return self.n_e + self.n_f
 
 
-@dataclass(frozen=True)
-class Fleet:
+class Fleet(NamedTuple):
     """Labeled roster; truck ids are the positions 0..N-1."""
 
     types: tuple[TruckType, ...]

@@ -16,10 +16,9 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, product
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import BothTypesRequired, FleetTooLarge, NotEfficient
 from .game import (
@@ -44,8 +43,7 @@ LABELED_SCAN_MAX_FLEET = 20
 _ROUNDING = 32 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class CoreReport:
+class CoreReport(NamedTuple):
     """Verdict plus the blocking subset classes and the stability probability.
 
     ``blocking_coalitions`` lists (composition, labeled-subset count)

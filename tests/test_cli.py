@@ -1,11 +1,15 @@
+import contextlib
 import csv
-from dataclasses import fields
+import io
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonshare import game
-from platoonshare.cli import RunConfig, main
+from platoonshare.cli import COMMANDS, OPTIONS, SCHEMES, SWEEPS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,6 +54,21 @@ class TestValue:
         assert main([*command, "--distance", "1e308", "--epsilon-f", "10"]) == 2
         captured = capsys.readouterr()
         assert "error: config:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["value", "--epsilon-e", "1.7e308", "--distance", "1e-12", "--ne", "3"],
+        ["table1", "--epsilon-e", "1e308", "--epsilon-f", "0.048",
+         "--distance", "0.0699999999", "--ne", "10", "--nf", "0"],
+        ["allocate", "--scheme", "even-split", "--epsilon-e", "1.7e308",
+         "--epsilon-f", "1e308", "--distance", "1e-12", "--ne", "0", "--nf", "3"],
+    ])
+    def test_overflowing_rate_sum_rejected(self, argv, capsys):
+        # below a distance of 1 the rate sums overflow first: these printed
+        # inf or failed as NotEfficient
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config: max rate x")
         assert captured.out == ""
 
     def test_unwritable_out_is_config_error(self, tmp_path, capsys):
@@ -328,8 +347,7 @@ class TestParser:
             main([command, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        flags = [f.metadata["flag"] for f in fields(RunConfig)
-                 if f.metadata["only"] is None or command in f.metadata["only"]]
+        flags = [o.flag for o in OPTIONS if o.only is None or command in o.only]
         assert len(flags) == {"allocate": 8, "sweep": 5}.get(command, 7)
         for flag in ["--config", *flags]:
             assert flag in out.split()
@@ -484,3 +502,47 @@ class TestConfig:
         cfg.write_text("distance = 300  # km\n")
         assert main(["value", "--config", str(cfg)]) == 2
         assert "error: config:" in capsys.readouterr().err
+
+
+# Rates, distances and leader shares at and beyond the edges of float range.
+EXTREME_FLOATS = ["5e-324", "1e-12", "-0.0", "0.048", "0.07", "300", "1e308", "1.7e308",
+                  "nan", "inf", "-inf"]
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv that parses, with small fleets and extreme floats."""
+    floats = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats().map(repr))
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = [command]
+    if command == "sweep":
+        argv.append(draw(st.sampled_from(list(SWEEPS))))
+    else:
+        argv += ["--ne", str(draw(st.integers(0, 5))), "--nf", str(draw(st.integers(0, 5)))]
+    if command == "allocate":
+        argv += ["--scheme", draw(st.sampled_from(list(SCHEMES)))]
+        if draw(st.booleans()):
+            argv.append("--xi=" + draw(floats))
+    for flag in ("--epsilon-f", "--epsilon-e", "--distance"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(floats)}")  # '=' keeps '-inf' a value
+    if draw(st.booleans()):
+        argv += ["--max-platoon-size", str(draw(st.integers(0, 10)))]
+    return argv
+
+
+@given(argv=cli_argv())
+@settings(max_examples=150, deadline=None)
+def test_cli_contract(argv):
+    # exit 0 prints no nan or inf; exit 2 or 3 prints one error line and nothing else
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE)
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

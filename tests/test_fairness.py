@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,7 +104,7 @@ class TestDeviationCurve:
 
     def test_curve_takes_its_tables_params(self, params, fleet23, comp23):
         # the table's params, here another distance, value both x(xi) and phi
-        other = replace(params, distance=301.0)
+        other = params._replace(distance=301.0)
         grid = [0.01, 0.1, xi_upper_bound(comp23, other), 0.5]
         curve = deviation_curve(stable_tables(other)(comp23), grid)
         phi = shapley_allocation(fleet23, other)
@@ -197,10 +196,10 @@ class TestScaleFree:
         comp = Composition(n_e, n_f)
         params = SavingsParams(epsilon_f=eps_f, epsilon_e=ratio * eps_f, distance=distance)
         if what == "rates":
-            scaled = replace(params, epsilon_f=params.epsilon_f * factor,
-                             epsilon_e=params.epsilon_e * factor)
+            scaled = params._replace(epsilon_f=params.epsilon_f * factor,
+                                     epsilon_e=params.epsilon_e * factor)
         else:
-            scaled = replace(params, distance=distance * factor)
+            scaled = params._replace(distance=distance * factor)
         grid = [i / 20 for i in range(1, 21)]
         base = deviation_curve(stable_tables(params)(comp), grid)
         moved = deviation_curve(stable_tables(scaled)(comp), grid)

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import tokenize
 from fractions import Fraction
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from platoonshare import (
     Composition,
+    DeviationPoint,
     Fleet,
     InvalidPartition,
     SavingsParams,
@@ -18,10 +18,13 @@ from platoonshare import (
     coalition_value,
     coalition_value_with_leader,
     enumerate_type_structures,
+    in_core,
     labeled_partitions,
     optimal_leader_type,
+    shapley_allocation,
     structure_value,
 )
+from platoonshare.cli import RunConfig
 from platoonshare.game import structure_notation
 
 # Expected totals for the (2,3) fleet at the default rates, in canonical order.
@@ -234,13 +237,13 @@ class TestDomainTypes:
         # the roster alone makes equality, hashing and repr; counts come from it
         types = (TruckType.FUEL, TruckType.ELECTRIC, TruckType.FUEL)
         fleet = Fleet(types)
-        assert [f.name for f in dataclasses.fields(Fleet)] == ["types"]
+        assert Fleet._fields == ("types",)
         assert repr(fleet) == ("Fleet(types=(<TruckType.FUEL: 'FPT'>, "
                                "<TruckType.ELECTRIC: 'ET'>, <TruckType.FUEL: 'FPT'>))")
         assert fleet == Fleet(types) and hash(fleet) == hash(Fleet(types)) == hash((types,))
         assert fleet != Fleet.from_composition(Composition(1, 2))
         assert fleet.composition() == Composition(1, 2)
-        moved = dataclasses.replace(fleet, types=types[:2])
+        moved = fleet._replace(types=types[:2])
         assert moved.composition() == Composition(1, 1)
         assert Fleet.from_composition(comp23) == Fleet(Fleet.from_composition(comp23).types)
 
@@ -266,6 +269,10 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="finite"):
             SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=1e306,
                           max_platoon_size=10**6)
+        # below a distance of 1 a rate sum overflows before any worth does
+        with pytest.raises(ValueError, match="finite"):
+            SavingsParams(epsilon_f=0.07, epsilon_e=1.7e308, distance=1e-12)
+        assert SavingsParams(epsilon_f=0.07, epsilon_e=1e307, distance=1e-12)
 
     @pytest.mark.parametrize("distance", [1e-315, 1e-313, 3e-298])
     def test_params_reject_underflowing_tolerance(self, distance):
@@ -285,6 +292,38 @@ class TestDomainTypes:
         values = {"epsilon_f": 0.07, "epsilon_e": 0.048, "distance": 300.0, field: bad}
         with pytest.raises(ValueError):
             SavingsParams(**values)
+
+    @pytest.mark.parametrize("record, change", [
+        (SavingsParams(0.07, 0.048, 300.0), {"distance": -1.0}),
+        (SavingsParams(0.07, 0.048, 300.0), {"epsilon_e": float("nan")}),
+        (SavingsParams(0.07, 0.048, 300.0), {"max_platoon_size": 1}),
+        (SavingsParams(0.07, 1e307, 1e-12), {"max_platoon_size": 100}),
+        (Composition(2, 3), {"n_e": -1}),
+        (Composition(2, 3), {"n_f": -2}),
+    ])
+    def test_validated_however_built(self, record, change):
+        # the constructor, _replace and _make all run the same check
+        cls = type(record)
+        values = record._asdict() | change
+        with pytest.raises(ValueError):
+            cls(**values)
+        with pytest.raises(ValueError):
+            record._replace(**change)
+        with pytest.raises(ValueError):
+            cls._make(values.values())
+        assert record._replace() == record == cls._make(record)
+        assert type(record._replace()) is cls
+
+    def test_records_are_read_only(self, params, comp23, fleet23):
+        alloc = shapley_allocation(fleet23, params)
+        records = [params, comp23, fleet23, alloc, in_core(alloc, fleet23, params),
+                   DeviationPoint(0.1, 0.2, True), RunConfig()]
+        for record in records:
+            for field in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, getattr(record, field))
+            with pytest.raises(AttributeError):
+                record.extra = 1
 
 
 def test_tolerances_live_only_in_game():

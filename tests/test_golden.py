@@ -14,7 +14,6 @@ each subset class's closed-form excess, in exact arithmetic.
 
 import csv
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -119,7 +118,7 @@ def _type_fair_cells():
     for n_e in range(1, n):
         n_f = n - n_e
         for i in range(1, 20):
-            params = replace(DEFAULT, epsilon_e=i * 0.05 * DEFAULT.epsilon_f)
+            params = DEFAULT._replace(epsilon_e=i * 0.05 * DEFAULT.epsilon_f)
             blocking = _blocking(n_e, n_f, params, lambda e, f, ee, ef: (
                 ee * (Fraction(e, n_e) - 1) + ef * (Fraction(f, n) - Fraction(e * n_f, n * n_e))
                 if 1 <= e < n_e else -1))

@@ -1,4 +1,4 @@
-"""The oracles live in one module that the CLI never loads.
+"""The oracles live in one module that the CLI never loads, nor dataclasses.
 
 The package and ``allocate`` re-export oracle names lazily, and
 ``in_core(method="slow")`` loads the labeled scan only when asked.
@@ -33,12 +33,28 @@ assert platoonshare.allocate.shapley_bruteforce is oracles.shapley_bruteforce
 """
 
 
-def test_cli_never_loads_the_oracles():
+# The cold CLI path, as CI checks it on the installed package: neither the
+# oracles nor dataclasses, which brings inspect and the code it generates.
+COLD_IMPORT = ("import platoonshare.cli, sys; "
+               "loaded = {'dataclasses', 'inspect', 'platoonshare.oracles'} & set(sys.modules); "
+               "assert not loaded, loaded")
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
     src = str(Path(platoonshare.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", FRESH_PROCESS], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+def test_cli_never_loads_the_oracles():
+    done = run_fresh(FRESH_PROCESS)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cold_cli_import_is_lean():
+    done = run_fresh(COLD_IMPORT)
     assert done.returncode == 0, done.stderr
 
 

@@ -4,7 +4,6 @@ import operator
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -478,9 +477,9 @@ scalings = st.one_of(st.tuples(st.just("rates"), st.integers(-9, 3)),
 
 def _scaled(params, what, factor):
     if what == "rates":
-        return replace(params, epsilon_f=params.epsilon_f * factor,
-                       epsilon_e=params.epsilon_e * factor)
-    return replace(params, distance=params.distance * factor)
+        return params._replace(epsilon_f=params.epsilon_f * factor,
+                               epsilon_e=params.epsilon_e * factor)
+    return params._replace(distance=params.distance * factor)
 
 
 class TestMetamorphic:
@@ -597,7 +596,7 @@ class TestBreakpoints:
         points = _probe_points(scan) | {r * eps_f for r in ratios}
         for eps_e in sorted(points):
             if 0.0 < eps_e < eps_f:
-                params = replace(base, epsilon_e=eps_e)
+                params = base._replace(epsilon_e=eps_e)
                 alloc = shapley_allocation(fleet, params)
                 assert _read(scan, eps_e) == _expected(alloc, fleet, params)
 
@@ -618,7 +617,7 @@ class TestBreakpoints:
         # at the tolerance of epsilon_e <= epsilon_f cannot answer there
         fleet = Fleet.from_composition(Composition(4, 0))
         scan = shapley_tables(params)(fleet.composition())
-        other = replace(params, **change)
+        other = params._replace(**change)
         assert other.money_tol() > params.money_tol()
         calls = []
         scan_classes = stability._violations
@@ -636,7 +635,7 @@ class TestBreakpoints:
         # past epsilon_f a fig5 table rechecks at another money tolerance; it
         # scans the point's payoff classes and rebuilds no per-truck allocation
         fleet = Fleet.from_composition(Composition(4, 0))
-        other = replace(params, epsilon_e=epsilon_e)
+        other = params._replace(epsilon_e=epsilon_e)
         expected = _blocking(shapley_allocation(fleet, other), fleet, other)
         scan = shapley_tables(params)(fleet.composition())
         built, calls = [], []
@@ -660,7 +659,7 @@ class TestBreakpoints:
         pay_e = 0.1 * params.epsilon_e * params.distance
         pay_f = coalition_value(fleet.composition(), params) - 3 * pay_e
         classes = ((electric, pay_e, 1), (electric, pay_e, 2), (fuel, pay_f, 1))
-        other = replace(params, distance=2 * params.distance)
+        other = params._replace(distance=2 * params.distance)
         windows = stability.ClassWindows(other, [(1.0, 0.0)] * 2,
                                          (other.epsilon_e, other.epsilon_f), (0.0, 0.0))
         assert windows.tol != params.money_tol()
@@ -688,7 +687,7 @@ class TestBreakpoints:
     def test_leader_subsets_left_out(self, epsilon_e, params):
         # the table holds only subsets without the leader; the count is the
         # full scan's at the smallest xi, a tiny one and the largest
-        params = replace(params, epsilon_e=epsilon_e)
+        params = params._replace(epsilon_e=epsilon_e)
         for n in range(2, 16):
             for n_e in range(n + 1):
                 roster = Fleet.from_composition(Composition(n_e, n - n_e))
@@ -704,7 +703,7 @@ class TestBreakpoints:
     def test_type_fair_table_keeps_every_class(self, epsilon_f, params):
         # no truck is left out: every sub-composition but the empty and full
         # ones has a window, and each probe reads the full scan's count
-        params = replace(params, epsilon_f=epsilon_f)
+        params = params._replace(epsilon_f=epsilon_f)
         for n in range(2, 16):
             for n_e in range(1, n):
                 roster = Fleet.from_composition(Composition(n_e, n - n_e))
@@ -713,13 +712,13 @@ class TestBreakpoints:
                 for fleet in (roster, Fleet(roster.types[::-1])):
                     for eps_e in _probe_points(scan):
                         if 0.0 < eps_e < epsilon_f:
-                            at = replace(params, epsilon_e=eps_e)
+                            at = params._replace(epsilon_e=eps_e)
                             alloc = shapley_allocation(fleet, at)
                             assert _read(scan, eps_e) == _expected(alloc, fleet, at)
 
     def test_leader_subsets_count_toward_the_cap(self, params, monkeypatch):
         # 2 * 1000 * 701 classes with the leader's, 1000 * 701 without: over 2^20
-        big = replace(params, max_platoon_size=1700)
+        big = params._replace(max_platoon_size=1700)
         with pytest.raises(FleetTooLarge, match="subset classes"):
             stable_tables(big)(Composition(1000, 700))
         # at a cap of 2^5, 2 * 2 * 8 classes fit and 2 * 2 * 9 do not
@@ -802,7 +801,7 @@ class TestBreakpoints:
         # does not consult the table, so it is stubbed; each point is the
         # composition's own classes. The lone table computes its windows in one
         # ClassWindows pass of the leader-share lines, never through a store
-        params = replace(params, max_platoon_size=30, **change)
+        params = params._replace(max_platoon_size=30, **change)
         monkeypatch.setattr(stability, "_violations", lambda *_: {"recheck": -1})
         tables = stable_tables(params)
         own = stability.ClassWindows(params, *_leader_share_family(params))
@@ -848,7 +847,7 @@ class TestBreakpoints:
         # table cuts it off: its rows and base count are the one-pass windows',
         # for type-fair lines (a fresh store per table) and for one leader-share
         # store grown over every composition of 2-30 trucks, read with no leader
-        params = replace(params, max_platoon_size=30, **change)
+        params = params._replace(max_platoon_size=30, **change)
         grown = stability.SharedWindows(params, *_leader_share_family(params))
         one_pass = stability.ClassWindows(params, *_leader_share_family(params))
         tables = shapley_tables(params)
@@ -874,9 +873,9 @@ class TestBreakpoints:
         tables = shapley_tables(params)
         scans = [tables(comp) for comp in comps]
         built = []
-        post_init = SavingsParams.__post_init__
-        monkeypatch.setattr(SavingsParams, "__post_init__",
-                            lambda self: built.append(self) or post_init(self))
+        check = SavingsParams._check
+        monkeypatch.setattr(SavingsParams, "_check",
+                            lambda self: built.append(self) or check(self))
         assert [scan.at(eps_e) for scan in scans] == expected
         assert [at.epsilon_e for at in built] == [eps_e]
         assert [scan.at(eps_e) for scan in scans] == expected
@@ -891,9 +890,9 @@ class TestBreakpoints:
         # rate and one for the windows' tolerance, both per sweep, and the
         # config's two
         built = []
-        post_init = SavingsParams.__post_init__
-        monkeypatch.setattr(SavingsParams, "__post_init__",
-                            lambda self: built.append(self) or post_init(self))
+        check = SavingsParams._check
+        monkeypatch.setattr(SavingsParams, "_check",
+                            lambda self: built.append(self) or check(self))
         out = tmp_path / "fig5.csv"
         assert main(["sweep", "fig5", "--max-platoon-size", "40", "--out", str(out)]) == 0
         assert len(built) == 19 + 1 + 2

@@ -5,11 +5,13 @@ come from a flat ``key = value`` config file; command-line flags win.
 All CSV output is deterministic: same config, same bytes. Each decision is
 declared once, in a table: options (the ``RunConfig`` fields) in ``OPTIONS``,
 and subcommands, schemes and sweeps in ``COMMANDS``, ``SCHEMES`` and ``SWEEPS``.
+``parse_args`` and ``usage`` read the command line and write the help from
+``OPTIONS`` and ``COMMANDS`` alone, without argparse, whose import a one-shot
+command would pay; each usage error is one ``error:`` line, exit code 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import sys
@@ -32,6 +34,10 @@ class ConfigError(Exception):
     """Bad config file or invalid field value; maps to exit code 2."""
 
 
+class UsageError(Exception):
+    """Malformed command line; maps to exit code 2."""
+
+
 # One option: its RunConfig field and config key, default, flag, converter, help
 # text and the commands it belongs to (None: every command).
 Option = namedtuple("Option", "name default flag convert help only", defaults=[None])
@@ -48,6 +54,7 @@ OPTIONS = (
     Option("output_path", None, "--out", str, "write output to this file instead of stdout"),
     Option("xi", None, "--xi", float, "leader share in (0, 1]", ("allocate",)),
 )
+CONFIG = Option("config", None, "--config", str, "flat key = value config file")
 
 
 class RunConfig(namedtuple("RunConfig", [o.name for o in OPTIONS],
@@ -97,15 +104,13 @@ def parse_config_file(path: str, command: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: dict) -> RunConfig:
     """Apply precedence defaults < sweep preset < config file < flags."""
-    preset, swept = SWEEPS[args.kind][3:] if "kind" in args else ({}, None)
-    values = parse_config_file(args.config, args.command) if args.config else {}
-    for o in OPTIONS:
-        if getattr(args, o.name, None) is not None:
-            values[o.name] = getattr(args, o.name)
+    preset, swept = SWEEPS[args["kind"]][3:] if "kind" in args else ({}, None)
+    values = parse_config_file(args["config"], args["command"]) if args.get("config") else {}
+    values.update((o.name, args[o.name]) for o in OPTIONS if args.get(o.name) is not None)
     if swept in values:
-        raise ConfigError(f"sweep {args.kind} sets {swept} itself")
+        raise ConfigError(f"sweep {args['kind']} sets {swept} itself")
     cfg = RunConfig(**{**preset, **values})
     try:  # values the domain types reject are config errors
         cfg.params()
@@ -132,7 +137,7 @@ def _csv_text(comment: str, columns: list, rows) -> str:
     return buffer.getvalue()
 
 
-def cmd_value(cfg: RunConfig, args: argparse.Namespace) -> str:
+def cmd_value(cfg: RunConfig, args: dict) -> str:
     params = cfg.params()
     comp = cfg.composition()
     params.check_fleet_size(comp.total())
@@ -163,14 +168,15 @@ SCHEMES = {
 }
 
 
-def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> str:
-    if cfg.xi is not None and args.scheme != "stable":
-        raise ConfigError(f"xi applies to scheme stable only, not {args.scheme}")
+def cmd_allocate(cfg: RunConfig, args: dict) -> str:
+    scheme = args["scheme"]
+    if cfg.xi is not None and scheme != "stable":
+        raise ConfigError(f"xi applies to scheme stable only, not {scheme}")
     params = cfg.params()
     comp = cfg.composition()
     params.check_fleet_size(comp.total())  # before a roster of that size is built
     fleet = game.Fleet.from_composition(comp)
-    allocation = SCHEMES[args.scheme](fleet, params, cfg.xi)
+    allocation = SCHEMES[scheme](fleet, params, cfg.xi)
     report = stability.in_core(allocation, fleet, params)
     head = f"scheme={allocation.scheme}"
     if allocation.xi is not None:
@@ -194,7 +200,7 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> str:
             for comp, count in report.blocking_coalitions
         ]
         lines.append("blocking=" + ";".join(parts))
-    if args.scheme == "shapley":
+    if scheme == "shapley":
         if comp.n_e >= 1 and comp.n_f >= 1:
             lines.append(
                 "core_ratio_condition="
@@ -205,7 +211,7 @@ def cmd_allocate(cfg: RunConfig, args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table1(cfg: RunConfig, args: argparse.Namespace) -> str:
+def cmd_table1(cfg: RunConfig, args: dict) -> str:
     params = cfg.params()
     comp = cfg.composition()
     params.check_fleet_size(comp.total())
@@ -314,43 +320,85 @@ SWEEPS = {
 }
 
 
-def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> str:
-    comment, columns, rows = SWEEPS[args.kind][:3]
+def cmd_sweep(cfg: RunConfig, args: dict) -> str:
+    comment, columns, rows = SWEEPS[args["kind"]][:3]
     return _csv_text(comment.format(n=cfg.max_platoon_size), columns, rows(cfg))
 
 
 # command -> (run, help, extra arguments); run returns the command's output.
+# An extra argument maps to its choices and default; one without a default
+# is a required positional, one with a default is the flag --<name>.
 COMMANDS = {
     "value": (cmd_value, "coalition value and leader type", {}),
     "allocate": (cmd_allocate, "payoffs plus core certification",
-                 {"--scheme": dict(choices=SCHEMES, default="shapley")}),
+                 {"scheme": (SCHEMES, "shapley")}),
     "table1": (cmd_table1, "CSV of all platoon structures", {}),
-    "sweep": (cmd_sweep, "CSV experiment sweeps", {"kind": dict(choices=SWEEPS)}),
+    "sweep": (cmd_sweep, "CSV experiment sweeps", {"kind": (SWEEPS, None)}),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="platoonshare",
-        description="Benefit allocation for mixed-energy truck platoons.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, help_text, extra) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        command.set_defaults(run=run)
-        command.add_argument("--config", help="flat key = value config file")
-        for o in _options(name):
-            command.add_argument(o.flag, dest=o.name, type=o.convert, help=o.help)
-        for flag, kwargs in extra.items():
-            command.add_argument(flag, **kwargs)
-    return parser
+def usage(command: str) -> str:
+    """One command's help, built from ``COMMANDS`` and ``OPTIONS``."""
+    _, help_text, extra = COMMANDS[command]
+    line = [f"[--{k} {{{','.join(c)}}}, default {d}]" if d else f"{{{','.join(c)}}}"
+            for k, (c, d) in extra.items()]
+    rows = "".join(f"  {o.flag + ' ' + o.convert.__name__.upper():26}{o.help}\n"
+                   for o in (CONFIG, *_options(command)))
+    return f"usage: {' '.join(['platoonshare', command, *line])} [options]\n  {help_text}\n{rows}"
+
+
+def parse_args(argv: Sequence[str]) -> Optional[dict]:
+    """Read ``argv`` by ``COMMANDS`` and ``OPTIONS``; None once help is printed.
+
+    A flag's value follows its '=' or is the next token, whatever it looks
+    like, and a repeated flag's last value wins. Raises ``UsageError``.
+    """
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        sys.stdout.write("".join(map(usage, COMMANDS)))
+        return None
+    if command not in COMMANDS:
+        raise UsageError(f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    run, _, extra = COMMANDS[command]
+    flags = {o.flag: (o.name, o.convert) for o in (CONFIG, *_options(command))}
+    flags.update((f"--{k}", (k, str)) for k, (_, d) in extra.items() if d)
+    positional = [k for k, (_, d) in extra.items() if not d]
+    args = {"command": command, "run": run, **{k: d for k, (_, d) in extra.items()}}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(usage(command))
+            return None
+        flag, eq, value = token.partition("=")
+        if flag in flags:
+            name, convert = flags[flag]
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            try:
+                args[name] = convert(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid value: {value!r}") from None
+        elif positional and token[:1] != "-":
+            args[positional.pop(0)] = token
+        else:
+            raise UsageError(f"unrecognized arguments: {token}")
+    if positional:
+        raise UsageError(f"the following arguments are required: {positional[0]}")
+    for k, (choices, d) in extra.items():
+        if args[k] not in choices:
+            raise UsageError(f"argument {'--' * bool(d)}{k}: invalid choice: {args[k]!r}"
+                             f" (choose from {', '.join(choices)})")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_OK  # help printed
         cfg = build_config(args)
-        text = args.run(cfg, args)
+        text = args["run"](cfg, args)
         if cfg.output_path:
             try:
                 with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
@@ -360,8 +408,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
+    except (ConfigError, UsageError) as exc:
+        label = "" if isinstance(exc, UsageError) else "config: "
+        print(f"error: {label}{exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GameError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 TABLE_TOTALS = ["77.40", "56.40", "63.00", "56.40", "63.00", "56.40", "42.00", "42.00",
                 "35.40", "42.00", "42.00", "35.40", "21.00", "21.00", "14.40", "0.00"]
+
+
+def assert_usage_error(capsys, message):
+    """Exit 2 already seen: nothing on stdout, one ``error:`` line naming ``message``."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def read_csv(path):
@@ -161,9 +170,8 @@ class TestAllocate:
         assert captured.out == ""
 
     def test_invalid_scheme_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["allocate", "--scheme", "nucleolus"])
-        assert exc.value.code == 2
+        assert main(["allocate", "--scheme", "nucleolus"]) == 2
+        assert_usage_error(capsys, "argument --scheme: invalid choice: 'nucleolus'")
 
 
 class TestTable:
@@ -211,10 +219,9 @@ class TestTable:
 
 
 class TestSweeps:
-    def test_unknown_kind_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "fig9"])
-        assert exc.value.code == 2
+    def test_unknown_kind_is_usage_error(self, capsys):
+        assert main(["sweep", "fig9"]) == 2
+        assert_usage_error(capsys, "argument kind: invalid choice: 'fig9'")
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -328,30 +335,76 @@ class TestSweeps:
 class TestParser:
     @pytest.mark.parametrize("command", [["value"], ["table1"], ["sweep", "fig2"]])
     def test_xi_only_on_allocate(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([*command, "--xi", "0.1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --xi" in capsys.readouterr().err
+        assert main([*command, "--xi", "0.1"]) == 2
+        assert_usage_error(capsys, "unrecognized arguments: --xi")
 
     @pytest.mark.parametrize("flag", ["--ne", "--nf"])
     def test_fleet_counts_not_on_sweep(self, flag, capsys):
         # every sweep derives its fleets from max_platoon_size alone
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "fig3", flag, "7"])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert main(["sweep", "fig3", flag, "7"]) == 2
+        assert_usage_error(capsys, f"unrecognized arguments: {flag}")
 
     @pytest.mark.parametrize("command", ["value", "allocate", "table1", "sweep"])
     def test_help_lists_every_option(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
-        assert exc.value.code == 0
+        assert main([command, "--help"]) == 0
         out = capsys.readouterr().out
         flags = [o.flag for o in OPTIONS if o.only is None or command in o.only]
         assert len(flags) == {"allocate": 8, "sweep": 5}.get(command, 7)
         for flag in ["--config", *flags]:
             assert flag in out.split()
         assert ("--xi" in out) == (command == "allocate")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_every_command(self, flag, capsys):
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        for command, (_, help_text, _) in COMMANDS.items():
+            assert f"usage: platoonshare {command}" in out
+            assert help_text in out
+        assert all(kind in out for kind in SWEEPS) and all(s in out for s in SCHEMES)
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-inf"])
+    def test_negative_looking_value_reaches_validation(self, value, capsys):
+        # the token after a flag is its value, however it looks
+        assert main(["value", "--distance", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: config: saving rates and distance must be positive\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, same", [
+        (["value", "--ne", "4"], ["value", "--ne=4"]),
+        (["value", "--ne", "1", "--ne", "4"], ["value", "--ne=4"]),
+        (["allocate", "--scheme=stable", "--scheme", "shapley"], ["allocate"]),
+        (["sweep", "--max-platoon-size", "4", "fig3"], ["sweep", "fig3", "--max-platoon-size=4"]),
+        (["value", "--out="], ["value"]),
+    ])
+    def test_flag_forms(self, argv, same, capsys):
+        # '=' or the next token, before or after the positional; the last value wins
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(same) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "invalid command ''"),
+        (["frob"], "invalid command 'frob'"),
+        (["--ne", "3", "value"], "invalid command '--ne'"),
+        (["value", "--dist", "300"], "unrecognized arguments: --dist"),  # no abbreviations
+        (["value", "--bogus=1"], "unrecognized arguments: --bogus=1"),
+        (["value", "extra"], "unrecognized arguments: extra"),
+        (["sweep", "fig2", "fig3"], "unrecognized arguments: fig3"),
+        (["sweep", "--", "fig2"], "unrecognized arguments: --"),
+        (["allocate", "--scheme"], "argument --scheme: expected one argument"),
+        (["value", "--ne"], "argument --ne: expected one argument"),
+        (["value", "--ne", "x"], "argument --ne: invalid value: 'x'"),
+        (["value", "--ne=1.5"], "argument --ne: invalid value: '1.5'"),
+        (["value", "--distance="], "argument --distance: invalid value: ''"),
+        (["sweep"], "the following arguments are required: kind"),
+        (["sweep", "--max-platoon-size", "4"], "the following arguments are required: kind"),
+    ])
+    def test_usage_error_is_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert_usage_error(capsys, message)
 
 
 class TestConfig:
@@ -506,43 +559,140 @@ class TestConfig:
 
 # Rates, distances and leader shares at and beyond the edges of float range.
 EXTREME_FLOATS = ["5e-324", "1e-12", "-0.0", "0.048", "0.07", "300", "1e308", "1.7e308",
-                  "nan", "inf", "-inf"]
+                  "nan", "inf", "-inf", "-1e-05"]
+
+
+def run(argv):
+    """``main(argv)`` in-process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @st.composite
-def cli_argv(draw):
-    """An argv that parses, with small fleets and extreme floats."""
+def cli_values(draw, command, big=10):
+    """Option values for ``command``, by RunConfig field: small fleets, extreme floats."""
     floats = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats().map(repr))
-    command = draw(st.sampled_from(list(COMMANDS)))
-    argv = [command]
-    if command == "sweep":
-        argv.append(draw(st.sampled_from(list(SWEEPS))))
-    else:
-        argv += ["--ne", str(draw(st.integers(0, 5))), "--nf", str(draw(st.integers(0, 5)))]
-    if command == "allocate":
-        argv += ["--scheme", draw(st.sampled_from(list(SCHEMES)))]
+    values = {}
+    if command != "sweep":
+        values.update(n_e=str(draw(st.integers(0, 5))), n_f=str(draw(st.integers(0, 5))))
+    for name in ("epsilon_f", "epsilon_e", "distance") + ("xi",) * (command == "allocate"):
         if draw(st.booleans()):
-            argv.append("--xi=" + draw(floats))
-    for flag in ("--epsilon-f", "--epsilon-e", "--distance"):
-        if draw(st.booleans()):
-            argv.append(f"{flag}={draw(floats)}")  # '=' keeps '-inf' a value
+            values[name] = draw(floats)
     if draw(st.booleans()):
-        argv += ["--max-platoon-size", str(draw(st.integers(0, 10)))]
-    return argv
+        values["max_platoon_size"] = str(draw(st.integers(0, big)))
+    return values
+
+
+@st.composite
+def cli_argv(draw, big=10):
+    """An argv that parses: each value as ``--flag value`` or ``--flag=value``."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    flags = {o.name: o.flag for o in OPTIONS}
+    groups = [[f"{flags[name]}={value}"] if draw(st.booleans()) else [flags[name], value]
+              for name, value in draw(cli_values(command, big)).items()]
+    if command == "allocate":
+        groups.append(["--scheme", draw(st.sampled_from(list(SCHEMES)))])
+    if command == "sweep":  # the positional may come before, between or after the flags
+        groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(list(SWEEPS)))])
+    return [command, *(token for group in groups for token in group)]
+
+
+@st.composite
+def malformed_argv(draw):
+    """A parsing argv spoiled by one usage error, and the error's text."""
+    argv = draw(cli_argv())
+    command = argv[0]
+    others = [o.flag for o in OPTIONS if o.only and command not in o.only]
+    faults = [
+        ([draw(st.sampled_from(["", "frob", "Value", "fig2", "-h1", "--ne"]))] + argv[1:],
+         "invalid command"),
+        (argv + [draw(st.sampled_from(["--bogus", "--dist", "--e", "-x", "--out2=a"]))],
+         "unrecognized arguments"),
+        (argv + [draw(st.sampled_from([o.flag for o in OPTIONS]))], None),  # no value
+        (argv + [draw(st.sampled_from(["--ne=1.5", "--nf=x", "--max-platoon-size=1e3"]))],
+         None),  # a bad number, or a flag of another command
+        (argv + ["--epsilon-f", "fast"], "argument --epsilon-f: invalid value: 'fast'"),
+        (argv + [draw(st.sampled_from(["--scheme=nucleolus", "--scheme", "fig9"]))], None),
+    ]
+    if others:
+        faults.append((argv + [draw(st.sampled_from(others)), "1"], "unrecognized arguments"))
+    if command == "sweep":
+        faults.append(([t if t not in SWEEPS else "fig9" for t in argv],
+                       "argument kind: invalid choice: 'fig9'"))
+    return draw(st.sampled_from(faults))
 
 
 @given(argv=cli_argv())
 @settings(max_examples=150, deadline=None)
 def test_cli_contract(argv):
     # exit 0 prints no nan or inf; exit 2 or 3 prints one error line and nothing else
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, out, err = run(argv)
     assert code in (0, 2, 3)
     if code == 0:
-        assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE)
-        assert err.getvalue() == ""
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE)
+        assert err == ""
     else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@given(case=malformed_argv())
+@settings(max_examples=150, deadline=None)
+def test_cli_contract_on_usage_errors(case):
+    # a usage error: exit 2, no stdout, one error line; main never raises SystemExit
+    argv, message = case
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and not err.startswith("error: config:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert message is None or message in err
+
+
+@given(argv=cli_argv(big=6))
+@settings(max_examples=60, deadline=None)
+def test_same_argv_same_bytes(argv):
+    assert run(argv) == run(argv)
+
+
+@given(argv=cli_argv(big=6))
+@settings(max_examples=60, deadline=None)
+def test_out_writes_what_stdout_would(argv, tmp_path_factory):
+    target = tmp_path_factory.mktemp("out") / "result.txt"
+    code, out, err = run(argv)
+    assert run([*argv, "--out", str(target)]) == (code, "", err)
+    if code == 0:
+        assert target.read_bytes() == out.encode()
+    else:
+        assert not target.exists()
+
+
+@given(data=st.data(), command=st.sampled_from(list(COMMANDS)))
+@settings(max_examples=60, deadline=None)
+def test_config_file_gives_the_bytes_of_flags(data, command, tmp_path_factory):
+    head = [command]
+    if command == "sweep":
+        head.append(data.draw(st.sampled_from(list(SWEEPS))))
+    elif command == "allocate":
+        head += ["--scheme", data.draw(st.sampled_from(list(SCHEMES)))]
+    values = data.draw(cli_values(command, big=6))
+    flags = {o.name: o.flag for o in OPTIONS}
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
+    by_flags = run([*head, *(t for n, v in values.items() for t in (flags[n], v))])
+    assert run([*head, "--config", str(cfg)]) == by_flags
+
+
+def readme_examples():
+    """(command, printed line) for each README command followed by a ``# ->`` line."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    return [(cmd, want[len("# -> "):]) for cmd, want in zip(lines, lines[1:])
+            if cmd.startswith("platoonshare ") and want.startswith("# -> ")]
+
+
+@pytest.mark.parametrize("command, line", readme_examples())
+def test_readme_examples_print_their_line(command, line):
+    code, out, err = run(shlex.split(command)[1:])
+    assert line in (out + err).splitlines()

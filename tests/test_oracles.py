@@ -1,4 +1,4 @@
-"""The oracles live in one module that the CLI never loads, nor dataclasses.
+"""The oracles live in one module that the CLI never loads, nor dataclasses or argparse.
 
 The package and ``allocate`` re-export oracle names lazily, and
 ``in_core(method="slow")`` loads the labeled scan only when asked.
@@ -34,9 +34,11 @@ assert platoonshare.allocate.shapley_bruteforce is oracles.shapley_bruteforce
 
 
 # The cold CLI path, as CI checks it on the installed package: neither the
-# oracles nor dataclasses, which brings inspect and the code it generates.
+# oracles nor dataclasses, which brings inspect and the code it generates,
+# nor argparse, which brings gettext and, at its first message, locale.
 COLD_IMPORT = ("import platoonshare.cli, sys; "
-               "loaded = {'dataclasses', 'inspect', 'platoonshare.oracles'} & set(sys.modules); "
+               "loaded = {'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', "
+               "'platoonshare.oracles'} & set(sys.modules); "
                "assert not loaded, loaded")
 
 

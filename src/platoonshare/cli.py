@@ -3,8 +3,10 @@
 Subcommands: ``value``, ``allocate``, ``table1``, ``sweep``. Options may
 come from a flat ``key = value`` config file; command-line flags win.
 All CSV output is deterministic: same config, same bytes. Each decision is
-declared once, in a table: options (the ``RunConfig`` fields) in ``OPTIONS``,
-and subcommands, schemes and sweeps in ``COMMANDS``, ``SCHEMES`` and ``SWEEPS``.
+declared once, in a table: options in ``OPTIONS``, and subcommands, schemes
+and sweeps in ``COMMANDS``, ``SCHEMES`` and ``SWEEPS``. ``build_config``
+resolves and checks a run's inputs once; each runner takes its checked
+params and composition.
 ``parse_args`` and ``usage`` read the command line and write the help from
 ``OPTIONS`` and ``COMMANDS`` alone, without argparse, whose import a one-shot
 command would pay; each usage error is one ``error:`` line, exit code 2.
@@ -38,8 +40,8 @@ class UsageError(Exception):
     """Malformed command line; maps to exit code 2."""
 
 
-# One option: its RunConfig field and config key, default, flag, converter, help
-# text and the commands it belongs to (None: every command).
+# One option: its name (the config key and ``args`` key), default, flag,
+# converter, help text and the commands it belongs to (None: every command).
 Option = namedtuple("Option", "name default flag convert help only", defaults=[None])
 
 OPTIONS = (
@@ -55,20 +57,6 @@ OPTIONS = (
     Option("xi", None, "--xi", float, "leader share in (0, 1]", ("allocate",)),
 )
 CONFIG = Option("config", None, "--config", str, "flat key = value config file")
-
-
-class RunConfig(namedtuple("RunConfig", [o.name for o in OPTIONS],
-                           defaults=[o.default for o in OPTIONS])):
-    """One field per entry of ``OPTIONS``, in its order."""
-
-    __slots__ = ()
-
-    def params(self) -> game.SavingsParams:
-        return game.SavingsParams(self.epsilon_f, self.epsilon_e, self.distance,
-                                  self.max_platoon_size)
-
-    def composition(self) -> game.Composition:
-        return game.Composition(self.n_e, self.n_f)
 
 
 def _options(cmd: str) -> list:
@@ -104,20 +92,26 @@ def parse_config_file(path: str, command: str) -> dict:
     return values
 
 
-def build_config(args: dict) -> RunConfig:
-    """Apply precedence defaults < sweep preset < config file < flags."""
+def build_config(args: dict) -> tuple[game.SavingsParams, game.Composition]:
+    """Resolve every option into ``args``, by precedence defaults < sweep
+    preset < config file < flags, and return the checked ``(params, comp)``."""
     preset, swept = SWEEPS[args["kind"]][3:] if "kind" in args else ({}, None)
-    values = parse_config_file(args["config"], args["command"]) if args.get("config") else {}
+    values = parse_config_file(args["config"], args["command"]) if "config" in args else {}
     values.update((o.name, args[o.name]) for o in OPTIONS if args.get(o.name) is not None)
     if swept in values:
         raise ConfigError(f"sweep {args['kind']} sets {swept} itself")
-    cfg = RunConfig(**{**preset, **values})
+    args.update({**{o.name: o.default for o in OPTIONS}, **preset, **values})
     try:  # values the domain types reject are config errors
-        cfg.params()
-        cfg.composition()
+        params = game.SavingsParams(args["epsilon_f"], args["epsilon_e"], args["distance"],
+                                    args["max_platoon_size"])
+        comp = game.Composition(args["n_e"], args["n_f"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    if args["xi"] is not None and args["scheme"] != "stable":
+        raise ConfigError(f"xi applies to scheme stable only, not {args['scheme']}")
+    if args["command"] in FLEET_CMDS:  # before a roster of that size is built
+        params.check_fleet_size(comp.total())
+    return params, comp
 
 
 def money(v: float) -> str:
@@ -137,10 +131,7 @@ def _csv_text(comment: str, columns: list, rows) -> str:
     return buffer.getvalue()
 
 
-def cmd_value(cfg: RunConfig, args: dict) -> str:
-    params = cfg.params()
-    comp = cfg.composition()
-    params.check_fleet_size(comp.total())
+def cmd_value(params: game.SavingsParams, comp: game.Composition, args: dict) -> str:
     value = game.coalition_value(comp, params)
     leader = game.optimal_leader_type(comp)
     text = (
@@ -168,15 +159,10 @@ SCHEMES = {
 }
 
 
-def cmd_allocate(cfg: RunConfig, args: dict) -> str:
+def cmd_allocate(params: game.SavingsParams, comp: game.Composition, args: dict) -> str:
     scheme = args["scheme"]
-    if cfg.xi is not None and scheme != "stable":
-        raise ConfigError(f"xi applies to scheme stable only, not {scheme}")
-    params = cfg.params()
-    comp = cfg.composition()
-    params.check_fleet_size(comp.total())  # before a roster of that size is built
     fleet = game.Fleet.from_composition(comp)
-    allocation = SCHEMES[scheme](fleet, params, cfg.xi)
+    allocation = SCHEMES[scheme](fleet, params, args["xi"])
     report = stability.in_core(allocation, fleet, params)
     head = f"scheme={allocation.scheme}"
     if allocation.xi is not None:
@@ -211,10 +197,7 @@ def cmd_allocate(cfg: RunConfig, args: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table1(cfg: RunConfig, args: dict) -> str:
-    params = cfg.params()
-    comp = cfg.composition()
-    params.check_fleet_size(comp.total())
+def cmd_table1(params: game.SavingsParams, comp: game.Composition, args: dict) -> str:
     if comp.total() > TABLE_MAX_TRUCKS:
         raise FleetTooLarge(
             f"structure table capped at {TABLE_MAX_TRUCKS} trucks, got {comp.total()}"
@@ -246,11 +229,10 @@ def _fuel_compositions(n: int):
 def _leader_share_rows(compositions, key):
     """Stability probability of x(xi) per (composition, xi), plus the bound."""
 
-    def rows(cfg: RunConfig):
-        params = cfg.params()
+    def rows(params: game.SavingsParams):
         tables = alloc_mod.stable_tables(params)  # one per sweep, shared by its fleets
         labels = [ratio6(xi) for xi in _XI_GRID]
-        for comp in compositions(cfg.max_platoon_size):
+        for comp in compositions(params.max_platoon_size):
             head, bound = key(comp), ratio6(alloc_mod.xi_upper_bound(comp, params))
             scan = tables(comp)
             for xi, label in zip(_XI_GRID, labels):
@@ -259,21 +241,20 @@ def _leader_share_rows(compositions, key):
     return rows
 
 
-def _type_fair_rows(cfg: RunConfig):
+def _type_fair_rows(params: game.SavingsParams):
     labels = [ratio6(ratio) for ratio in _RATIO_GRID]
-    tables, epsilon_f = alloc_mod.shapley_tables(cfg.params()), cfg.epsilon_f
-    for comp in _mixed_compositions(cfg.max_platoon_size):
+    tables = alloc_mod.shapley_tables(params)
+    for comp in _mixed_compositions(params.max_platoon_size):
         threshold = ratio6(comp.n_f / comp.total())
         scan = tables(comp)
         for ratio, label in zip(_RATIO_GRID, labels):
-            prob = scan.probability(ratio * epsilon_f)
+            prob = scan.probability(ratio * params.epsilon_f)
             yield [*comp, label, ratio6(prob), threshold]
 
 
-def _deviation_rows(cfg: RunConfig):
-    params = cfg.params()
+def _deviation_rows(params: game.SavingsParams):
     tables = alloc_mod.stable_tables(params)  # one per sweep, shared by its fleets
-    for comp in _mixed_compositions(cfg.max_platoon_size):
+    for comp in _mixed_compositions(params.max_platoon_size):
         xi_star = ratio6(alloc_mod.xi_upper_bound(comp, params))
         grid = fairness.default_xi_grid(comp, params)
         curve = fairness.deviation_curve(tables(comp), grid)
@@ -283,7 +264,7 @@ def _deviation_rows(cfg: RunConfig):
 
 
 # kind -> (comment line, header, row generator, preset, swept field); {n}
-# is the fleet size. A preset holds starting RunConfig values: the config
+# is the fleet size. A preset holds starting option values: the config
 # file and the flags override it. The swept field, if any, they may not set.
 SWEEPS = {
     "fig2": (
@@ -320,12 +301,13 @@ SWEEPS = {
 }
 
 
-def cmd_sweep(cfg: RunConfig, args: dict) -> str:
+def cmd_sweep(params: game.SavingsParams, comp: game.Composition, args: dict) -> str:
     comment, columns, rows = SWEEPS[args["kind"]][:3]
-    return _csv_text(comment.format(n=cfg.max_platoon_size), columns, rows(cfg))
+    return _csv_text(comment.format(n=params.max_platoon_size), columns, rows(params))
 
 
-# command -> (run, help, extra arguments); run returns the command's output.
+# command -> (run, help, extra arguments); run(params, comp, args) returns the
+# command's output.
 # An extra argument maps to its choices and default; one without a default
 # is a required positional, one with a default is the flag --<name>.
 COMMANDS = {
@@ -397,11 +379,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
             return EXIT_OK  # help printed
-        cfg = build_config(args)
-        text = args["run"](cfg, args)
-        if cfg.output_path:
+        params, comp = build_config(args)
+        text = args["run"](params, comp, args)
+        if args["output_path"] is not None:
             try:
-                with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+                with open(args["output_path"], "w", encoding="utf-8", newline="") as fh:
                     fh.write(text)
             except OSError as exc:
                 raise ConfigError(f"cannot write output file: {exc}") from exc

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import math
 import re
 import shlex
 from pathlib import Path
@@ -376,7 +377,7 @@ class TestParser:
         (["value", "--ne", "1", "--ne", "4"], ["value", "--ne=4"]),
         (["allocate", "--scheme=stable", "--scheme", "shapley"], ["allocate"]),
         (["sweep", "--max-platoon-size", "4", "fig3"], ["sweep", "fig3", "--max-platoon-size=4"]),
-        (["value", "--out="], ["value"]),
+        (["value", "--distance=3e2"], ["value", "--distance", "300"]),
     ])
     def test_flag_forms(self, argv, same, capsys):
         # '=' or the next token, before or after the positional; the last value wins
@@ -556,6 +557,27 @@ class TestConfig:
         assert main(["value", "--config", str(cfg)]) == 2
         assert "error: config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--config="], "cannot read config file:"),
+        (["--out="], "cannot write output file:"),
+        (["--config", "{cfg}"], "cannot write output file:"),  # output_path =
+    ])
+    def test_empty_path_is_bad_input(self, argv, message, tmp_path, capsys):
+        # an empty path names no file; it is neither "no config" nor stdout
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output_path =\n")
+        assert main(["value", *(token.format(cfg=cfg) for token in argv)]) == 2
+        assert_usage_error(capsys, "error: config: " + message)
+
+    @pytest.mark.parametrize("argv", [["value"], ["allocate"], ["table1"], ["sweep", "fig2"]])
+    def test_each_run_builds_its_params_once(self, argv, monkeypatch):
+        built = []
+        check = game.SavingsParams._check
+        monkeypatch.setattr(game.SavingsParams, "_check",
+                            lambda self: built.append(self) or check(self))
+        assert main(argv) == 0
+        assert len(built) == 1
+
 
 # Rates, distances and leader shares at and beyond the edges of float range.
 EXTREME_FLOATS = ["5e-324", "1e-12", "-0.0", "0.048", "0.07", "300", "1e308", "1.7e308",
@@ -572,7 +594,7 @@ def run(argv):
 
 @st.composite
 def cli_values(draw, command, big=10):
-    """Option values for ``command``, by RunConfig field: small fleets, extreme floats."""
+    """Option values for ``command``, by option name: small fleets, extreme floats."""
     floats = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats().map(repr))
     values = {}
     if command != "sweep":
@@ -683,6 +705,54 @@ def test_config_file_gives_the_bytes_of_flags(data, command, tmp_path_factory):
     cfg.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
     by_flags = run([*head, *(t for n, v in values.items() for t in (flags[n], v))])
     assert run([*head, "--config", str(cfg)]) == by_flags
+
+
+def verdicts(argv, out):
+    """What a verdict prints: allocate's ``core=`` and ``blocking=`` lines, or a
+    sweep's ``stability_probability`` column (fig6: ``in_core``)."""
+    if argv[0] == "allocate":
+        return [line for line in out.splitlines() if line.startswith(("core=", "blocking="))]
+    header, *rows = csv.reader(line for line in out.splitlines() if line[:1] != "#")
+    column = header.index("in_core" if "fig6" in argv else "stability_probability")
+    return [row[column] for row in rows]
+
+
+@st.composite
+def scalable_argv(draw):
+    """(argv, (epsilon_f, epsilon_e), distance) of an allocate or sweep run of
+    at most 9 trucks."""
+    if draw(st.booleans()):
+        n_e = draw(st.integers(0, 9))
+        n_f = draw(st.integers(0, 9 - n_e))
+        argv = ["allocate", "--ne", str(n_e), "--nf", str(n_f),
+                "--scheme", draw(st.sampled_from(list(SCHEMES)))]
+        if argv[-1] == "stable" and draw(st.booleans()):
+            argv += ["--xi", repr(draw(st.floats(0.001, 1.0)))]
+    else:
+        argv = ["sweep", draw(st.sampled_from(list(SWEEPS))),
+                "--max-platoon-size", str(draw(st.integers(2, 9)))]
+    rate = st.one_of(st.sampled_from([0.07, 0.048, 0.72]), st.floats(0.001, 1.0))
+    rates = sorted([draw(rate), draw(rate)], reverse=True)  # the sweeps need eps_e < eps_f
+    distance = draw(st.one_of(st.just(300.0), st.floats(1e-3, 1e6)))
+    return argv, rates, distance
+
+
+@given(case=scalable_argv(), k=st.integers(-30, 40), rates_scaled=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_verdicts_ignore_power_of_two_units(case, k, rates_scaled):
+    # scaling both rates, or the distance, by 2^k is exact in floating point,
+    # so no verdict may move; every rate is passed, as fig6 presets epsilon_f
+    argv, rates, distance = case
+    runs = []
+    for scale in (0, k):
+        r_scale, d_scale = (scale, 0) if rates_scaled else (0, scale)
+        epsilon_f, epsilon_e = (math.ldexp(rate, r_scale) for rate in rates)
+        flags = ["--epsilon-f", repr(epsilon_f), "--distance", repr(math.ldexp(distance, d_scale))]
+        if "fig5" not in argv:  # fig5 sets epsilon_e itself, as a ratio of epsilon_f
+            flags += ["--epsilon-e", repr(epsilon_e)]
+        code, out, _ = run([*argv, *flags])
+        runs.append((code, verdicts(argv, out) if code == 0 else None))
+    assert runs[0] == runs[1]
 
 
 def readme_examples():

@@ -24,7 +24,6 @@ from platoonshare import (
     shapley_allocation,
     structure_value,
 )
-from platoonshare.cli import RunConfig
 from platoonshare.game import structure_notation
 
 # Expected totals for the (2,3) fleet at the default rates, in canonical order.
@@ -317,7 +316,7 @@ class TestDomainTypes:
     def test_records_are_read_only(self, params, comp23, fleet23):
         alloc = shapley_allocation(fleet23, params)
         records = [params, comp23, fleet23, alloc, in_core(alloc, fleet23, params),
-                   DeviationPoint(0.1, 0.2, True), RunConfig()]
+                   DeviationPoint(0.1, 0.2, True)]
         for record in records:
             for field in record._fields:
                 with pytest.raises(AttributeError):

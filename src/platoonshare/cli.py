@@ -216,6 +216,7 @@ def cmd_table1(params: game.SavingsParams, comp: game.Composition, args: dict) -
 
 _XI_GRID = [i * 0.005 for i in range(1, 31)]
 _RATIO_GRID = [i * 0.05 for i in range(1, 20)]
+SWEEP_CLASS_BUDGET = 1 << 22  # 3x the classes of mixed fleets of 200, the largest pinned sweep
 
 
 def _mixed_compositions(n: int):
@@ -226,39 +227,38 @@ def _fuel_compositions(n: int):
     return (game.Composition(0, m) for m in range(2, n + 1))
 
 
-def _leader_share_rows(compositions, key):
-    """Stability probability of x(xi) per (composition, xi), plus the bound."""
+def _check_sweep_budget(compositions) -> None:
+    """Sum each table's (n_e + 1)(n_f + 1) subset classes until past the budget."""
+    total = 0
+    for comp in compositions:
+        total += (comp.n_e + 1) * (comp.n_f + 1)
+        if total > SWEEP_CLASS_BUDGET:
+            raise FleetTooLarge(f"sweep capped at {SWEEP_CLASS_BUDGET} subset classes in all")
+
+
+def _probability_rows(tables, compositions, key, grid, tail):
+    """Stability probability per (composition, value) of ``grid(params)``'s (value,
+    table parameter) pairs, one ``tables(params)`` table per composition."""
 
     def rows(params: game.SavingsParams):
-        tables = alloc_mod.stable_tables(params)  # one per sweep, shared by its fleets
-        labels = [ratio6(xi) for xi in _XI_GRID]
+        _check_sweep_budget(compositions(params.max_platoon_size))
+        scans = tables(params)  # one per sweep, shared by its fleets
+        points = [(ratio6(value), t) for value, t in grid(params)]
         for comp in compositions(params.max_platoon_size):
-            head, bound = key(comp), ratio6(alloc_mod.xi_upper_bound(comp, params))
-            scan = tables(comp)
-            for xi, label in zip(_XI_GRID, labels):
-                yield [*head, label, ratio6(scan.probability(xi)), bound]
-
+            head, last = key(comp), ratio6(tail(comp, params))
+            scan = scans(comp)
+            for label, t in points:
+                yield [*head, label, ratio6(scan.probability(t)), last]
     return rows
 
 
-def _type_fair_rows(params: game.SavingsParams):
-    labels = [ratio6(ratio) for ratio in _RATIO_GRID]
-    tables = alloc_mod.shapley_tables(params)
-    for comp in _mixed_compositions(params.max_platoon_size):
-        threshold = ratio6(comp.n_f / comp.total())
-        scan = tables(comp)
-        for ratio, label in zip(_RATIO_GRID, labels):
-            prob = scan.probability(ratio * params.epsilon_f)
-            yield [*comp, label, ratio6(prob), threshold]
-
-
 def _deviation_rows(params: game.SavingsParams):
+    _check_sweep_budget(_mixed_compositions(params.max_platoon_size))
     tables = alloc_mod.stable_tables(params)  # one per sweep, shared by its fleets
     for comp in _mixed_compositions(params.max_platoon_size):
-        xi_star = ratio6(alloc_mod.xi_upper_bound(comp, params))
-        grid = fairness.default_xi_grid(comp, params)
+        grid = fairness.default_xi_grid(comp, params)  # ends at xi*
         curve = fairness.deviation_curve(tables(comp), grid)
-        delta_star = ratio6(curve[-1].delta)
+        xi_star, delta_star = ratio6(curve[-1].xi), ratio6(curve[-1].delta)
         for xi, delta, in_core in curve:
             yield [*comp, ratio6(xi), ratio6(delta), str(in_core).lower(), xi_star, delta_star]
 
@@ -271,14 +271,16 @@ SWEEPS = {
         "# leader-share allocation in mixed fleets of size {n}: stability "
         "probability per (n_e, xi); xi_upper_bound is the certified threshold",
         ["n_e", "n_f", "xi", "stability_probability", "xi_upper_bound"],
-        _leader_share_rows(_mixed_compositions, lambda c: (c.n_e, c.n_f)),
+        _probability_rows(alloc_mod.stable_tables, _mixed_compositions, lambda c: (c.n_e, c.n_f),
+                          lambda p: zip(_XI_GRID, _XI_GRID), alloc_mod.xi_upper_bound),
         {}, None,
     ),
     "fig3": (
         "# leader-share allocation in all-FPT fleets: stability probability "
         "per (fleet size n, xi); xi_upper_bound = 1/(n-1)",
         ["n", "xi", "stability_probability", "xi_upper_bound"],
-        _leader_share_rows(_fuel_compositions, lambda c: (c.total(),)),
+        _probability_rows(alloc_mod.stable_tables, _fuel_compositions, lambda c: (c.total(),),
+                          lambda p: zip(_XI_GRID, _XI_GRID), alloc_mod.xi_upper_bound),
         {}, None,
     ),
     "fig5": (
@@ -286,7 +288,9 @@ SWEEPS = {
         "probability per (n_e, rate ratio); certified when ratio >= "
         "ratio_threshold = n_f/n",
         ["n_e", "n_f", "ratio", "stability_probability", "ratio_threshold"],
-        _type_fair_rows,
+        _probability_rows(alloc_mod.shapley_tables, _mixed_compositions, tuple,
+                          lambda p: [(r, r * p.epsilon_f) for r in _RATIO_GRID],
+                          lambda c, p: c.n_f / c.total()),
         {}, "epsilon_e",  # the rate ratio times epsilon_f
     ),
     "fig6": (

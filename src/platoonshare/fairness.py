@@ -61,7 +61,7 @@ def deviation_curve(table, xi_grid: Sequence[float]) -> tuple[DeviationPoint, ..
 
 
 def default_xi_grid(comp: Composition, params: SavingsParams) -> list[float]:
-    """60 evenly spaced points from 0.002 to the instance's ``xi_upper_bound``."""
+    """60 evenly spaced points to ``xi_upper_bound`` xi*, from 0.002, or xi*/60 if xi* <= 0.002."""
     n = 60
     xi_star = xi_upper_bound(comp, params)
     start = 0.002 if xi_star > 0.002 else xi_star / n

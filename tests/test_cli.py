@@ -4,14 +4,18 @@ import io
 import math
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonshare import game
-from platoonshare.cli import COMMANDS, OPTIONS, SCHEMES, SWEEPS, main
+from platoonshare import allocate, game, stability
+from platoonshare.cli import (_RATIO_GRID, _XI_GRID, COMMANDS, OPTIONS, SCHEMES, SWEEPS,
+                              _check_sweep_budget, _fuel_compositions, _mixed_compositions, main,
+                              ratio6)
+from platoonshare.errors import FleetTooLarge
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -316,6 +320,28 @@ class TestSweeps:
     def test_fig5_at_the_same_distance_runs(self, tmp_path):
         out_path = tmp_path / "fig5.csv"
         assert main(["sweep", "fig5", "--distance", "1.7e307", "--out", str(out_path)]) == 0
+
+    @pytest.mark.parametrize("cap", [10**6, sys.maxsize + 1])
+    @pytest.mark.parametrize("kind", list(SWEEPS))
+    def test_sweep_past_the_class_budget_fails_at_once(self, kind, cap, monkeypatch, capsys):
+        # the class sum is checked before the first row, so no table is built
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(stability.Breakpoints, "__init__", no_table)
+        assert main(["sweep", kind, "--max-platoon-size", str(cap)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: FleetTooLarge: sweep capped at 4194304 subset classes in all\n")
+
+    def test_class_budget_admits_the_pinned_sizes(self):
+        # the sum grows with the size, so mixed fleets of 200 and fig3 at 400,
+        # the largest pinned sweeps, pass; the budget refuses from 292 and 2,895
+        for compositions, largest in ((_mixed_compositions, 291), (_fuel_compositions, 2894)):
+            _check_sweep_budget(compositions(largest))
+            with pytest.raises(FleetTooLarge, match="sweep capped"):
+                _check_sweep_budget(compositions(largest + 1))
 
     @pytest.mark.parametrize("value", ["0.01", "5"])
     def test_fig5_rejects_epsilon_e(self, value, tmp_path, capsys):
@@ -753,6 +779,50 @@ def test_verdicts_ignore_power_of_two_units(case, k, rates_scaled):
         code, out, _ = run([*argv, *flags])
         runs.append((code, verdicts(argv, out) if code == 0 else None))
     assert runs[0] == runs[1]
+
+
+@given(kind=st.sampled_from(list(SWEEPS)), cap=st.integers(2, 12),
+       epsilon_f=st.floats(1e-3, 1.0), share=st.floats(0.01, 0.99),
+       distance=st.floats(1e-3, 1e6))
+@settings(max_examples=100, deadline=None)
+def test_sweep_rows_read_their_tables(kind, cap, epsilon_f, share, distance):
+    # at any settings each probability row is a direct read of its table, and
+    # fig6 reports the bound and the delta of its curve's last point
+    epsilon_e = epsilon_f * share
+    flags = ["--max-platoon-size", str(cap), "--epsilon-f", repr(epsilon_f),
+             "--distance", repr(distance)]
+    if kind == "fig5":  # fig5 sets epsilon_e itself; its run's params hold the default
+        epsilon_e = next(o.default for o in OPTIONS if o.name == "epsilon_e")
+    else:
+        flags += ["--epsilon-e", repr(epsilon_e)]
+    code, out, err = run(["sweep", kind, *flags])
+    assert (code, err) == (0, "")
+    _, *rows = csv.reader(line for line in out.splitlines() if line[:1] != "#")
+    params = game.SavingsParams(epsilon_f, epsilon_e, distance, cap)
+    if kind == "fig3":
+        comps = [game.Composition(0, m) for m in range(2, cap + 1)]
+    else:
+        comps = [game.Composition(n_e, cap - n_e) for n_e in range(1, cap)]
+    if kind == "fig6":
+        assert len(rows) == 60 * len(comps)
+        for i, comp in enumerate(comps):
+            curve = rows[60 * i:60 * (i + 1)]
+            assert {(*row[:2], *row[5:]) for row in curve} == {
+                (str(comp.n_e), str(comp.n_f), ratio6(allocate.xi_upper_bound(comp, params)),
+                 curve[-1][3])}
+        return
+    if kind == "fig5":
+        tables, grid = allocate.shapley_tables(params), [(r, r * epsilon_f) for r in _RATIO_GRID]
+    else:
+        tables, grid = allocate.stable_tables(params), [(xi, xi) for xi in _XI_GRID]
+    expected = []
+    for comp in comps:
+        head = (comp.total(),) if kind == "fig3" else tuple(comp)
+        tail = comp.n_f / comp.total() if kind == "fig5" else allocate.xi_upper_bound(comp, params)
+        table = tables(comp)
+        expected += [[*map(str, head), ratio6(value), ratio6(table.probability(t)), ratio6(tail)]
+                     for value, t in grid]
+    assert rows == expected
 
 
 def readme_examples():

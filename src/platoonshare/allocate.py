@@ -28,12 +28,7 @@ from .game import (
     coalition_value,
     optimal_leader_type,
 )
-from .stability import (
-    Breakpoints,
-    ClassWindows,
-    SharedWindows,
-    shapley_core_condition_ratio,
-)
+from .stability import Breakpoints, ClassWindows, shapley_core_condition_ratio
 
 SCHEME_STABLE = "stable"
 SCHEME_SHAPLEY = "shapley-closed-form"
@@ -124,8 +119,8 @@ def stable_tables(params: SavingsParams):
     holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so its excess
     xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
     at0, at1 = _follower_pays(params, 0.0), _follower_pays(params, 1.0)
-    windows = SharedWindows(params, [(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
-                            (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
+    windows = ClassWindows(params, [(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
+                           (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
 
     def table(comp: Composition) -> Breakpoints:
         classes = _stable_classes(comp, params)

@@ -5,9 +5,10 @@ the same are interchangeable, so it visits the classes of such subsets
 and weights each by its binomial multiplicity. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
 turned into sorted thresholds per composition, each point given as payoff
-classes. The labeled enumeration over all 2^N - 2 proper subsets that
-cross-checks both is an oracle in ``platoonshare.oracles``, run only on
-request (``method="slow"``).
+classes, and each table's rounding windows from a ``ClassWindows`` store.
+The labeled enumeration over all 2^N - 2 proper subsets that cross-checks
+both is an oracle in ``platoonshare.oracles``, run only on request
+(``method="slow"``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -115,7 +116,8 @@ def _share(n_violating: int, size: int) -> float:
 
 
 class ClassWindows:
-    """The windows of one family's subset classes, computed for each table.
+    """The windows of one family's subset classes, stored at count 1 and
+    multiplied by each table's subset counts.
 
     Each truck of a type is paid ``p0 + p1*t`` for its type's ``(p0, p1)`` in
     ``lines`` (ET line, FPT line), and the rates are ``rates0 + t*rates1``, at
@@ -127,63 +129,22 @@ class ClassWindows:
     ``(end, start, change, below)``: ``below`` of its subsets block before
     it, and ``below + change`` after it.
 
-    Tables that share no window, as fig5's, build faster in this one pass:
-    through a ``SharedWindows`` store fig5's 39 tables at size 40 took a quarter
-    longer (median of 60 interleaved runs, 2-vCPU host, Python 3.11).
+    A window depends on (e, f) and the family alone, so one store serves
+    every table of a family: all leader-share tables of a sweep share one,
+    and each type-fair table, whose lines depend on its fleet, has its own.
+    A table of ``n`` trucks cuts its row of e ETs at n - e FPTs, since the
+    store may hold the class of its whole fleet.
     """
 
     def __init__(self, params: SavingsParams, lines, rates0, rates1):
         self.params, self.tol = params, params.money_tol()
         self._family = (params.distance, lines, rates0, rates1)
-
-    def rows(self, combs, n: int) -> list:
-        """The windows of the classes (e, f) with e, f indexing ``combs``' two
-        lists of subset counts, in one pass; none for the empty class or a
-        class of all ``n`` trucks."""
-        return self._windows(product(*map(enumerate, combs)), n)
-
-    def _windows(self, classes, n: int) -> list:
-        """The one excess and rounding rule, over ((e, ways_e), (f, ways_f)) pairs."""
-        dist, ((pe0, pe1), (pf0, pf1)), (ee0, ef0), (ee1, ef1) = self._family
-        tol, inf = self.tol, math.inf
-        tiny = sys.float_info.min  # a floor for underflow
-        ape0, apf0, ape1, apf1 = abs(pe0), abs(pf0), abs(pe1), abs(pf1)
-        rows = []
-        for (e, ways_e), (f, ways_f) in classes:
-            if not 0 < e + f < n:
-                continue
-            count = ways_e * ways_f
-            v0 = rate_for_counts(e, f, ee0, ef0) * dist
-            v1 = rate_for_counts(e, f, ee1, ef1) * dist
-            a, b = v0 - (e * pe0 + f * pf0) - tol, v1 - (e * pe1 + f * pf1)
-            err0 = _ROUNDING * (abs(v0) + (e * ape0 + f * apf0) + tol) + tiny
-            err1 = _ROUNDING * (abs(v1) + (e * ape1 + f * apf1)) + tiny
-            slope = abs(b)
-            root = -a / b if slope > 2 * err1 else inf
-            if -inf < root < inf:
-                half = 2 * (err0 + err1 * abs(root)) / slope
-                rows.append((root + half, root - half, count if b > 0 else -count,
-                             count if b < 0 else 0))
-            else:
-                rows.append((inf, (abs(a) - err0) / (slope + err1), 0, count if a > 0 else 0))
-        return rows
-
-
-class SharedWindows(ClassWindows):
-    """``ClassWindows`` that the tables of one family share, each (e, f)'s
-    window stored at count 1 and multiplied by each table's counts.
-
-    A window depends on (e, f) and the family alone wherever the family's pay
-    lines do not depend on the fleet: true of the leader-share lines, not of
-    fig5's type-fair ones. A table of ``n`` trucks cuts its row of e ETs at
-    n - e FPTs, since the store may hold the class of its whole fleet.
-    """
-
-    def __init__(self, params: SavingsParams, lines, rates0, rates1):
-        super().__init__(params, lines, rates0, rates1)
         self._store: list[list] = []  # _store[e][f - (e == 0)]: (e, f)'s window at count 1
 
     def rows(self, combs, n: int) -> list:
+        """The windows of the classes (e, f) with e, f indexing ``combs``' two
+        lists of subset counts; none for the empty class or a class of all
+        ``n`` trucks. The store grows by the rows and columns it lacks."""
         comb_e, comb_f = combs
         store = self._store
         store += [[] for _ in range(len(comb_e) - len(store))]
@@ -191,11 +152,34 @@ class SharedWindows(ClassWindows):
         for e, (kept, ways_e) in enumerate(zip(store, comb_e)):
             first = e == 0  # the empty class has no window
             if len(kept) + first < len(comb_f):
-                fs = [(f, 1) for f in range(len(kept) + first, len(comb_f))]
-                kept += self._windows(product([(e, 1)], fs), math.inf)
+                kept += self._windows(e, range(len(kept) + first, len(comb_f)))
             rows += [(end, start, change * count, count if below else 0)
                      for (end, start, change, below), ways_f in zip(kept, comb_f[first:n - e])
                      for count in [ways_e * ways_f]]
+        return rows
+
+    def _windows(self, e: int, fs) -> list:
+        """The one excess and rounding rule: the count-1 windows of the
+        classes (e, f) for f in ``fs``, the terms in e computed once."""
+        dist, ((pe0, pe1), (pf0, pf1)), (ee0, ef0), (ee1, ef1) = self._family
+        tol, inf = self.tol, math.inf
+        tiny = sys.float_info.min  # a floor for underflow
+        apf0, apf1 = abs(pf0), abs(pf1)
+        ep0, ep1, eap0, eap1 = e * pe0, e * pe1, e * abs(pe0), e * abs(pe1)
+        rows = []
+        for f in fs:
+            v0 = rate_for_counts(e, f, ee0, ef0) * dist
+            v1 = rate_for_counts(e, f, ee1, ef1) * dist
+            a, b = v0 - (ep0 + f * pf0) - tol, v1 - (ep1 + f * pf1)
+            err0 = _ROUNDING * (abs(v0) + (eap0 + f * apf0) + tol) + tiny
+            err1 = _ROUNDING * (abs(v1) + (eap1 + f * apf1)) + tiny
+            slope = abs(b)
+            root = -a / b if slope > 2 * err1 else inf
+            if -inf < root < inf:
+                half = 2 * (err0 + err1 * abs(root)) / slope
+                rows.append((root + half, root - half, 1 if b > 0 else -1, 1 if b < 0 else 0))
+            else:
+                rows.append((inf, (abs(a) - err0) / (slope + err1), 0, 1 if a > 0 else 0))
         return rows
 
 

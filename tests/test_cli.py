@@ -317,6 +317,15 @@ class TestSweeps:
         assert captured.err.startswith("error: config:")
         assert captured.out == ""
 
+    def test_fig6_bound_too_small_for_its_grid(self, capsys):
+        # 2 ET + 13 FPT have a subnormal xi* whose 60 grid points collide; the
+        # error names xi*, where it used to be about a grid never given
+        assert main(["sweep", "fig6", "--epsilon-e", "1e-320"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: ValueError: xi* = 1.07e-321 of 2 ET + 13 FPT is too "
+                                "small for 60 distinct grid points\n")
+        assert captured.out == ""
+
     def test_fig5_at_the_same_distance_runs(self, tmp_path):
         out_path = tmp_path / "fig5.csv"
         assert main(["sweep", "fig5", "--distance", "1.7e307", "--out", str(out_path)]) == 0

@@ -8,8 +8,9 @@ and only when an output change is intended. ``sweep_size40.sha256`` and
 and 100 by digest, in ``sha256sum`` format, since those CSVs are large.
 ``sweep_settings.sha256`` pins them at ``--max-platoon-size`` 30 under
 non-default rates and distances; each name is the sweep and its flags,
-comma-separated. The fig2, fig3 and fig5 cells are also recomputed from
-each subset class's closed-form excess, in exact arithmetic.
+comma-separated. The fig2, fig3 and fig5 cells, and every fig2 and fig3
+cell at size 40, are also recomputed from each subset class's closed-form
+excess, in exact arithmetic.
 """
 
 import csv
@@ -98,17 +99,34 @@ def _blocking(m_e, m_f, params, excess):
                if e + f and dist * excess(e, f, ee, ef) > tol)
 
 
-def _leader_share_cells(compositions, key):
-    """fig2 and fig3 rows: x(xi) leaves the leader's subsets out, since they
-    never block; a class of e follower ETs and f follower FPTs has excess per
-    km xi*(e*ee + f*ef) - ee, or ef*(xi*f - 1) with no ET."""
+def _leader_share_cells(kind, size):
+    """fig2 (mixed fleets of ``size``) or fig3 (FPT fleets up to ``size``)
+    rows: x(xi) leaves the leader's subsets out, since they never block; a
+    class of e follower ETs and f follower FPTs has excess per km
+    xi*(e*ee + f*ef) - ee, or ef*(xi*f - 1) with no ET. That excess names no
+    fleet, so each class's verdict is found once per xi and serves every
+    composition, as one store of windows serves every leader-share table."""
+    ee, ef, dist = map(Fraction, (DEFAULT.epsilon_e, DEFAULT.epsilon_f, DEFAULT.distance))
+    tol = Fraction(DEFAULT.money_tol())
+
+    def excess(e, f, xi):
+        return xi * (e * ee + f * ef) - ee if e else ef * (xi * f - 1)
+
+    blocking = []  # per xi: the leader-out classes (e, f) that block
+    for i in range(1, 31):
+        xi = Fraction(i * 0.005)
+        blocking.append([(e, f) for e in range(size) for f in range(size - e)
+                         if (e or f) and dist * excess(e, f, xi) > tol])
+    if kind == "fig2":
+        compositions = [(n_e, size - n_e) for n_e in range(1, size)]
+    else:
+        compositions = [(0, n) for n in range(2, size + 1)]
     for n_e, n_f in compositions:
         m_e, m_f = (n_e - 1, n_f) if n_e else (0, n_f - 1)
-        for i in range(1, 31):
-            xi = Fraction(i * 0.005)
-            blocking = _blocking(m_e, m_f, DEFAULT, lambda e, f, ee, ef: (
-                xi * (e * ee + f * ef) - ee if e else ef * (xi * f - 1)))
-            yield [*key(n_e, n_f), i * 0.005], n_e + n_f, blocking
+        key = (n_e, n_f) if kind == "fig2" else (n_f,)
+        for i, classes in enumerate(blocking, 1):
+            count = sum(comb(m_e, e) * comb(m_f, f) for e, f in classes)
+            yield [*key, i * 0.005], n_e + n_f, count
 
 
 def _type_fair_cells():
@@ -126,21 +144,34 @@ def _type_fair_cells():
 
 
 CELLS = {
-    "sweep_fig2.csv": lambda: _leader_share_cells(
-        [(n_e, 15 - n_e) for n_e in range(1, 15)], lambda n_e, n_f: (n_e, n_f)),
-    "sweep_fig3.csv": lambda: _leader_share_cells(
-        [(0, n) for n in range(2, 16)], lambda n_e, n_f: (n_f,)),
+    "sweep_fig2.csv": lambda: _leader_share_cells("fig2", 15),
+    "sweep_fig3.csv": lambda: _leader_share_cells("fig3", 15),
     "sweep_fig5.csv": _type_fair_cells,
 }
 
 
+def _check_cells(rows, cells):
+    """The key columns and the stability probability of each row."""
+    expected = [[*map(str, key[:-1]), f"{key[-1]:.6f}", f"{1.0 - blocking / ((1 << n) - 2):.6f}"]
+                for key, n, blocking in cells]
+    assert [row[:len(want)] for row, want in zip(rows, expected)] == expected
+    assert len(rows) == len(expected)
+
+
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_golden_cells_from_closed_form_excesses(name):
-    # no table, window or class scan: the key columns and the stability
-    # probability of each row, from the blocking classes alone
+    # no table, window or class scan: each row from the blocking classes alone
     with open(GOLDEN_DIR / name, newline="") as fh:
         rows = list(csv.reader(fh))[2:]
-    expected = [[*map(str, key[:-1]), f"{key[-1]:.6f}", f"{1.0 - blocking / ((1 << n) - 2):.6f}"]
-                for key, n, blocking in CELLS[name]()]
-    assert [row[:len(cells)] for row, cells in zip(rows, expected)] == expected
-    assert len(rows) == len(expected)
+    _check_cells(rows, CELLS[name]())
+
+
+@pytest.mark.parametrize("kind", ["fig2", "fig3"])
+def test_size40_cells_from_closed_form_excesses(kind, tmp_path):
+    # all 1170 cells of each leader-share sweep at size 40, whose tables read
+    # windows off one store grown over 39 compositions
+    out_path = tmp_path / f"{kind}.csv"
+    assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out_path)]) == 0
+    with open(out_path, newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    _check_cells(rows, _leader_share_cells(kind, 40))

@@ -799,16 +799,16 @@ class TestBreakpoints:
         # serves equals the table built for that composition alone, and reads
         # each window edge alike: off the table, or by a recheck. The recheck
         # does not consult the table, so it is stubbed; each point is the
-        # composition's own classes. The lone table computes its windows in one
-        # ClassWindows pass of the leader-share lines, never through a store
+        # composition's own classes. The lone table reads a fresh store of the
+        # leader-share lines, built here rather than by the factory
         params = params._replace(max_platoon_size=30, **change)
         monkeypatch.setattr(stability, "_violations", lambda *_: {"recheck": -1})
         tables = stable_tables(params)
-        own = stability.ClassWindows(params, *_leader_share_family(params))
         for n in range(2, 31):
             for n_e in range(n):
                 comp = Composition(n_e, n - n_e)
                 shared = tables(comp)
+                own = stability.ClassWindows(params, *_leader_share_family(params))
                 alone = stability.Breakpoints(comp, own, shared._point,
                                               game.optimal_leader_type(comp))
                 assert shared.windows == alone.windows
@@ -817,52 +817,60 @@ class TestBreakpoints:
                 for t in sorted(t for t in edges if 0.0 < t <= 1.0):
                     assert shared.at(t) == alone.at(t)
 
-    @pytest.mark.parametrize("kind", ["fig2", "fig3", "fig6"])
+    @pytest.mark.parametrize("kind", ["fig2", "fig3", "fig5", "fig6"])
     def test_sweeps_compute_each_window_once(self, kind, monkeypatch, tmp_path):
-        # a size-30 sweep computes each leader-out class (e, f) of its fleets
-        # once: the staircase e <= 28, e + f <= 29 for fig2 and fig6, and
-        # f <= 29 of FPTs alone for fig3
-        computed = []
+        # a size-30 sweep computes each class (e, f) of a store once. The
+        # leader-share sweeps share one store of the leader-out classes: the
+        # staircase e <= 28, e + f <= 29 for fig2 and fig6, and f <= 29 of
+        # FPTs alone for fig3. Each fig5 table of n_e ETs has its own store of
+        # every class e <= n_e, f <= 30 - n_e but the empty one
+        computed = {}
         windows = stability.ClassWindows._windows
 
-        def spy(self, classes, n):
-            classes = list(classes)
-            computed.extend((e, f) for (e, _), (f, _) in classes)
-            return windows(self, classes, n)
+        def spy(self, e, fs):
+            computed.setdefault(self, []).extend((e, f) for f in fs)
+            return windows(self, e, fs)
 
         monkeypatch.setattr(stability.ClassWindows, "_windows", spy)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", kind, "--max-platoon-size", "30", "--out", str(out)]) == 0
-        if kind == "fig3":
-            expected = {(0, f) for f in range(1, 30)}
+        if kind == "fig5":
+            expected = [{(e, f) for e in range(n_e + 1) for f in range(31 - n_e)} - {(0, 0)}
+                        for n_e in range(1, 30)]
+        elif kind == "fig3":
+            expected = [{(0, f) for f in range(1, 30)}]
         else:
-            expected = {(e, f) for e in range(29) for f in range(30 - e)} - {(0, 0)}
-        assert len(computed) == len(expected)
-        assert set(computed) == expected
+            expected = [{(e, f) for e in range(29) for f in range(30 - e)} - {(0, 0)}]
+        assert [len(classes) for classes in computed.values()] == list(map(len, expected))
+        assert list(map(set, computed.values())) == expected
 
     @pytest.mark.parametrize("change", [{}, {"epsilon_f": 0.72}, {"distance": 1e-290}])
-    def test_shared_windows_serve_whole_fleet_tables(self, change, params, monkeypatch):
-        # tables that keep every truck hold the class of their whole fleet; a
-        # store holds it as well, a proper class of larger fleets, and each
-        # table cuts it off: its rows and base count are the one-pass windows',
-        # for type-fair lines (a fresh store per table) and for one leader-share
-        # store grown over every composition of 2-30 trucks, read with no leader
+    def test_shared_windows_serve_whole_fleet_tables(self, change, params):
+        # a store grown over every composition of 2-30 trucks serves each table
+        # the rows and base count of a fresh store, read with the leader left
+        # out and with every truck kept: a table of its whole fleet cuts off
+        # that class, which the store holds as a proper class of larger fleets.
+        # The lines are the leader-share ones and one fleet's type-fair ones
         params = params._replace(max_platoon_size=30, **change)
-        grown = stability.SharedWindows(params, *_leader_share_family(params))
-        one_pass = stability.ClassWindows(params, *_leader_share_family(params))
-        tables = shapley_tables(params)
-        for n in range(2, 31):
-            for n_e in range(n + 1):
-                comp = Composition(n_e, n - n_e)
-                alone = tables(comp)
-                with monkeypatch.context() as patch:
-                    patch.setattr(allocate, "ClassWindows", stability.SharedWindows)
-                    type_fair = tables(comp)
-                for shared, own in ((type_fair, alone),
-                                    (stability.Breakpoints(comp, grown, None),
-                                     stability.Breakpoints(comp, one_pass, None))):
-                    assert shared.windows == own.windows
-                    assert shared._counts[0] == own._counts[0]  # the base count
+        ef, dist = params.epsilon_f, params.distance
+        (w_e, w_f), _ = allocate._type_fair_classes(Composition(3, 12))
+        families = [_leader_share_family(params),
+                    ([(w[1] * ef * dist, w[0] * dist) for w in (w_e, w_f)], (0.0, ef), (1.0, 0.0))]
+        for family in families:
+            grown = stability.ClassWindows(params, *family)
+            for n in range(2, 31):
+                for n_e in range(n + 1):
+                    comp = Composition(n_e, n - n_e)
+                    for leader in (game.optimal_leader_type(comp), None):
+                        own = stability.ClassWindows(params, *family)
+                        shared = stability.Breakpoints(comp, grown, None, leader)
+                        alone = stability.Breakpoints(comp, own, None, leader)
+                        m_e = comp.n_e - (leader is TruckType.ELECTRIC)
+                        m_f = comp.n_f - (leader is TruckType.FUEL)
+                        # no empty class, and none of the whole fleet
+                        assert len(alone.windows) == (m_e + 1) * (m_f + 1) - 1 - (leader is None)
+                        assert shared.windows == alone.windows
+                        assert shared._counts[0] == alone._counts[0]  # the base count
 
     def test_tables_share_each_rates_params(self, params, comp23, monkeypatch):
         # two tables of one factory read at one rate build its params once,

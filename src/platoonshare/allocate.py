@@ -63,7 +63,7 @@ def _leader_id(fleet: Fleet) -> int:
 def xi_upper_bound(comp: Composition, params: SavingsParams) -> float:
     """Largest leader share xi certified to keep the allocation stable."""
     if comp.total() < 2:
-        raise FleetTooSmall("need at least two trucks")
+        raise FleetTooSmall("grand coalition needs at least two trucks")
     if comp.n_e >= 1 and comp.n_f >= 1 and not params.epsilon_e < params.epsilon_f:
         raise EpsilonOrderError("bound requires epsilon_e < epsilon_f")
     if comp.n_e >= 1:

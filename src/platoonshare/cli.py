@@ -6,7 +6,8 @@ All CSV output is deterministic: same config, same bytes. Each decision is
 declared once, in a table: options in ``OPTIONS``, and subcommands, schemes
 and sweeps in ``COMMANDS``, ``SCHEMES`` and ``SWEEPS``. ``build_config``
 resolves and checks a run's inputs once; each runner takes its checked
-params and composition.
+params and composition. ``cmd_sweep``, the one sweep driver, checks a sweep's
+class budget, builds its table factory once and joins its compositions' rows.
 ``parse_args`` and ``usage`` read the command line and write the help from
 ``OPTIONS`` and ``COMMANDS`` alone, without argparse, whose import a one-shot
 command would pay; each usage error is one ``error:`` line, exit code 2.
@@ -18,6 +19,7 @@ import csv
 import io
 import sys
 from collections import namedtuple
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import allocate as alloc_mod
@@ -95,7 +97,7 @@ def parse_config_file(path: str, command: str) -> dict:
 def build_config(args: dict) -> tuple[game.SavingsParams, game.Composition]:
     """Resolve every option into ``args``, by precedence defaults < sweep
     preset < config file < flags, and return the checked ``(params, comp)``."""
-    preset, swept = SWEEPS[args["kind"]][3:] if "kind" in args else ({}, None)
+    preset, swept = SWEEPS[args["kind"]][5:] if "kind" in args else ({}, None)
     values = parse_config_file(args["config"], args["command"]) if "config" in args else {}
     values.update((o.name, args[o.name]) for o in OPTIONS if args.get(o.name) is not None)
     if swept in values:
@@ -104,6 +106,8 @@ def build_config(args: dict) -> tuple[game.SavingsParams, game.Composition]:
     try:  # values the domain types reject are config errors
         params = game.SavingsParams(args["epsilon_f"], args["epsilon_e"], args["distance"],
                                     args["max_platoon_size"])
+        if swept == "epsilon_e":  # fig5's tables build params at epsilon_e = epsilon_f
+            params._replace(epsilon_e=params.epsilon_f)
         comp = game.Composition(args["n_e"], args["n_f"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -216,6 +220,8 @@ def cmd_table1(params: game.SavingsParams, comp: game.Composition, args: dict) -
 
 _XI_GRID = [i * 0.005 for i in range(1, 31)]
 _RATIO_GRID = [i * 0.05 for i in range(1, 20)]
+_XI_LABELS = [(ratio6(xi), xi) for xi in _XI_GRID]  # (label, value) per grid point
+_RATIO_LABELS = [(ratio6(r), r) for r in _RATIO_GRID]
 SWEEP_CLASS_BUDGET = 1 << 22  # 3x the classes of mixed fleets of 200, the largest pinned sweep
 
 
@@ -227,60 +233,45 @@ def _fuel_compositions(n: int):
     return (game.Composition(0, m) for m in range(2, n + 1))
 
 
-def _check_sweep_budget(compositions) -> None:
-    """Sum each table's (n_e + 1)(n_f + 1) subset classes until past the budget."""
-    total = 0
-    for comp in compositions:
-        total += (comp.n_e + 1) * (comp.n_f + 1)
-        if total > SWEEP_CLASS_BUDGET:
-            raise FleetTooLarge(f"sweep capped at {SWEEP_CLASS_BUDGET} subset classes in all")
+def _probability_rows(key, points, tail):
+    """One composition's rows: ``key(comp)``, then the stability probability per
+    (label, table parameter) of ``points(params)``, then ``tail(comp, params)``."""
 
-
-def _probability_rows(tables, compositions, key, grid, tail):
-    """Stability probability per (composition, value) of ``grid(params)``'s (value,
-    table parameter) pairs, one ``tables(params)`` table per composition."""
-
-    def rows(params: game.SavingsParams):
-        _check_sweep_budget(compositions(params.max_platoon_size))
-        scans = tables(params)  # one per sweep, shared by its fleets
-        points = [(ratio6(value), t) for value, t in grid(params)]
-        for comp in compositions(params.max_platoon_size):
-            head, last = key(comp), ratio6(tail(comp, params))
-            scan = scans(comp)
-            for label, t in points:
-                yield [*head, label, ratio6(scan.probability(t)), last]
+    def rows(comp: game.Composition, params: game.SavingsParams, tables) -> list:
+        head, last = key(comp), ratio6(tail(comp, params))
+        scan = tables(comp)
+        return [[*head, label, ratio6(scan.probability(t)), last] for label, t in points(params)]
     return rows
 
 
-def _deviation_rows(params: game.SavingsParams):
-    _check_sweep_budget(_mixed_compositions(params.max_platoon_size))
-    tables = alloc_mod.stable_tables(params)  # one per sweep, shared by its fleets
-    for comp in _mixed_compositions(params.max_platoon_size):
-        grid = fairness.default_xi_grid(comp, params)  # ends at xi*
-        curve = fairness.deviation_curve(tables(comp), grid)
-        xi_star, delta_star = ratio6(curve[-1].xi), ratio6(curve[-1].delta)
-        for xi, delta, in_core in curve:
-            yield [*comp, ratio6(xi), ratio6(delta), str(in_core).lower(), xi_star, delta_star]
+def _deviation_rows(comp: game.Composition, params: game.SavingsParams, tables) -> list:
+    """One composition's rows: delta and the core verdict along its xi grid."""
+    grid = fairness.default_xi_grid(comp, params)  # ends at xi*
+    curve = fairness.deviation_curve(tables(comp), grid)
+    xi_star, delta_star = ratio6(curve[-1].xi), ratio6(curve[-1].delta)
+    return [[*comp, ratio6(xi), ratio6(delta), str(in_core).lower(), xi_star, delta_star]
+            for xi, delta, in_core in curve]
 
 
-# kind -> (comment line, header, row generator, preset, swept field); {n}
-# is the fleet size. A preset holds starting option values: the config
-# file and the flags override it. The swept field, if any, they may not set.
+# kind -> (comment line, header, table factory, compositions of size {n},
+# rows of one composition, preset, swept field). A preset holds starting option
+# values: the config file and the flags override it. The swept field, if any,
+# they may not set.
 SWEEPS = {
     "fig2": (
         "# leader-share allocation in mixed fleets of size {n}: stability "
         "probability per (n_e, xi); xi_upper_bound is the certified threshold",
         ["n_e", "n_f", "xi", "stability_probability", "xi_upper_bound"],
-        _probability_rows(alloc_mod.stable_tables, _mixed_compositions, lambda c: (c.n_e, c.n_f),
-                          lambda p: zip(_XI_GRID, _XI_GRID), alloc_mod.xi_upper_bound),
+        alloc_mod.stable_tables, _mixed_compositions,
+        _probability_rows(tuple, lambda p: _XI_LABELS, alloc_mod.xi_upper_bound),
         {}, None,
     ),
     "fig3": (
         "# leader-share allocation in all-FPT fleets: stability probability "
         "per (fleet size n, xi); xi_upper_bound = 1/(n-1)",
         ["n", "xi", "stability_probability", "xi_upper_bound"],
-        _probability_rows(alloc_mod.stable_tables, _fuel_compositions, lambda c: (c.total(),),
-                          lambda p: zip(_XI_GRID, _XI_GRID), alloc_mod.xi_upper_bound),
+        alloc_mod.stable_tables, _fuel_compositions,
+        _probability_rows(lambda c: (c.total(),), lambda p: _XI_LABELS, alloc_mod.xi_upper_bound),
         {}, None,
     ),
     "fig5": (
@@ -288,8 +279,8 @@ SWEEPS = {
         "probability per (n_e, rate ratio); certified when ratio >= "
         "ratio_threshold = n_f/n",
         ["n_e", "n_f", "ratio", "stability_probability", "ratio_threshold"],
-        _probability_rows(alloc_mod.shapley_tables, _mixed_compositions, tuple,
-                          lambda p: [(r, r * p.epsilon_f) for r in _RATIO_GRID],
+        alloc_mod.shapley_tables, _mixed_compositions,
+        _probability_rows(tuple, lambda p: [(s, r * p.epsilon_f) for s, r in _RATIO_LABELS],
                           lambda c, p: c.n_f / c.total()),
         {}, "epsilon_e",  # the rate ratio times epsilon_f
     ),
@@ -298,7 +289,7 @@ SWEEPS = {
         "{n}: delta per (n_e, xi); xi_star is the certified bound where delta "
         "is smallest",
         ["n_e", "n_f", "xi", "delta", "in_core", "xi_star", "delta_at_xi_star"],
-        _deviation_rows,
+        alloc_mod.stable_tables, _mixed_compositions, _deviation_rows,
         # the deviation sweep is about a failing ratio condition
         {"epsilon_f": 0.72}, None,
     ),
@@ -306,8 +297,17 @@ SWEEPS = {
 
 
 def cmd_sweep(params: game.SavingsParams, comp: game.Composition, args: dict) -> str:
-    comment, columns, rows = SWEEPS[args["kind"]][:3]
-    return _csv_text(comment.format(n=params.max_platoon_size), columns, rows(params))
+    """The one sweep driver: check the class budget before any table is built,
+    then build the factory once and join each composition's rows."""
+    comment, columns, tables, compositions, rows = SWEEPS[args["kind"]][:5]
+    n, classes = params.max_platoon_size, 0
+    for c in compositions(n):  # each table's (n_e + 1)(n_f + 1) subset classes
+        classes += (c.n_e + 1) * (c.n_f + 1)
+        if classes > SWEEP_CLASS_BUDGET:
+            raise FleetTooLarge(f"sweep capped at {SWEEP_CLASS_BUDGET} subset classes in all")
+    scans = tables(params)  # one per sweep, shared by its fleets
+    return _csv_text(comment.format(n=n), columns,
+                     chain.from_iterable(rows(c, params, scans) for c in compositions(n)))
 
 
 # command -> (run, help, extra arguments); run(params, comp, args) returns the

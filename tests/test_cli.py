@@ -12,10 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platoonshare import allocate, game, stability
-from platoonshare.cli import (_RATIO_GRID, _XI_GRID, COMMANDS, OPTIONS, SCHEMES, SWEEPS,
-                              _check_sweep_budget, _fuel_compositions, _mixed_compositions, main,
-                              ratio6)
-from platoonshare.errors import FleetTooLarge
+from platoonshare.cli import _RATIO_GRID, _XI_GRID, COMMANDS, OPTIONS, SCHEMES, SWEEPS, main, ratio6
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,6 +132,15 @@ class TestAllocate:
         assert main(["allocate", "--ne", "16", "--nf", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.err == "error: FleetTooLarge: fleet of 17 exceeds max platoon size 15\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("extra", [[], ["--xi", "0.1"]])
+    def test_stable_on_one_truck_names_the_grand_coalition(self, extra, capsys):
+        # the bound and the allocation refuse the fleet with one message
+        assert main(["allocate", "--scheme", "stable", "--ne", "1", "--nf", "0", *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: FleetTooSmall: grand coalition needs at least two trucks\n")
         assert captured.out == ""
 
     def test_stable_defaults_to_the_bound(self, capsys):
@@ -344,13 +350,33 @@ class TestSweeps:
         assert captured.err == (
             "error: FleetTooLarge: sweep capped at 4194304 subset classes in all\n")
 
-    def test_class_budget_admits_the_pinned_sizes(self):
+    @pytest.mark.parametrize("kind", list(SWEEPS))
+    def test_class_budget_admits_the_pinned_sizes(self, kind, monkeypatch, capsys):
         # the sum grows with the size, so mixed fleets of 200 and fig3 at 400,
-        # the largest pinned sweeps, pass; the budget refuses from 292 and 2,895
-        for compositions, largest in ((_mixed_compositions, 291), (_fuel_compositions, 2894)):
-            _check_sweep_budget(compositions(largest))
-            with pytest.raises(FleetTooLarge, match="sweep capped"):
-                _check_sweep_budget(compositions(largest + 1))
+        # the largest pinned sweeps, reach their first table; the budget
+        # refuses from 292 and 2,895
+        class FirstTable(Exception):
+            pass
+
+        def first_table(*args, **kwargs):
+            raise FirstTable
+
+        monkeypatch.setattr(stability.Breakpoints, "__init__", first_table)
+        largest = 2894 if kind == "fig3" else 291
+        with pytest.raises(FirstTable):
+            main(["sweep", kind, "--max-platoon-size", str(largest)])
+        assert main(["sweep", kind, "--max-platoon-size", str(largest + 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: FleetTooLarge: sweep capped at 4194304 subset classes in all\n")
+
+    @pytest.mark.parametrize("epsilon_f", ["1e-303", "7e-302"])
+    def test_fig5_checks_the_rates_its_tables_read(self, epsilon_f, capsys):
+        # fig5's tables hold params at epsilon_e = epsilon_f, whose money
+        # tolerance underflows here, though the default epsilon_e's does not
+        assert main(["sweep", "fig5", "--epsilon-f", epsilon_f]) == 2
+        assert_usage_error(capsys, "config: max rate x distance is too small for a money tolerance")
 
     @pytest.mark.parametrize("value", ["0.01", "5"])
     def test_fig5_rejects_epsilon_e(self, value, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import platoonshare
 from platoonshare import (
     Composition,
     DeviationPoint,
@@ -327,7 +328,7 @@ class TestDomainTypes:
 
 def test_tolerances_live_only_in_game():
     # every tolerance derives from game.REL_TOL; no module keeps its own
-    package = Path(__file__).resolve().parents[1] / "src" / "platoonshare"
+    package = Path(platoonshare.__file__).parent  # the modules this run imports
     offenders = []
     for path in sorted(package.glob("*.py")):
         if path.name == "game.py":

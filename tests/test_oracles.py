@@ -33,7 +33,7 @@ assert platoonshare.allocate.shapley_bruteforce is oracles.shapley_bruteforce
 """
 
 
-# The cold CLI path, as CI checks it on the installed package: neither the
+# The cold CLI path, on the package the suite imports: neither the
 # oracles nor dataclasses, which brings inspect and the code it generates,
 # nor argparse, which brings gettext and, at its first message, locale.
 COLD_IMPORT = ("import platoonshare.cli, sys; "

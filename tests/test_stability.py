@@ -896,14 +896,14 @@ class TestBreakpoints:
     def test_fig5_validates_params_per_table_not_per_point(self, monkeypatch, tmp_path):
         # size 40: 39 tables of 19 points each; one set of params per grid
         # rate and one for the windows' tolerance, both per sweep, and the
-        # run's one, built by the config
+        # run's one and its check at epsilon_e = epsilon_f, built by the config
         built = []
         check = SavingsParams._check
         monkeypatch.setattr(SavingsParams, "_check",
                             lambda self: built.append(self) or check(self))
         out = tmp_path / "fig5.csv"
         assert main(["sweep", "fig5", "--max-platoon-size", "40", "--out", str(out)]) == 0
-        assert len(built) == 19 + 1 + 1
+        assert len(built) == 19 + 1 + 1 + 1
 
     def test_default_sweeps_never_rescan(self, monkeypatch, tmp_path):
         calls = []

@@ -27,6 +27,7 @@ from .game import (
     TruckType,
     coalition_value,
     optimal_leader_type,
+    rate_for_counts,
 )
 from .stability import Breakpoints, ClassWindows, shapley_core_condition_ratio
 
@@ -66,11 +67,9 @@ def xi_upper_bound(comp: Composition, params: SavingsParams) -> float:
         raise FleetTooSmall("grand coalition needs at least two trucks")
     if comp.n_e >= 1 and comp.n_f >= 1 and not params.epsilon_e < params.epsilon_f:
         raise EpsilonOrderError("bound requires epsilon_e < epsilon_f")
-    if comp.n_e >= 1:
-        return params.epsilon_e / (
-            params.epsilon_e * (comp.n_e - 1) + params.epsilon_f * comp.n_f
-        )
-    return 1.0 / (comp.total() - 1)
+    if comp.n_e >= 1:  # the leader's rate over the coalition's
+        return params.epsilon_e / rate_for_counts(*comp, params.epsilon_e, params.epsilon_f)
+    return 1.0 / (comp.total() - 1)  # epsilon_f over its rate may differ in the last place
 
 
 def _follower_pays(params: SavingsParams, xi: float) -> tuple[float, float]:
@@ -173,25 +172,25 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
 
 
 def shapley_tables(params: SavingsParams):
-    """The ``Breakpoints`` table of ``shapley_allocation`` along epsilon_e, the
-    other params fixed, for each composition of a sweep: each type's line comes from
-    its rate weights, (0, 0) for an absent type, and no truck is left out. A
-    table holds the money tolerance of every epsilon_e <= epsilon_f, whatever
-    ``params``'. The factory's tables share each rate's params, built and
-    checked on first read; it keeps the 32 last read, more than a grid."""
+    """The ``Breakpoints`` table of ``shapley_allocation`` along the rate ratio r,
+    at epsilon_e = r*epsilon_f, for each composition of a sweep: each type's line
+    comes from its rate weights, (0, 0) for an absent type, and no truck is left
+    out. A table holds the money tolerance of every r <= 1, whatever ``params``'
+    epsilon_e. The factory's tables share each ratio's params, built and checked
+    on first read; it keeps the 32 last read, more than a grid."""
     ef, dist = params.epsilon_f, params.distance
-    at_rate = lru_cache(maxsize=32)(lambda eps_e: params._replace(epsilon_e=eps_e))
+    at_ratio = lru_cache(maxsize=32)(lambda r: params._replace(epsilon_e=r * ef))
 
     def table(comp: Composition) -> Breakpoints:
         _check_fleet_size(comp.total(), params)
         weights, classes = _type_fair_classes(comp)
-        lines = [(0.0, 0.0) if w is None else (w[1] * ef * dist, w[0] * dist) for w in weights]
+        lines = [(w[1] * ef * dist, w[0] * ef * dist) if w else (0.0, 0.0) for w in weights]
 
-        def point(eps_e: float):
-            at = at_rate(eps_e)
+        def point(r: float):
+            at = at_ratio(r)
             return classes(at), at
 
-        windows = ClassWindows(at_rate(ef), lines, (0.0, ef), (1.0, 0.0))
+        windows = ClassWindows(at_ratio(1.0), lines, (0.0, ef), (ef, 0.0))
         return Breakpoints(comp, windows, point)
     return table
 

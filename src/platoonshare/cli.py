@@ -103,11 +103,11 @@ def build_config(args: dict) -> tuple[game.SavingsParams, game.Composition]:
     if swept in values:
         raise ConfigError(f"sweep {args['kind']} sets {swept} itself")
     args.update({**{o.name: o.default for o in OPTIONS}, **preset, **values})
+    if swept == "epsilon_e":  # fig5's rate ratio 1, where its tables build their windows
+        args["epsilon_e"] = args["epsilon_f"]
     try:  # values the domain types reject are config errors
         params = game.SavingsParams(args["epsilon_f"], args["epsilon_e"], args["distance"],
                                     args["max_platoon_size"])
-        if swept == "epsilon_e":  # fig5's tables build params at epsilon_e = epsilon_f
-            params._replace(epsilon_e=params.epsilon_f)
         comp = game.Composition(args["n_e"], args["n_f"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -234,13 +234,13 @@ def _fuel_compositions(n: int):
 
 
 def _probability_rows(key, points, tail):
-    """One composition's rows: ``key(comp)``, then the stability probability per
-    (label, table parameter) of ``points(params)``, then ``tail(comp, params)``."""
+    """One composition's rows: ``key(comp)``, then the stability probability at
+    each (label, table parameter) of the list ``points``, then ``tail(comp, params)``."""
 
     def rows(comp: game.Composition, params: game.SavingsParams, tables) -> list:
         head, last = key(comp), ratio6(tail(comp, params))
         scan = tables(comp)
-        return [[*head, label, ratio6(scan.probability(t)), last] for label, t in points(params)]
+        return [[*head, label, ratio6(scan.probability(t)), last] for label, t in points]
     return rows
 
 
@@ -263,7 +263,7 @@ SWEEPS = {
         "probability per (n_e, xi); xi_upper_bound is the certified threshold",
         ["n_e", "n_f", "xi", "stability_probability", "xi_upper_bound"],
         alloc_mod.stable_tables, _mixed_compositions,
-        _probability_rows(tuple, lambda p: _XI_LABELS, alloc_mod.xi_upper_bound),
+        _probability_rows(tuple, _XI_LABELS, alloc_mod.xi_upper_bound),
         {}, None,
     ),
     "fig3": (
@@ -271,7 +271,7 @@ SWEEPS = {
         "per (fleet size n, xi); xi_upper_bound = 1/(n-1)",
         ["n", "xi", "stability_probability", "xi_upper_bound"],
         alloc_mod.stable_tables, _fuel_compositions,
-        _probability_rows(lambda c: (c.total(),), lambda p: _XI_LABELS, alloc_mod.xi_upper_bound),
+        _probability_rows(lambda c: (c.total(),), _XI_LABELS, alloc_mod.xi_upper_bound),
         {}, None,
     ),
     "fig5": (
@@ -280,8 +280,7 @@ SWEEPS = {
         "ratio_threshold = n_f/n",
         ["n_e", "n_f", "ratio", "stability_probability", "ratio_threshold"],
         alloc_mod.shapley_tables, _mixed_compositions,
-        _probability_rows(tuple, lambda p: [(s, r * p.epsilon_f) for s, r in _RATIO_LABELS],
-                          lambda c, p: c.n_f / c.total()),
+        _probability_rows(tuple, _RATIO_LABELS, lambda c, p: c.n_f / c.total()),
         {}, "epsilon_e",  # the rate ratio times epsilon_f
     ),
     "fig6": (

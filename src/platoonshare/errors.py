@@ -14,7 +14,7 @@ class InvalidPartition(GameError):
 
 
 class FleetTooSmall(GameError):
-    """Operation needs at least two trucks."""
+    """Fleet below an operation's minimum: one truck, or two for a grand coalition."""
 
 
 class FleetTooLarge(GameError):

@@ -16,7 +16,7 @@ import math
 import sys
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import FleetTooLarge
+from .errors import FleetTooLarge, FleetTooSmall
 
 # The one numeric tolerance, relative so that no verdict depends on the
 # units of money or distance: dimensionless comparisons use it as-is,
@@ -189,7 +189,7 @@ def enumerate_type_structures(comp: Composition) -> list[tuple[Composition, ...]
     desc); structures are returned in the canonical table order.
     """
     if comp.total() < 1:
-        raise ValueError("composition must contain at least one truck")
+        raise FleetTooSmall("need at least one truck")
 
     results: list[tuple[Composition, ...]] = []
 

@@ -219,7 +219,9 @@ class TestTable:
         assert capsys.readouterr().err.startswith("error: FleetTooLarge:")
 
     def test_empty_composition_is_precondition_error(self, capsys):
+        # a domain error, as the type-fair payoff of an empty fleet is
         assert main(["table1", "--ne", "0", "--nf", "0"]) == 3
+        assert capsys.readouterr().err == "error: FleetTooSmall: need at least one truck\n"
 
     def test_fleet_above_platoon_cap(self, capsys):
         # 10 trucks pass the structure guard but not a platoon cap of 5
@@ -826,8 +828,8 @@ def test_sweep_rows_read_their_tables(kind, cap, epsilon_f, share, distance):
     epsilon_e = epsilon_f * share
     flags = ["--max-platoon-size", str(cap), "--epsilon-f", repr(epsilon_f),
              "--distance", repr(distance)]
-    if kind == "fig5":  # fig5 sets epsilon_e itself; its run's params hold the default
-        epsilon_e = next(o.default for o in OPTIONS if o.name == "epsilon_e")
+    if kind == "fig5":  # fig5 sets epsilon_e itself; its run's params hold ratio 1
+        epsilon_e = epsilon_f
     else:
         flags += ["--epsilon-e", repr(epsilon_e)]
     code, out, err = run(["sweep", kind, *flags])
@@ -846,18 +848,39 @@ def test_sweep_rows_read_their_tables(kind, cap, epsilon_f, share, distance):
                 (str(comp.n_e), str(comp.n_f), ratio6(allocate.xi_upper_bound(comp, params)),
                  curve[-1][3])}
         return
-    if kind == "fig5":
-        tables, grid = allocate.shapley_tables(params), [(r, r * epsilon_f) for r in _RATIO_GRID]
+    if kind == "fig5":  # the table reads the rate ratio itself
+        tables, grid = allocate.shapley_tables(params), _RATIO_GRID
     else:
-        tables, grid = allocate.stable_tables(params), [(xi, xi) for xi in _XI_GRID]
+        tables, grid = allocate.stable_tables(params), _XI_GRID
     expected = []
     for comp in comps:
         head = (comp.total(),) if kind == "fig3" else tuple(comp)
         tail = comp.n_f / comp.total() if kind == "fig5" else allocate.xi_upper_bound(comp, params)
         table = tables(comp)
-        expected += [[*map(str, head), ratio6(value), ratio6(table.probability(t)), ratio6(tail)]
-                     for value, t in grid]
+        expected += [[*map(str, head), ratio6(t), ratio6(table.probability(t)), ratio6(tail)]
+                     for t in grid]
     assert rows == expected
+
+
+@given(epsilon_f=st.one_of(st.sampled_from([1e-303, 7e-302, 8e-302, 0.01, 0.03125]),
+                           st.floats(1e-303, 1e6)),
+       distance=st.one_of(st.sampled_from([1e-315, 2e307, 1.7e308]),
+                          st.floats(1e-315, 1.7e308)),
+       cap=st.integers(2, 30))
+@settings(max_examples=100, deadline=None)
+def test_fig5_runs_iff_its_ratio_one_params_are_valid(epsilon_f, distance, cap):
+    # fig5's tables read rate ratios up to 0.95 and build their windows at
+    # ratio 1, whose params have the largest rate and money tolerance of the
+    # sweep: the run's params are those, so a run either builds every table
+    # or is refused as a config error, and never fails midway
+    try:
+        game.SavingsParams(epsilon_f, epsilon_f, distance, cap)
+        expected = 0
+    except ValueError:
+        expected = 2
+    code, _, err = run(["sweep", "fig5", "--epsilon-f", repr(epsilon_f),
+                        "--distance", repr(distance), "--max-platoon-size", str(cap)])
+    assert code == expected, err
 
 
 def readme_examples():

@@ -12,6 +12,7 @@ from platoonshare import (
     Composition,
     DeviationPoint,
     Fleet,
+    FleetTooSmall,
     InvalidPartition,
     SavingsParams,
     TruckType,
@@ -144,7 +145,7 @@ class TestEnumerateTypeStructures:
         assert enumerate_type_structures(Composition(1, 0)) == [(Composition(1, 0),)]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FleetTooSmall, match="need at least one truck"):
             enumerate_type_structures(Composition(0, 0))
 
     @pytest.mark.parametrize("n_e,n_f", [(2, 2), (2, 3), (1, 4), (3, 3), (0, 5), (4, 0)])

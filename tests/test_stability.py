@@ -593,12 +593,11 @@ class TestBreakpoints:
         fleet = Fleet(tuple(data.draw(st.permutations(
             Fleet.from_composition(Composition(*comp)).types))))
         scan = shapley_tables(base)(fleet.composition())
-        points = _probe_points(scan) | {r * eps_f for r in ratios}
-        for eps_e in sorted(points):
-            if 0.0 < eps_e < eps_f:
-                params = base._replace(epsilon_e=eps_e)
+        for r in sorted(_probe_points(scan) | set(ratios)):
+            if 0.0 < r * eps_f < eps_f:  # the table's own rate
+                params = base._replace(epsilon_e=r * eps_f)
                 alloc = shapley_allocation(fleet, params)
-                assert _read(scan, eps_e) == _expected(alloc, fleet, params)
+                assert _read(scan, r) == _expected(alloc, fleet, params)
 
     def test_reads_the_thresholds_away_from_them(self, monkeypatch, params):
         fleet = Fleet.from_composition(Composition(3, 12))
@@ -613,29 +612,31 @@ class TestBreakpoints:
     @pytest.mark.parametrize("change", [{"epsilon_e": 0.2}, {"epsilon_e": 0.5}])
     def test_other_params_are_rechecked(self, change, params, monkeypatch):
         # a point's params can differ from its table's only in the money
-        # tolerance: past epsilon_f it grows with epsilon_e, so a table built
-        # at the tolerance of epsilon_e <= epsilon_f cannot answer there
+        # tolerance: past ratio 1 it grows with the ratio, so a table built
+        # at the tolerance of every ratio <= 1 cannot answer there
         fleet = Fleet.from_composition(Composition(4, 0))
         scan = shapley_tables(params)(fleet.composition())
-        other = params._replace(**change)
+        ratio = change["epsilon_e"] / params.epsilon_f
+        other = params._replace(epsilon_e=ratio * params.epsilon_f)
         assert other.money_tol() > params.money_tol()
         calls = []
         scan_classes = stability._violations
         monkeypatch.setattr(stability, "_violations",
                             lambda *a: calls.append(a) or scan_classes(*a))
-        reading = _read(scan, other.epsilon_e)
+        reading = _read(scan, ratio)
         assert len(calls) == 1  # the recheck
         assert reading == _expected(shapley_allocation(fleet, other), fleet, other)
         assert len(calls) == 2  # and _blocking
-        scan.at(0.05)  # below epsilon_f: read off the table
+        scan.at(0.7)  # below ratio 1: read off the table
         assert len(calls) == 2
 
     @pytest.mark.parametrize("epsilon_e", [0.2, 0.5])
     def test_recheck_scans_the_points_classes(self, epsilon_e, params, monkeypatch):
-        # past epsilon_f a fig5 table rechecks at another money tolerance; it
+        # past ratio 1 a fig5 table rechecks at another money tolerance; it
         # scans the point's payoff classes and rebuilds no per-truck allocation
         fleet = Fleet.from_composition(Composition(4, 0))
-        other = params._replace(epsilon_e=epsilon_e)
+        ratio = epsilon_e / params.epsilon_f
+        other = params._replace(epsilon_e=ratio * params.epsilon_f)
         expected = _blocking(shapley_allocation(fleet, other), fleet, other)
         scan = shapley_tables(params)(fleet.composition())
         built, calls = [], []
@@ -646,7 +647,7 @@ class TestBreakpoints:
         scan_classes = stability._violations
         monkeypatch.setattr(stability, "_violations",
                             lambda *a: calls.append(a) or scan_classes(*a))
-        assert scan.at(epsilon_e)[1] == expected
+        assert scan.at(ratio)[1] == expected
         assert len(calls) == 1  # the recheck
         assert built == []
 
@@ -710,11 +711,11 @@ class TestBreakpoints:
                 scan = shapley_tables(params)(roster.composition())
                 assert len(scan.windows) == (n_e + 1) * (n - n_e + 1) - 2
                 for fleet in (roster, Fleet(roster.types[::-1])):
-                    for eps_e in _probe_points(scan):
-                        if 0.0 < eps_e < epsilon_f:
-                            at = params._replace(epsilon_e=eps_e)
+                    for r in _probe_points(scan):
+                        if 0.0 < r * epsilon_f < epsilon_f:
+                            at = params._replace(epsilon_e=r * epsilon_f)
                             alloc = shapley_allocation(fleet, at)
-                            assert _read(scan, eps_e) == _expected(alloc, fleet, at)
+                            assert _read(scan, r) == _expected(alloc, fleet, at)
 
     def test_leader_subsets_count_toward_the_cap(self, params, monkeypatch):
         # 2 * 1000 * 701 classes with the leader's, 1000 * 701 without: over 2^20
@@ -855,7 +856,8 @@ class TestBreakpoints:
         ef, dist = params.epsilon_f, params.distance
         (w_e, w_f), _ = allocate._type_fair_classes(Composition(3, 12))
         families = [_leader_share_family(params),
-                    ([(w[1] * ef * dist, w[0] * dist) for w in (w_e, w_f)], (0.0, ef), (1.0, 0.0))]
+                    ([(w[1] * ef * dist, w[0] * ef * dist) for w in (w_e, w_f)], (0.0, ef),
+                     (ef, 0.0))]
         for family in families:
             grown = stability.ClassWindows(params, *family)
             for n in range(2, 31):
@@ -873,37 +875,38 @@ class TestBreakpoints:
                         assert shared._counts[0] == alone._counts[0]  # the base count
 
     def test_tables_share_each_rates_params(self, params, comp23, monkeypatch):
-        # two tables of one factory read at one rate build its params once,
-        # and each reads as a table of a fresh factory
+        # two tables of one factory read at one ratio build its params once,
+        # at epsilon_e = ratio * epsilon_f, and each reads as a table of a
+        # fresh factory
         comps = [comp23, Composition(3, 4)]
-        eps_e = 0.4 * params.epsilon_f
-        expected = [shapley_tables(params)(comp).at(eps_e) for comp in comps]
+        ratio = 0.4
+        expected = [shapley_tables(params)(comp).at(ratio) for comp in comps]
         tables = shapley_tables(params)
         scans = [tables(comp) for comp in comps]
         built = []
         check = SavingsParams._check
         monkeypatch.setattr(SavingsParams, "_check",
                             lambda self: built.append(self) or check(self))
-        assert [scan.at(eps_e) for scan in scans] == expected
-        assert [at.epsilon_e for at in built] == [eps_e]
-        assert [scan.at(eps_e) for scan in scans] == expected
+        assert [scan.at(ratio) for scan in scans] == expected
+        assert [at.epsilon_e for at in built] == [ratio * params.epsilon_f]
+        assert [scan.at(ratio) for scan in scans] == expected
         assert len(built) == 1
-        for scan in scans:  # a rate the params refuse is refused at every read
+        for scan in scans:  # a ratio the params refuse is refused at every read
             with pytest.raises(ValueError, match="positive"):
-                scan.at(-eps_e)
+                scan.at(-ratio)
         assert len(built) == 3
 
     def test_fig5_validates_params_per_table_not_per_point(self, monkeypatch, tmp_path):
         # size 40: 39 tables of 19 points each; one set of params per grid
-        # rate and one for the windows' tolerance, both per sweep, and the
-        # run's one and its check at epsilon_e = epsilon_f, built by the config
+        # ratio and one for the windows' ratio 1, both per sweep, and the
+        # run's one, built by the config at epsilon_e = epsilon_f
         built = []
         check = SavingsParams._check
         monkeypatch.setattr(SavingsParams, "_check",
                             lambda self: built.append(self) or check(self))
         out = tmp_path / "fig5.csv"
         assert main(["sweep", "fig5", "--max-platoon-size", "40", "--out", str(out)]) == 0
-        assert len(built) == 19 + 1 + 1 + 1
+        assert len(built) == 19 + 1 + 1
 
     def test_default_sweeps_never_rescan(self, monkeypatch, tmp_path):
         calls = []

@@ -22,7 +22,7 @@ class FleetTooLarge(GameError):
 
 
 class XiOutOfRange(GameError):
-    """Leader share xi must lie in (0, 1]."""
+    """Leader share xi must lie in (0, 1], and a xi* must span a sweep's grid."""
 
 
 class EpsilonOrderError(GameError):

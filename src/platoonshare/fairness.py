@@ -6,7 +6,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .allocate import Allocation, shapley_closed_form, xi_upper_bound
-from .errors import ZeroShapleyPayoff
+from .errors import XiOutOfRange, ZeroShapleyPayoff
 from .game import Composition, SavingsParams, TruckType
 
 
@@ -69,6 +69,6 @@ def default_xi_grid(comp: Composition, params: SavingsParams) -> list[float]:
     step = (xi_star - start) / (n - 1)
     grid = [start + i * step for i in range(n - 1)] + [xi_star]
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"xi* = {xi_star:.3g} of {comp.n_e} ET + {comp.n_f} FPT is too "
-                         f"small for {n} distinct grid points")
+        raise XiOutOfRange(f"xi* = {xi_star:.3g} of {comp.n_e} ET + {comp.n_f} FPT is too "
+                           f"small for {n} distinct grid points")
     return grid

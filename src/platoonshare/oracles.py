@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .allocate import Allocation, _check_fleet_size, _leader_id
@@ -141,34 +143,52 @@ def shapley_bruteforce(fleet: Fleet, params: SavingsParams) -> Allocation:
     return Allocation(tuple(payoffs), _leader_id(fleet), SCHEME_SHAPLEY_BF)
 
 
+def _subset_sums(start, terms: Sequence) -> list:
+    """``start`` plus each subset of ``terms``, added in list order; bit i of an
+    entry's index picks terms[i]."""
+    sums = [start]
+    for term in terms:
+        sums += list(map(operator.add, sums, repeat(term)))
+    return sums
+
+
 def labeled_violations(
     alloc: Allocation, fleet: Fleet, params: SavingsParams
 ) -> dict[tuple[int, int], int]:
-    """Labeled scan of every non-empty proper subset, keyed like the class scan."""
+    """Labeled scan of every non-empty proper subset, keyed like the class scan.
+
+    Meet in the middle: the subsets of the high half of the ids, n//2 and
+    up, are built once, and each is extended over the low half into one
+    list of 2^(n//2) sums, so the scan holds about 2^(N/2) entries, never
+    2^N. Each subset's sum is 0.0 plus its pays added from the highest id
+    down, one float order however the ids are split. Each (ET count, size)
+    key is valued once; the empty set and the whole fleet never block.
+    """
     n = fleet.size
     if n > LABELED_SCAN_MAX_FLEET:
         raise FleetTooLarge(f"labeled scan capped at {LABELED_SCAN_MAX_FLEET} trucks")
-    full = 1 << n
     tol = params.money_tol()
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
     pay = alloc.payoffs
-    et = [1 if t is TruckType.ELECTRIC else 0 for t in fleet.types]
+    n_e = fleet.types.count(TruckType.ELECTRIC)
+    worth = [-math.inf] * (n + 1) ** 2  # v per key, ET count * (n + 1) + size
+    for e in range(n_e + 1):
+        for f in range(n - n_e + 1):
+            if 0 < e + f < n:
+                worth[e * (n + 2) + f] = rate_for_counts(e, f, ee, ef) * dist
+    steps = [n + 2 if t is TruckType.ELECTRIC else 1 for t in fleet.types]
+    high, low = range(n - 1, n // 2 - 1, -1), range(n // 2 - 1, -1, -1)
+    low_pays, low_keys = [pay[i] for i in low], _subset_sums(0, [steps[i] for i in low])
 
-    sums = [0.0] * full
-    nes = [0] * full
-    sizes = [0] * full
+    blocking: Counter[int] = Counter()
+    for got, head in zip(_subset_sums(0.0, [pay[i] for i in high]),
+                         _subset_sums(0, [steps[i] for i in high])):
+        sums = _subset_sums(got, low_pays)
+        blocks = map(operator.gt, map(worth[head:].__getitem__, low_keys),
+                     map(operator.add, sums, repeat(tol)))
+        blocking.update(map(head.__add__, compress(low_keys, blocks)))
     out: dict[tuple[int, int], int] = {}
-    for mask in range(1, full - 1):
-        low = mask & -mask
-        idx = low.bit_length() - 1
-        rest = mask ^ low
-        got = sums[rest] + pay[idx]
-        n_e = nes[rest] + et[idx]
-        size = sizes[rest] + 1
-        sums[mask] = got
-        nes[mask] = n_e
-        sizes[mask] = size
-        if rate_for_counts(n_e, size - n_e, ee, ef) * dist > got + tol:
-            key = (n_e, size - n_e)
-            out[key] = out.get(key, 0) + 1
+    for key, count in blocking.items():
+        e, size = divmod(key, n + 1)
+        out[(e, size - e)] = count
     return out

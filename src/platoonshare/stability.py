@@ -37,8 +37,10 @@ if TYPE_CHECKING:
 
 # A subset blocks only if it gains more than params.money_tol(); boundary
 # allocations (xi exactly at the bound) sit on the core's face and must not flip.
-# The class scan and the labeled oracle hold flat lists of one entry per subset
-# class or labeled subset, at most 2^LABELED_SCAN_MAX_FLEET of them.
+# The class scan holds flat lists of one entry per subset class, at most
+# 2^LABELED_SCAN_MAX_FLEET of them. The labeled oracle shares the constant by
+# name only, as its cap of 20 trucks: it holds about 2^(N/2) entries, two halves
+# of the ids, and adds each subset's pays from the highest id down.
 LABELED_SCAN_MAX_FLEET = 20
 # Breakpoints' rounding bound, relative to the magnitude of an excess's terms
 _ROUNDING = 32 * sys.float_info.epsilon

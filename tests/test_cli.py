@@ -330,7 +330,7 @@ class TestSweeps:
         # error names xi*, where it used to be about a grid never given
         assert main(["sweep", "fig6", "--epsilon-e", "1e-320"]) == 3
         captured = capsys.readouterr()
-        assert captured.err == ("error: ValueError: xi* = 1.07e-321 of 2 ET + 13 FPT is too "
+        assert captured.err == ("error: XiOutOfRange: xi* = 1.07e-321 of 2 ET + 13 FPT is too "
                                 "small for 60 distinct grid points\n")
         assert captured.out == ""
 

@@ -161,7 +161,7 @@ class TestDefaultXiGrid:
         # xi* = 1.07e-321 spans some 216 subnormal steps, and only 59 of its 60
         # points are distinct; ten times the rate gives 60
         params = SavingsParams(epsilon_f=0.72, epsilon_e=1e-320, distance=300.0)
-        with pytest.raises(ValueError, match=r"xi\* = 1.07e-321 of 2 ET \+ 13 FPT is too small"):
+        with pytest.raises(XiOutOfRange, match=r"xi\* = 1.07e-321 of 2 ET \+ 13 FPT is too small"):
             default_xi_grid(Composition(2, 13), params)
         grid = default_xi_grid(Composition(2, 13), params._replace(epsilon_e=1e-319))
         assert all(b > a for a, b in zip(grid, grid[1:]))

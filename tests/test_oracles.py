@@ -7,12 +7,28 @@ The package and ``allocate`` re-export oracle names lazily, and
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import platoonshare
-from platoonshare import Composition, Fleet, in_core, stable_allocation
+from platoonshare import (
+    Allocation,
+    Composition,
+    Fleet,
+    SavingsParams,
+    TruckType,
+    coalition_value,
+    in_core,
+    stable_allocation,
+    xi_upper_bound,
+)
+from platoonshare.game import rate_for_counts
+from platoonshare.oracles import labeled_violations
+from platoonshare.stability import LABELED_SCAN_MAX_FLEET
 
 # Runs in a fresh interpreter, so no other test has loaded the oracles yet.
 FRESH_PROCESS = """
@@ -93,3 +109,79 @@ def test_slow_method_takes_the_labeled_scan(monkeypatch, params):
     assert not slow.is_member
     assert slow == in_core(alloc, fleet, params)
     assert len(scans) == 1
+
+
+def per_mask_violations(alloc, fleet, params):
+    """Reference loop: each mask's sum is its rest's (lowest bit dropped) plus that pay."""
+    n, tol = fleet.size, params.money_tol()
+    et = [t is TruckType.ELECTRIC for t in fleet.types]
+    sums, nes, sizes = [0.0] * (1 << n), [0] * (1 << n), [0] * (1 << n)
+    out = {}
+    for mask in range(1, (1 << n) - 1):
+        idx = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << idx)
+        sums[mask] = sums[rest] + alloc.payoffs[idx]
+        nes[mask], sizes[mask] = nes[rest] + et[idx], sizes[rest] + 1
+        n_e, n_f = nes[mask], sizes[mask] - nes[mask]
+        worth = rate_for_counts(n_e, n_f, params.epsilon_e, params.epsilon_f) * params.distance
+        if worth > sums[mask] + tol:
+            out[n_e, n_f] = out.get((n_e, n_f), 0) + 1
+    return out
+
+
+rates = st.builds(lambda ratio, distance: SavingsParams(epsilon_f=0.07, epsilon_e=0.07 * ratio,
+                                                        distance=distance),
+                  st.floats(0.05, 0.95), st.sampled_from([1e-3, 1.0, 300.0, 1e6]))
+
+
+class TestLabeledScan:
+    @given(data=st.data(), params=rates, n=st.integers(1, 12),
+           levels=st.lists(st.just(0.0) | st.floats(0.01, 2.0), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_tied_and_zero_pays_match_the_per_mask_loop(self, data, params, n, levels):
+        # pays tie within and across types, some are zero; rescaled to efficiency
+        fleet = Fleet(tuple(data.draw(st.lists(st.sampled_from(TruckType),
+                                               min_size=n, max_size=n))))
+        raw = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        scale = coalition_value(fleet.composition(), params) / (sum(raw) or 1.0)
+        pay = [p * scale for p in raw]
+        if n > 1 and data.draw(st.booleans()):
+            # two pays that cancel: a sum holding both depends on its order
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            pay[i] += 1e17
+            pay[j] -= 1e17
+        alloc = Allocation(tuple(pay), 0, scheme="test")
+        assert labeled_violations(alloc, fleet, params) == per_mask_violations(alloc, fleet, params)
+
+    @given(data=st.data(), params=rates, n=st.integers(2, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_stable_allocation_at_the_bound_matches_the_per_mask_loop(self, data, params, n):
+        # xi exactly at xi* sits on the core's face, where a sum's last bit decides
+        types = data.draw(st.lists(st.sampled_from(TruckType), min_size=n, max_size=n))
+        fleet = Fleet(tuple(types))
+        alloc = stable_allocation(fleet, params, xi_upper_bound(fleet.composition(), params))
+        assert labeled_violations(alloc, fleet, params) == per_mask_violations(alloc, fleet, params)
+
+    def test_sixteen_trucks_hold_no_flat_list(self, params):
+        # 2^16 floats alone would take 512 KiB; the two halves take 2^8 entries
+        params = params._replace(max_platoon_size=16)
+        fleet = Fleet.from_composition(Composition(5, 11))
+        alloc = stable_allocation(fleet, params, xi_upper_bound(fleet.composition(), params))
+        labeled_violations(alloc, fleet, params)  # warm up
+        tracemalloc.start()
+        try:
+            labeled_violations(alloc, fleet, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_twenty_trucks_in_three_pay_classes_match_the_class_scan(self, params):
+        params = params._replace(max_platoon_size=LABELED_SCAN_MAX_FLEET)
+        fleet = Fleet.from_composition(Composition(5, 15))
+        xi = 1.5 * xi_upper_bound(fleet.composition(), params)  # beyond the bound: it blocks
+        alloc = stable_allocation(fleet, params, xi)
+        assert len(set(alloc.payoffs)) == 3
+        slow = in_core(alloc, fleet, params, method="slow")
+        assert not slow.is_member
+        assert slow == in_core(alloc, fleet, params)

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -420,13 +421,22 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("size", [LABELED_SCAN_MAX_FLEET + 1, 64])
     def test_labeled_scan_cap(self, size):
-        # a 2^64 scan could never allocate its lists; the cap must come first
+        # a 64-truck scan could never allocate even its 2^32-entry halves; the cap
+        # must come first (the oracle is loaded before tracing, so only the call counts)
+        from platoonshare import oracles  # noqa: F401
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
                                max_platoon_size=size)
         fleet = Fleet.from_composition(Composition(2, size - 2))
         alloc = even_split(fleet, params)
-        with pytest.raises(FleetTooLarge):
-            in_core(alloc, fleet, params, method="slow")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FleetTooLarge,
+                               match=f"^labeled scan capped at {LABELED_SCAN_MAX_FLEET} trucks$"):
+                in_core(alloc, fleet, params, method="slow")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
         pay = list(alloc.payoffs)
         pay[2], pay[3] = pay[2] + 1.0, pay[3] - 1.0
         skewed = Allocation(tuple(pay), alloc.leader_id, scheme="test")

@@ -207,13 +207,18 @@ def cmd_table1(params: game.SavingsParams, comp: game.Composition, args: dict) -
             f"structure table capped at {TABLE_MAX_TRUCKS} trucks, got {comp.total()}"
         )
     structures = game.enumerate_type_structures(comp)
+    # each distinct block once: its rank in notation order (small blocks
+    # first, then more ETs first) with its notation, and its value
+    blocks = sorted(set(chain.from_iterable(structures)), key=lambda b: (b.total(), -b.n_e))
+    notation = {b: (i, game.block_notation(b)) for i, b in enumerate(blocks)}
+    value = {b: game.coalition_value(b, params) for b in blocks}
     return _csv_text(
         "# columns: case_index, structure (platoon blocks), total_benefit [EUR]",
         ["case_index", "structure", "total_benefit"],
         (
-            [idx, game.structure_notation(blocks),
-             money(sum(game.coalition_value(b, params) for b in blocks))]
-            for idx, blocks in enumerate(structures, start=1)
+            [idx, ",".join([text for _, text in sorted(map(notation.__getitem__, structure))]),
+             money(sum(map(value.__getitem__, structure)))]
+            for idx, structure in enumerate(structures, start=1)
         ),
     )
 

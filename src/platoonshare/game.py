@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import Iterable, NamedTuple, Optional, Sequence
+from bisect import bisect_left
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import FleetTooLarge, FleetTooSmall
 
@@ -172,54 +173,47 @@ def optimal_leader_type(comp: Composition) -> Optional[TruckType]:
     return None
 
 
-def _partition_sort_key(blocks: tuple[Composition, ...]):
-    # Presentation order of the benefit table: fewer blocks first, larger
-    # smallest block first, then larger blocks first, then fewer electric
-    # trucks in the leading blocks first.
-    sizes = tuple(b.total() for b in blocks)
-    return (len(blocks), -min(sizes), tuple(-s for s in sizes),
-            tuple(b.n_e for b in blocks))
-
-
 def enumerate_type_structures(comp: Composition) -> list[tuple[Composition, ...]]:
     """All partitions of the type multiset into non-empty platoons.
 
     Two structures are the same iff their multisets of block compositions
     are equal. Blocks inside a structure are ordered by (size desc, n_e
-    desc); structures are returned in the canonical table order.
+    desc); structures are returned in the canonical table order: fewer
+    blocks first, larger smallest block first, then larger blocks first,
+    then fewer electric trucks in the leading blocks first.
     """
-    if comp.total() < 1:
+    n_e, n_f, n = comp.n_e, comp.n_f, comp.total()
+    if n < 1:
         raise FleetTooSmall("need at least one truck")
+    # Every block of the fleet in structure order, with its counts and its
+    # size digit n - size (larger blocks sort first).
+    blocks = [(Composition(b_e, size - b_e), b_e, size - b_e, n - size)
+              for size in range(n, 0, -1)
+              for b_e in range(min(size, n_e), max(0, size - n_f) - 1, -1)]
+    # Per remainder, the blocks that fit it and leave what later blocks can
+    # fill: (0, 1) comes last, so no block could take an ET left after it.
+    fits = {(e, f): [i for i, (_, b_e, b_f, _) in enumerate(blocks)
+                     if b_e <= e and b_f <= f and (b_e or b_f > 1 or not e)]
+            for e in range(n_e + 1) for f in range(n_f + 1)}
+    base, keyed = n + 1, {}
 
-    results: list[tuple[Composition, ...]] = []
+    def extend(rem_e: int, rem_f: int, start: int, acc: tuple, sizes: int, counts: int):
+        # sizes, counts: acc's size digits and n_e as base-(n + 1) numerals,
+        # which compare as those digit tuples do at one block count
+        ids = fits[rem_e, rem_f]
+        for i in ids[bisect_left(ids, start):]:  # indices never fall: no duplicates
+            block, b_e, b_f, digit = blocks[i]
+            e, f = rem_e - b_e, rem_f - b_f
+            s, c = sizes * base + digit, counts * base + b_e
+            if e or f:
+                extend(e, f, i, acc + (block,), s, c)
+            else:  # table order: block count, smallest size, sizes, n_e
+                keyed[len(acc) + 1, digit, s, c] = acc + (block,)
 
-    def extend(rem_e: int, rem_f: int, min_key: tuple[int, int],
-               acc: list[Composition]) -> None:
-        if rem_e == 0 and rem_f == 0:
-            results.append(tuple(acc))
-            return
-        for b_e in range(rem_e + 1):
-            for b_f in range(rem_f + 1):
-                if b_e + b_f == 0:
-                    continue
-                key = (-(b_e + b_f), -b_e)
-                if key < min_key:  # keep blocks non-increasing: no duplicates
-                    continue
-                acc.append(Composition(b_e, b_f))
-                extend(rem_e - b_e, rem_f - b_f, key, acc)
-                acc.pop()
-
-    extend(comp.n_e, comp.n_f, (-comp.total(), -comp.n_e), [])
-    results.sort(key=_partition_sort_key)
-    return results
+    extend(n_e, n_f, 0, (), 0, 0)
+    return [keyed[key] for key in sorted(keyed)]
 
 
 def block_notation(comp: Composition) -> str:
     """Render a block as e.g. ``(EDD)``: electric trucks first."""
     return "(" + "E" * comp.n_e + "D" * comp.n_f + ")"
-
-
-def structure_notation(blocks: Sequence[Composition]) -> str:
-    """Render a structure as e.g. ``(EE),(DDD)``: small blocks first."""
-    ordered = sorted(blocks, key=lambda b: (b.total(), -b.n_e))
-    return ",".join(block_notation(b) for b in ordered)

@@ -214,6 +214,15 @@ class TestTable:
         assert main(["table1", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_values_each_distinct_block_once(self, monkeypatch, tmp_path):
+        # 323 structures of 4 ET + 6 FPT hold 1,501 blocks, 34 of them distinct
+        calls = []
+        value = game.coalition_value
+        monkeypatch.setattr(game, "coalition_value",
+                            lambda comp, params: calls.append(comp) or value(comp, params))
+        assert main(["table1", "--ne", "4", "--nf", "6", "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == len(set(calls)) == 34
+
     def test_structure_guard(self, capsys):
         assert main(["table1", "--ne", "6", "--nf", "6"]) == 3
         assert capsys.readouterr().err.startswith("error: FleetTooLarge:")

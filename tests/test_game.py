@@ -1,3 +1,4 @@
+import csv
 import io
 import tokenize
 from fractions import Fraction
@@ -26,7 +27,8 @@ from platoonshare import (
     shapley_allocation,
     structure_value,
 )
-from platoonshare.game import structure_notation
+from platoonshare.cli import _csv_text, main, money
+from platoonshare.game import block_notation
 
 # Expected totals for the (2,3) fleet at the default rates, in canonical order.
 TABLE_TOTALS = [77.4, 56.4, 63.0, 56.4, 63.0, 56.4, 42.0, 42.0,
@@ -137,6 +139,57 @@ def _dedup_count(n_e, n_f):
     return len(seen)
 
 
+def reference_structures(comp):
+    """Reference enumerator: every non-increasing block sequence, each node
+    trying every block of its remainder, then sorted by the table key."""
+    results = []
+
+    def extend(rem_e, rem_f, min_key, acc):
+        if rem_e == 0 and rem_f == 0:
+            results.append(tuple(acc))
+            return
+        for b_e in range(rem_e + 1):
+            for b_f in range(rem_f + 1):
+                if b_e + b_f == 0:
+                    continue
+                key = (-(b_e + b_f), -b_e)
+                if key < min_key:  # keep blocks non-increasing: no duplicates
+                    continue
+                acc.append(Composition(b_e, b_f))
+                extend(rem_e - b_e, rem_f - b_f, key, acc)
+                acc.pop()
+
+    extend(comp.n_e, comp.n_f, (-comp.total(), -comp.n_e), [])
+    results.sort(key=partition_sort_key)
+    return results
+
+
+def partition_sort_key(blocks):
+    # fewer blocks first, larger smallest block first, then larger blocks
+    # first, then fewer electric trucks in the leading blocks first
+    sizes = tuple(b.total() for b in blocks)
+    return (len(blocks), -min(sizes), tuple(-s for s in sizes),
+            tuple(b.n_e for b in blocks))
+
+
+def reference_table1(comp, params):
+    """Reference ``table1`` text: each block valued and rendered per row."""
+    def notation(blocks):
+        ordered = sorted(blocks, key=lambda b: (b.total(), -b.n_e))
+        return ",".join(block_notation(b) for b in ordered)
+
+    return _csv_text(
+        "# columns: case_index, structure (platoon blocks), total_benefit [EUR]",
+        ["case_index", "structure", "total_benefit"],
+        ([idx, notation(blocks), money(sum(coalition_value(b, params) for b in blocks))]
+         for idx, blocks in enumerate(reference_structures(comp), start=1)),
+    )
+
+
+# all 65 compositions of 1 to 10 trucks, the sizes table1 accepts
+TABLE_COMPOSITIONS = [Composition(n_e, n - n_e) for n in range(1, 11) for n_e in range(n + 1)]
+
+
 class TestEnumerateTypeStructures:
     def test_mixed_five_truck_count(self, comp23):
         assert len(enumerate_type_structures(comp23)) == 16
@@ -154,7 +207,7 @@ class TestEnumerateTypeStructures:
         assert got == _dedup_count(n_e, n_f)
 
     def test_count_matches_oracle_for_all_small_fleets(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             for n_e in range(0, n + 1):
                 got = len(enumerate_type_structures(Composition(n_e, n - n_e)))
                 assert got == _dedup_count(n_e, n - n_e), (n_e, n - n_e)
@@ -172,11 +225,29 @@ class TestEnumerateTypeStructures:
         ]
         assert totals == pytest.approx(TABLE_TOTALS, abs=1e-6)
 
-    def test_notation_of_first_rows(self, comp23):
-        notations = [structure_notation(b) for b in enumerate_type_structures(comp23)]
+    def test_notation_of_first_rows(self, tmp_path):
+        out_path = tmp_path / "table.csv"
+        assert main(["table1", "--ne", "2", "--nf", "3", "--out", str(out_path)]) == 0
+        with open(out_path, newline="", encoding="utf-8") as fh:
+            notations = [row[1] for row in csv.reader(fh)][2:]
         assert notations[0] == "(EEDDD)"
         assert notations[1] == "(EE),(DDD)"
         assert notations[-1] == "(E),(E),(D),(D),(D)"
+
+    def test_matches_reference_enumerator(self):
+        for comp in TABLE_COMPOSITIONS:
+            assert enumerate_type_structures(comp) == reference_structures(comp), comp
+
+    @pytest.mark.parametrize("flags,changes", [
+        ([], {}),
+        (["--epsilon-e", "0.09", "--epsilon-f", "0.07"], {"epsilon_e": 0.09, "epsilon_f": 0.07}),
+        (["--distance", "1e-3"], {"distance": 1e-3}),
+    ])
+    def test_table1_matches_reference_bytes(self, flags, changes, params, capsys):
+        params = params._replace(**changes)
+        for comp in TABLE_COMPOSITIONS:
+            assert main(["table1", "--ne", str(comp.n_e), "--nf", str(comp.n_f), *flags]) == 0
+            assert capsys.readouterr().out == reference_table1(comp, params), comp
 
     def test_pair_fleet(self, params):
         structures = enumerate_type_structures(Composition(1, 1))

@@ -1,7 +1,7 @@
 """Byte-for-byte regression against checked-in CLI outputs.
 
 Each file under ``tests/golden/`` is the stdout of the listed command at
-the default settings. Regenerate one with, for example,
+the default settings, apart from the flags it lists. Regenerate one with, for example,
 ``PYTHONPATH=src python -m platoonshare.cli sweep fig2 > tests/golden/sweep_fig2.csv``
 and only when an output change is intended. ``sweep_size40.sha256`` and
 ``sweep_size100.sha256`` pin the four sweeps at ``--max-platoon-size`` 40
@@ -32,6 +32,7 @@ GOLDEN = {
     "sweep_fig5.csv": ["sweep", "fig5"],
     "sweep_fig6.csv": ["sweep", "fig6"],
     "table1.csv": ["table1"],
+    "table1_ne4_nf6.csv": ["table1", "--ne", "4", "--nf", "6"],
     "allocate_stable.txt": ["allocate", "--scheme", "stable"],
     "allocate_shapley.txt": ["allocate", "--scheme", "shapley"],
     "allocate_even-split.txt": ["allocate", "--scheme", "even-split"],

@@ -2,7 +2,8 @@
 
 Coalition valuation with optimal leader selection, four payoff schemes,
 subset-class and composition-level core certification, and deviation
-analysis against the type-fair benchmark; ``oracles`` cross-checks them.
+analysis against the type-fair benchmark. The exhaustive twins that
+cross-check them load only from ``platoonshare.oracles``.
 """
 
 from .allocate import (
@@ -50,14 +51,3 @@ from .stability import (
 )
 
 __version__ = "0.1.0"
-
-# Cross-check-only names from ``oracles``, loaded on first use by __getattr__.
-_ORACLES = ("check_superadditivity", "coalition_value_with_leader",
-            "labeled_partitions", "shapley_bruteforce", "structure_value")
-
-
-def __getattr__(name: str):
-    if name in _ORACLES:
-        from . import oracles
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

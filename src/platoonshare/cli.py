@@ -30,7 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
-TABLE_MAX_TRUCKS = 10
 FLEET_CMDS = ("value", "allocate", "table1")  # sweeps size fleets by max_platoon_size
 
 
@@ -202,10 +201,6 @@ def cmd_allocate(params: game.SavingsParams, comp: game.Composition, args: dict)
 
 
 def cmd_table1(params: game.SavingsParams, comp: game.Composition, args: dict) -> str:
-    if comp.total() > TABLE_MAX_TRUCKS:
-        raise FleetTooLarge(
-            f"structure table capped at {TABLE_MAX_TRUCKS} trucks, got {comp.total()}"
-        )
     structures = game.enumerate_type_structures(comp)
     # each distinct block once: its rank in notation order (small blocks
     # first, then more ETs first) with its notation, and its value

@@ -6,7 +6,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .allocate import Allocation, shapley_closed_form, xi_upper_bound
-from .errors import XiOutOfRange, ZeroShapleyPayoff
+from .errors import FleetTooSmall, XiOutOfRange, ZeroShapleyPayoff
 from .game import Composition, SavingsParams, TruckType
 
 
@@ -31,6 +31,8 @@ def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
     """Average of |phi_i - x_i| / phi_i across trucks."""
     if len(x.payoffs) != len(phi.payoffs):
         raise ValueError("allocations index different fleets")
+    if not x.payoffs:
+        raise FleetTooSmall("need at least one truck")
     _check_benchmark(phi.payoffs)
     return _deviation(Counter(zip(phi.payoffs, x.payoffs)).items(), len(x.payoffs))
 

@@ -23,6 +23,8 @@ from .errors import FleetTooLarge, FleetTooSmall
 # units of money or distance: dimensionless comparisons use it as-is,
 # money comparisons through ``SavingsParams.money_tol``.
 REL_TOL = 1e-9
+# Type-level structures grow about 2.8x per added ET + FPT pair: 339 at 5 + 5.
+STRUCTURE_MAX_TRUCKS = 10
 
 
 class TruckType(enum.Enum):
@@ -180,11 +182,14 @@ def enumerate_type_structures(comp: Composition) -> list[tuple[Composition, ...]
     are equal. Blocks inside a structure are ordered by (size desc, n_e
     desc); structures are returned in the canonical table order: fewer
     blocks first, larger smallest block first, then larger blocks first,
-    then fewer electric trucks in the leading blocks first.
+    then fewer electric trucks in the leading blocks first. Capped at
+    ``STRUCTURE_MAX_TRUCKS`` trucks.
     """
     n_e, n_f, n = comp.n_e, comp.n_f, comp.total()
     if n < 1:
         raise FleetTooSmall("need at least one truck")
+    if n > STRUCTURE_MAX_TRUCKS:
+        raise FleetTooLarge(f"structure table capped at {STRUCTURE_MAX_TRUCKS} trucks, got {n}")
     # Every block of the fleet in structure order, with its counts and its
     # size digit n - size (larger blocks sort first).
     blocks = [(Composition(b_e, size - b_e), b_e, size - b_e, n - size)

@@ -1,7 +1,7 @@
 """Exhaustive twins of the closed forms and the class scan, to cross-check them.
 
 No production module imports this one at load time: ``in_core(method="slow")``
-and the package's re-exports load it on first use.
+and ``allocate.shapley_bruteforce`` load it on first use.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from .game import (
     coalition_value,
     rate_for_counts,
 )
-from .stability import LABELED_SCAN_MAX_FLEET
 
 SCHEME_SHAPLEY_BF = "shapley-brute-force"
 BRUTE_FORCE_MAX_FLEET = 10
+LABELED_SCAN_MAX_FLEET = 20
 
 
 def coalition_value_with_leader(

@@ -38,10 +38,8 @@ if TYPE_CHECKING:
 # A subset blocks only if it gains more than params.money_tol(); boundary
 # allocations (xi exactly at the bound) sit on the core's face and must not flip.
 # The class scan holds flat lists of one entry per subset class, at most
-# 2^LABELED_SCAN_MAX_FLEET of them. The labeled oracle shares the constant by
-# name only, as its cap of 20 trucks: it holds about 2^(N/2) entries, two halves
-# of the ids, and adds each subset's pays from the highest id down.
-LABELED_SCAN_MAX_FLEET = 20
+# 2^CLASS_SCAN_CAP_BITS of them.
+CLASS_SCAN_CAP_BITS = 20
 # Breakpoints' rounding bound, relative to the magnitude of an excess's terms
 _ROUNDING = 32 * sys.float_info.epsilon
 
@@ -61,8 +59,8 @@ class CoreReport(NamedTuple):
 
 def _check_class_cap(sizes) -> None:
     """The scan cap: classes of ``sizes`` trucks make prod(size + 1) subset classes."""
-    if math.prod(size + 1 for size in sizes) > 1 << LABELED_SCAN_MAX_FLEET:
-        raise FleetTooLarge(f"scan capped at 2^{LABELED_SCAN_MAX_FLEET} subset classes")
+    if math.prod(size + 1 for size in sizes) > 1 << CLASS_SCAN_CAP_BITS:
+        raise FleetTooLarge(f"scan capped at 2^{CLASS_SCAN_CAP_BITS} subset classes")
 
 
 def _binomials(m: int) -> list[int]:

@@ -13,7 +13,6 @@ from platoonshare import (
     Composition,
     Fleet,
     SavingsParams,
-    check_superadditivity,
     coalition_value,
     deviation_curve,
     default_xi_grid,
@@ -21,7 +20,6 @@ from platoonshare import (
     in_core,
     mean_relative_deviation,
     shapley_allocation,
-    shapley_bruteforce,
     shapley_closed_form,
     shapley_core_condition_exact,
     shapley_core_condition_ratio,
@@ -30,6 +28,7 @@ from platoonshare import (
     xi_upper_bound,
 )
 from platoonshare.cli import main
+from platoonshare.oracles import check_superadditivity, shapley_bruteforce
 
 DEFAULT = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0)
 

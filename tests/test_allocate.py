@@ -20,14 +20,13 @@ from platoonshare import (
     deviation_minimizing_allocation,
     even_split,
     shapley_allocation,
-    shapley_bruteforce,
     shapley_closed_form,
     stable_allocation,
     xi_upper_bound,
 )
 from platoonshare import oracles
 from platoonshare.game import rate_for_counts
-from platoonshare.oracles import BRUTE_FORCE_MAX_FLEET
+from platoonshare.oracles import BRUTE_FORCE_MAX_FLEET, shapley_bruteforce
 
 
 class TestXiUpperBound:

@@ -225,7 +225,9 @@ class TestTable:
 
     def test_structure_guard(self, capsys):
         assert main(["table1", "--ne", "6", "--nf", "6"]) == 3
-        assert capsys.readouterr().err.startswith("error: FleetTooLarge:")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: FleetTooLarge: structure table capped at 10 trucks, got 12\n"
 
     def test_empty_composition_is_precondition_error(self, capsys):
         # a domain error, as the type-fair payoff of an empty fleet is

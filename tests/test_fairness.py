@@ -8,6 +8,7 @@ from platoonshare import (
     Composition,
     EpsilonOrderError,
     Fleet,
+    FleetTooSmall,
     SavingsParams,
     XiOutOfRange,
     ZeroShapleyPayoff,
@@ -61,6 +62,11 @@ class TestMeanRelativeDeviation:
         other = shapley_allocation(Fleet.from_composition(Composition(1, 2)), params)
         with pytest.raises(ValueError):
             mean_relative_deviation(other, phi)
+
+    def test_empty_allocations_rejected(self):
+        empty = Allocation((), 0, "x")
+        with pytest.raises(FleetTooSmall, match="^need at least one truck$"):
+            mean_relative_deviation(empty, empty._replace(scheme="y"))
 
 
 class TestDeviationCurve:

@@ -1,6 +1,7 @@
 import csv
 import io
 import tokenize
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,22 +14,25 @@ from platoonshare import (
     Composition,
     DeviationPoint,
     Fleet,
+    FleetTooLarge,
     FleetTooSmall,
     InvalidPartition,
     SavingsParams,
     TruckType,
-    check_superadditivity,
     coalition_value,
-    coalition_value_with_leader,
     enumerate_type_structures,
     in_core,
-    labeled_partitions,
     optimal_leader_type,
     shapley_allocation,
-    structure_value,
 )
 from platoonshare.cli import _csv_text, main, money
 from platoonshare.game import block_notation
+from platoonshare.oracles import (
+    check_superadditivity,
+    coalition_value_with_leader,
+    labeled_partitions,
+    structure_value,
+)
 
 # Expected totals for the (2,3) fleet at the default rates, in canonical order.
 TABLE_TOTALS = [77.4, 56.4, 63.0, 56.4, 63.0, 56.4, 42.0, 42.0,
@@ -200,6 +204,21 @@ class TestEnumerateTypeStructures:
     def test_empty_rejected(self):
         with pytest.raises(FleetTooSmall, match="need at least one truck"):
             enumerate_type_structures(Composition(0, 0))
+
+    def test_ten_trucks_is_the_cap(self):
+        assert len(enumerate_type_structures(Composition(4, 6))) == 323
+
+    def test_cap_comes_before_the_walk(self):
+        # 6 ET + 5 FPT would build 589 structures; the refusal allocates none
+        tracemalloc.start()
+        try:
+            with pytest.raises(FleetTooLarge,
+                               match="^structure table capped at 10 trucks, got 11$"):
+                enumerate_type_structures(Composition(6, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("n_e,n_f", [(2, 2), (2, 3), (1, 4), (3, 3), (0, 5), (4, 0)])
     def test_count_matches_labeled_dedup_oracle(self, n_e, n_f):

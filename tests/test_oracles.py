@@ -1,7 +1,8 @@
 """The oracles live in one module that the CLI never loads, nor dataclasses or argparse.
 
-The package and ``allocate`` re-export oracle names lazily, and
-``in_core(method="slow")`` loads the labeled scan only when asked.
+Their names load only from ``platoonshare.oracles``; ``allocate`` still
+re-exports ``shapley_bruteforce`` lazily, and ``in_core(method="slow")``
+loads the labeled scan only when asked.
 """
 
 import os
@@ -27,11 +28,15 @@ from platoonshare import (
     xi_upper_bound,
 )
 from platoonshare.game import rate_for_counts
-from platoonshare.oracles import labeled_violations
-from platoonshare.stability import LABELED_SCAN_MAX_FLEET
+from platoonshare.oracles import LABELED_SCAN_MAX_FLEET, labeled_violations
+
+# The cross-check names that load only from ``platoonshare.oracles``.
+ORACLE_NAMES = ("check_superadditivity", "coalition_value_with_leader",
+                "labeled_partitions", "shapley_bruteforce", "structure_value")
 
 # Runs in a fresh interpreter, so no other test has loaded the oracles yet.
-FRESH_PROCESS = """
+FRESH_PROCESS = f"""
+ORACLE_NAMES = {ORACLE_NAMES!r}
 import contextlib, io, sys
 import platoonshare.cli as cli
 
@@ -42,10 +47,12 @@ for argv in (["value"], ["allocate"], ["sweep", "fig3"]):
     assert "platoonshare.oracles" not in sys.modules, argv
 
 import platoonshare
-first_use = platoonshare.shapley_bruteforce
+first_use = platoonshare.allocate.shapley_bruteforce
 oracles = sys.modules["platoonshare.oracles"]
 assert first_use is oracles.shapley_bruteforce
-assert platoonshare.allocate.shapley_bruteforce is oracles.shapley_bruteforce
+for name in ORACLE_NAMES:
+    assert not hasattr(platoonshare, name), name
+    assert hasattr(oracles, name), name
 """
 
 
@@ -79,9 +86,9 @@ def test_cold_cli_import_is_lean():
 def test_public_oracle_names_resolve_to_the_oracles_module():
     from platoonshare import oracles
 
-    for name in ("check_superadditivity", "coalition_value_with_leader",
-                 "labeled_partitions", "shapley_bruteforce", "structure_value"):
-        assert getattr(platoonshare, name) is getattr(oracles, name)
+    for name in ORACLE_NAMES:
+        assert not hasattr(platoonshare, name), name
+        assert callable(getattr(oracles, name)), name
     assert platoonshare.allocate.shapley_bruteforce is oracles.shapley_bruteforce
 
 

@@ -36,7 +36,7 @@ from platoonshare import allocate, game, stability
 from platoonshare.allocate import shapley_tables, stable_tables
 from platoonshare.cli import main
 from platoonshare.game import REL_TOL
-from platoonshare.stability import LABELED_SCAN_MAX_FLEET
+from platoonshare.oracles import LABELED_SCAN_MAX_FLEET
 
 
 class TestInCore:
@@ -423,7 +423,6 @@ class TestEdgeCases:
     def test_labeled_scan_cap(self, size):
         # a 64-truck scan could never allocate even its 2^32-entry halves; the cap
         # must come first (the oracle is loaded before tracing, so only the call counts)
-        from platoonshare import oracles  # noqa: F401
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
                                max_platoon_size=size)
         fleet = Fleet.from_composition(Composition(2, size - 2))
@@ -448,7 +447,7 @@ class TestEdgeCases:
         for m in range(401):
             assert stability._binomials(m) == [math.comb(m, k) for k in range(m + 1)]
 
-    @pytest.mark.parametrize("size", [LABELED_SCAN_MAX_FLEET + 1, 64])
+    @pytest.mark.parametrize("size", [stability.CLASS_SCAN_CAP_BITS + 1, 64])
     def test_class_scan_cap(self, size):
         # all payoffs distinct: one class per truck, 2^size subset classes
         params = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0,
@@ -681,7 +680,7 @@ class TestBreakpoints:
         assert expected > 0
         assert scan.at(0.1)[1] == expected
         # 4 * 2 classes fit a cap of 2^3; two ET classes, 2 * 3 * 2, would not
-        monkeypatch.setattr(stability, "LABELED_SCAN_MAX_FLEET", 3)
+        monkeypatch.setattr(stability, "CLASS_SCAN_CAP_BITS", 3)
         assert scan.at(0.1)[1] == expected
         assert in_core(alloc, fleet, params) == report
 
@@ -733,7 +732,7 @@ class TestBreakpoints:
         with pytest.raises(FleetTooLarge, match="subset classes"):
             stable_tables(big)(Composition(1000, 700))
         # at a cap of 2^5, 2 * 2 * 8 classes fit and 2 * 2 * 9 do not
-        monkeypatch.setattr(stability, "LABELED_SCAN_MAX_FLEET", 5)
+        monkeypatch.setattr(stability, "CLASS_SCAN_CAP_BITS", 5)
         stable_tables(params)(Composition(2, 7))
         with pytest.raises(FleetTooLarge, match="2\\^5 subset classes"):
             stable_tables(params)(Composition(2, 8))

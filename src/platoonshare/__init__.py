@@ -23,6 +23,7 @@ from .errors import (
     FleetTooLarge,
     FleetTooSmall,
     GameError,
+    InvalidInput,
     InvalidPartition,
     NotEfficient,
     XiOutOfRange,

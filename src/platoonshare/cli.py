@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import allocate as alloc_mod
 from . import fairness, game, stability
-from .errors import FleetTooLarge, GameError
+from .errors import FleetTooLarge, GameError, InvalidInput
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -108,7 +108,7 @@ def build_config(args: dict) -> tuple[game.SavingsParams, game.Composition]:
         params = game.SavingsParams(args["epsilon_f"], args["epsilon_e"], args["distance"],
                                     args["max_platoon_size"])
         comp = game.Composition(args["n_e"], args["n_f"])
-    except ValueError as exc:
+    except InvalidInput as exc:
         raise ConfigError(str(exc)) from exc
     if args["xi"] is not None and args["scheme"] != "stable":
         raise ConfigError(f"xi applies to scheme stable only, not {args['scheme']}")
@@ -164,6 +164,7 @@ SCHEMES = {
 
 def cmd_allocate(params: game.SavingsParams, comp: game.Composition, args: dict) -> str:
     scheme = args["scheme"]
+    stability._check_class_cap(comp)  # before the roster: no scheme pays in fewer classes
     fleet = game.Fleet.from_composition(comp)
     allocation = SCHEMES[scheme](fleet, params, args["xi"])
     report = stability.in_core(allocation, fleet, params)
@@ -397,7 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         label = "" if isinstance(exc, UsageError) else "config: "
         print(f"error: {label}{exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GameError, ValueError) as exc:
+    except GameError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -1,12 +1,17 @@
 """Domain exceptions shared across the package.
 
-Everything raised by library code derives from GameError so callers (and
-the CLI) can distinguish domain precondition failures from plain bugs.
+Every precondition the library checks raises a GameError, so callers (and
+the CLI, whose exit code 3 means one) can tell a broken precondition from a
+bug. A value outside an operation's domain is an InvalidInput, a ValueError.
 """
 
 
 class GameError(Exception):
     """Base class for all domain errors."""
+
+
+class InvalidInput(GameError, ValueError):
+    """A value outside an operation's domain, such as a bad rate, count or length."""
 
 
 class InvalidPartition(GameError):

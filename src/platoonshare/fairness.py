@@ -6,7 +6,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .allocate import Allocation, shapley_closed_form, xi_upper_bound
-from .errors import FleetTooSmall, XiOutOfRange, ZeroShapleyPayoff
+from .errors import FleetTooSmall, InvalidInput, XiOutOfRange, ZeroShapleyPayoff
 from .game import Composition, SavingsParams, TruckType
 
 
@@ -30,7 +30,7 @@ def _deviation(classes, n: int) -> float:
 def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
     """Average of |phi_i - x_i| / phi_i across trucks."""
     if len(x.payoffs) != len(phi.payoffs):
-        raise ValueError("allocations index different fleets")
+        raise InvalidInput("allocations index different fleets")
     if not x.payoffs:
         raise FleetTooSmall("need at least one truck")
     _check_benchmark(phi.payoffs)
@@ -49,9 +49,9 @@ def deviation_curve(table, xi_grid: Sequence[float]) -> tuple[DeviationPoint, ..
     gets the class scan.
     """
     if not xi_grid:
-        raise ValueError("empty xi grid")
+        raise InvalidInput("empty xi grid")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+        raise InvalidInput("grid must be strictly increasing")
     phi = dict(zip(TruckType, shapley_closed_form(table.comp, table.params)))
     _check_benchmark(p for p in phi.values() if p is not None)  # the types present
     points = []

@@ -17,7 +17,7 @@ import sys
 from bisect import bisect_left
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import FleetTooLarge, FleetTooSmall
+from .errors import FleetTooLarge, FleetTooSmall, InvalidInput
 
 # The one numeric tolerance, relative so that no verdict depends on the
 # units of money or distance: dimensionless comparisons use it as-is,
@@ -75,9 +75,9 @@ class SavingsParams(_Checked, _SavingsFields):
 
     def _check(self) -> None:
         if not (self.epsilon_f > 0 and self.epsilon_e > 0 and self.distance > 0):
-            raise ValueError("saving rates and distance must be positive")
+            raise InvalidInput("saving rates and distance must be positive")
         if self.max_platoon_size < 2:
-            raise ValueError("max_platoon_size must be at least 2")
+            raise InvalidInput("max_platoon_size must be at least 2")
         # bounds every rate sum, coalition worth and payoff sum, and rejects inf
         # inputs; below a distance of 1 the rate sums are the larger terms
         largest = max(self.epsilon_e, self.epsilon_f) * max(1, self.distance)
@@ -86,10 +86,10 @@ class SavingsParams(_Checked, _SavingsFields):
         except OverflowError:  # an integer cap beyond float range
             worth = math.inf
         if not worth < math.inf:
-            raise ValueError("max rate x max(1, distance) x max_platoon_size must be finite")
+            raise InvalidInput("max rate x max(1, distance) x max_platoon_size must be finite")
         # a subnormal or zero tolerance would fail exact payoff sums as inefficient
         if self.money_tol() < sys.float_info.min:
-            raise ValueError("max rate x distance is too small for a money tolerance")
+            raise InvalidInput("max rate x distance is too small for a money tolerance")
 
     def money_tol(self) -> float:
         """Money tolerance: REL_TOL of the largest per-truck saving."""
@@ -109,7 +109,7 @@ class Composition(_Checked, NamedTuple("_CompositionFields", [("n_e", int), ("n_
 
     def __new__(cls, n_e: int, n_f: int):
         if n_e < 0 or n_f < 0:
-            raise ValueError("counts must be non-negative")
+            raise InvalidInput("counts must be non-negative")
         return tuple.__new__(cls, (n_e, n_f))
 
     def total(self) -> int:
@@ -142,7 +142,7 @@ class Fleet(NamedTuple):
     def subset_composition(self, members: Iterable[int]) -> Composition:
         ids = set(members)
         if not ids <= set(self.ids()):
-            raise ValueError("members outside fleet")
+            raise InvalidInput("members outside fleet")
         n_e = sum(1 for i in ids if self.types[i] is TruckType.ELECTRIC)
         return Composition(n_e, len(ids) - n_e)
 

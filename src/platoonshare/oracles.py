@@ -13,7 +13,7 @@ from itertools import compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .allocate import Allocation, _check_fleet_size, _leader_id
-from .errors import FleetTooLarge, InvalidPartition
+from .errors import FleetTooLarge, InvalidInput, InvalidPartition
 from .game import (
     Composition,
     Fleet,
@@ -36,11 +36,11 @@ def coalition_value_with_leader(
         return 0.0
     if leader is TruckType.ELECTRIC:
         if comp.n_e < 1:
-            raise ValueError("no electric truck to lead")
+            raise InvalidInput("no electric truck to lead")
         rate = params.epsilon_e * (comp.n_e - 1) + params.epsilon_f * comp.n_f
     else:
         if comp.n_f < 1:
-            raise ValueError("no fuel-powered truck to lead")
+            raise InvalidInput("no fuel-powered truck to lead")
         rate = params.epsilon_e * comp.n_e + params.epsilon_f * (comp.n_f - 1)
     return rate * params.distance
 

@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .errors import BothTypesRequired, FleetTooLarge, NotEfficient
+from .errors import BothTypesRequired, FleetTooLarge, InvalidInput, NotEfficient
 from .game import (
     REL_TOL,
     Composition,
@@ -224,7 +224,7 @@ class Breakpoints:
         """The payoff classes at ``t`` and the labeled count of subsets blocking them."""
         classes, params = self._point(t)
         if sum(count for _, _, count in classes) != self.size:
-            raise ValueError(f"payoff classes do not count a fleet of {self.size}")
+            raise InvalidInput(f"payoff classes do not count a fleet of {self.size}")
         if params is not self._grand[0]:
             self._grand = params, *_grand_value(self.comp, params)
         _, total, tol = self._grand
@@ -251,9 +251,9 @@ def in_core(
     "slow" the labeled oracle, loaded from ``platoonshare.oracles`` only then.
     """
     if method not in ("auto", "slow"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidInput(f"unknown method {method!r}")
     if len(alloc.payoffs) != fleet.size:
-        raise ValueError(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
+        raise InvalidInput(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
     classes = Counter(zip(fleet.types, alloc.payoffs))
     paid = sum(count * pay for (_, pay), count in classes.items())
     _check_efficient(paid, *_grand_value(fleet.composition(), params))

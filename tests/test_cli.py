@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonshare import allocate, game, stability
+from platoonshare import allocate, cli, game, stability
 from platoonshare.cli import _RATIO_GRID, _XI_GRID, COMMANDS, OPTIONS, SCHEMES, SWEEPS, main, ratio6
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -134,6 +134,19 @@ class TestAllocate:
         assert captured.err == "error: FleetTooLarge: fleet of 17 exceeds max platoon size 15\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_class_cap_checked_before_the_roster(self, scheme, monkeypatch, capsys):
+        # (1023 + 1)(1024 + 1) subset classes pass 2^20, and no scheme pays in fewer
+        def no_roster(comp):
+            raise AssertionError("roster built for a fleet above the class cap")
+
+        monkeypatch.setattr(game.Fleet, "from_composition", no_roster)
+        assert main(["allocate", "--scheme", scheme, "--ne", "1023", "--nf", "1024",
+                     "--max-platoon-size", "5000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: FleetTooLarge: scan capped at 2^20 subset classes\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("extra", [[], ["--xi", "0.1"]])
     def test_stable_on_one_truck_names_the_grand_coalition(self, extra, capsys):
         # the bound and the allocation refuse the fleet with one message
@@ -149,6 +162,14 @@ class TestAllocate:
         assert "xi=0.186047" in out
         assert "core=true" in out
         assert "payoff=14.40" in out
+
+    def test_shapley_on_a_fuel_only_fleet(self, capsys):
+        # the ratio core conditions are defined for mixed fleets only: no line names them
+        assert main(["allocate", "--scheme", "shapley", "--ne", "0", "--nf", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("payoff=14.00") == 3
+        assert "core=true" in out
+        assert "core_ratio_condition" not in out
 
     def test_deviation_min_rejected_when_condition_holds(self, capsys):
         assert main(["allocate", "--scheme", "deviation-min"]) == 3
@@ -363,8 +384,13 @@ class TestSweeps:
         assert captured.err == (
             "error: FleetTooLarge: sweep capped at 4194304 subset classes in all\n")
 
-    @pytest.mark.parametrize("kind", list(SWEEPS))
-    def test_class_budget_admits_the_pinned_sizes(self, kind, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind, budget, largest", [
+        *[pytest.param(k, 4194304, 2894 if k == "fig3" else 291, id=k) for k in SWEEPS],
+        # 3 + 4 + 5 classes at size 4: a sum equal to the budget is admitted
+        pytest.param("fig3", 12, 4, id="fig3-sum-at-the-budget"),
+    ])
+    def test_class_budget_admits_the_pinned_sizes(self, kind, budget, largest, monkeypatch,
+                                                  capsys):
         # the sum grows with the size, so mixed fleets of 200 and fig3 at 400,
         # the largest pinned sweeps, reach their first table; the budget
         # refuses from 292 and 2,895
@@ -375,14 +401,14 @@ class TestSweeps:
             raise FirstTable
 
         monkeypatch.setattr(stability.Breakpoints, "__init__", first_table)
-        largest = 2894 if kind == "fig3" else 291
+        monkeypatch.setattr(cli, "SWEEP_CLASS_BUDGET", budget)
         with pytest.raises(FirstTable):
             main(["sweep", kind, "--max-platoon-size", str(largest)])
         assert main(["sweep", kind, "--max-platoon-size", str(largest + 1)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: FleetTooLarge: sweep capped at 4194304 subset classes in all\n")
+            f"error: FleetTooLarge: sweep capped at {budget} subset classes in all\n")
 
     @pytest.mark.parametrize("epsilon_f", ["1e-303", "7e-302"])
     def test_fig5_checks_the_rates_its_tables_read(self, epsilon_f, capsys):

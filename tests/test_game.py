@@ -23,6 +23,7 @@ from platoonshare import (
     enumerate_type_structures,
     in_core,
     optimal_leader_type,
+    oracles,
     shapley_allocation,
 )
 from platoonshare.cli import _csv_text, main, money
@@ -288,6 +289,21 @@ class TestSuperadditivity:
 
     def test_two_fuel_trucks(self, params):
         assert check_superadditivity(Composition(0, 2), params) == []
+
+    @pytest.mark.parametrize("loss, found", [
+        (2e-9, [(Composition(0, 1), Composition(0, 1))]),
+        (1e-9, []),  # a loss of exactly the tolerance is no violation
+    ])
+    def test_finds_a_merge_that_loses(self, loss, found, monkeypatch):
+        # a subadditive valuation: two fuel trucks are worth 0.5 each alone and
+        # 1 - loss together, at a distance of 1 and a money tolerance of 1e-9
+        def subadditive(n_e, n_f, epsilon_e, epsilon_f):
+            return 0.5 * n_f if n_f < 2 else 1.0 - loss
+
+        monkeypatch.setattr(oracles, "rate_for_counts", subadditive)
+        params = SavingsParams(epsilon_f=1.0, epsilon_e=0.5, distance=1.0)
+        assert params.money_tol() == 1e-9
+        assert check_superadditivity(Composition(0, 2), params) == found
 
     @given(
         n_e=st.integers(0, 6),

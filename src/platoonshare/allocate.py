@@ -17,6 +17,7 @@ from .errors import (
     ConditionHolds,
     EpsilonOrderError,
     FleetTooSmall,
+    InvalidInput,
     XiOutOfRange,
 )
 from .game import (
@@ -190,7 +191,11 @@ def shapley_tables(params: SavingsParams):
             at = at_ratio(r)
             return classes(at), at
 
-        windows = ClassWindows(at_ratio(1.0), lines, (0.0, ef), (ef, 0.0))
+        try:  # only the money tolerance can fail there, as epsilon_e takes epsilon_f
+            windows = ClassWindows(at_ratio(1.0), lines, (0.0, ef), (ef, 0.0))
+        except InvalidInput:
+            raise InvalidInput("epsilon_f x distance is too small for a money tolerance at "
+                               "rate ratio 1, where every table builds its windows") from None
         return Breakpoints(comp, windows, point)
     return table
 

@@ -188,7 +188,7 @@ def labeled_violations(
                      map(operator.add, sums, repeat(tol)))
         blocking.update(map(head.__add__, compress(low_keys, blocks)))
     out: dict[tuple[int, int], int] = {}
-    for key, count in blocking.items():
+    for key, count in sorted(blocking.items()):  # ascending (e, f), as the class scan
         e, size = divmod(key, n + 1)
         out[(e, size - e)] = count
     return out

@@ -2,7 +2,8 @@
 
 One subset scan backs every verdict: trucks of the same type paid exactly
 the same are interchangeable, so it visits the classes of such subsets
-and weights each by its binomial multiplicity. Sweeps along a family of
+and weights each by its binomial multiplicity, summing the payoff classes
+in one order whatever the trucks' ids. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
 turned into sorted thresholds per composition, each point given as payoff
 classes, and each table's rounding windows from a ``ClassWindows`` store.
@@ -17,8 +18,8 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, compress, repeat
+from operator import add, gt, itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import BothTypesRequired, FleetTooLarge, InvalidInput, NotEfficient
@@ -37,8 +38,8 @@ if TYPE_CHECKING:
 
 # A subset blocks only if it gains more than params.money_tol(); boundary
 # allocations (xi exactly at the bound) sit on the core's face and must not flip.
-# The class scan holds flat lists of one entry per subset class, at most
-# 2^CLASS_SCAN_CAP_BITS of them.
+# The class scan holds one entry per pick of all payoff classes but the
+# largest, and is capped at 2^CLASS_SCAN_CAP_BITS subset classes.
 CLASS_SCAN_CAP_BITS = 20
 # Breakpoints' rounding bound, relative to the magnitude of an excess's terms
 _ROUNDING = 32 * sys.float_info.epsilon
@@ -78,25 +79,36 @@ def _violations(
 
     ``classes`` maps (truck type, pay) to its number of trucks in a fleet of
     ``n``; such trucks are interchangeable: a subset takes k of a class of m
-    in comb(m, k) ways. The classes are summed in the mapping's order.
+    in comb(m, k) ways. The classes are summed in ascending (count, type,
+    pay) order, whatever the mapping's. Each pick of all classes but the
+    last, the largest, is a row (key e*(n_f + 1) + f, sum, count), and a
+    row's m + 1 picks of the last class are compared together, each as
+    v(S) > (row sum + k*pay) + tol. The result lists (e, f) in ascending order.
     """
     _check_class_cap(classes.values())
-    nes, nfs, counts, sums = [0], [0], [1], [0]
-    for (truck_type, pay), size in classes.items():
-        taken = range(size + 1)
-        if truck_type is TruckType.ELECTRIC:
-            nes, nfs = [e + k for k in taken for e in nes], nfs * (size + 1)
-        else:
-            nes, nfs = nes * (size + 1), [f + k for k in taken for f in nfs]
+    order = sorted(classes.items(), key=lambda c: (c[1], c[0][0].value, c[0][1]))
+    if not order:
+        return {}
+    n_f = sum(size for (truck_type, _), size in order if truck_type is TruckType.FUEL)
+    steps = {TruckType.ELECTRIC: n_f + 1, TruckType.FUEL: 1}  # a truck's step in a key
+    keys, counts, sums = [0], [1], [0]
+    for (truck_type, pay), size in order[:-1]:
+        taken, step = range(size + 1), steps[truck_type]
+        keys = [key + k * step for k in taken for key in keys]
         sums = [s + k * pay for k in taken for s in sums]
         counts = [c * w for w in _binomials(size) for c in counts]
-    tol = params.money_tol()
+    (truck_type, pay), m = order[-1]
+    # one endless repeat of the money tolerance serves every row
+    step, tols, taken = steps[truck_type], repeat(params.money_tol()), range(m + 1)
     ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    out: dict[tuple[int, int], int] = {}
-    for e, f, got, count in zip(nes, nfs, sums, counts):
-        if 0 < e + f < n and rate_for_counts(e, f, ee, ef) * dist > got + tol:
-            out[(e, f)] = out.get((e, f), 0) + count
-    return out
+    worth = [rate_for_counts(e, f, ee, ef) * dist if 0 < e + f < n else -math.inf
+             for e in range(sum(classes.values()) - n_f + 1) for f in range(n_f + 1)]
+    picks, ways, blocking = [k * pay for k in taken], _binomials(m), [0] * len(worth)
+    for key, row_sum, count in zip(keys, sums, counts):
+        got = map(add, map(add, repeat(row_sum), picks), tols)
+        for k in compress(taken, map(gt, worth[key:key + m * step + 1:step], got)):
+            blocking[key + k * step] += count * ways[k]
+    return {divmod(key, n_f + 1): c for key, c in compress(enumerate(blocking), blocking)}
 
 
 def _grand_value(comp: Composition, params: SavingsParams) -> tuple:
@@ -194,8 +206,8 @@ class Breakpoints:
     them. A point must sum to v(N) within its params' money tolerance; its
     count bisects ``windows``' rows sorted by end, with cumulative labeled
     counts. Inside a window, or at another money tolerance than the windows',
-    ``_violations`` scans the point's classes, equal (type, pay) pairs merged
-    in order, as ``in_core`` merges them on ``Fleet.from_composition(comp)``.
+    ``_violations`` scans the point's classes, equal (type, pay) pairs merged,
+    as ``in_core`` merges them on any roster of ``comp``.
     ``params`` are the windows' params.
     """
 
@@ -264,10 +276,7 @@ def in_core(
         violations = _violations(classes, fleet.size, params)
 
     n_violating = sum(violations.values())
-    blocking = tuple(
-        (Composition(n_e, n_f), count)
-        for (n_e, n_f), count in sorted(violations.items())
-    )
+    blocking = tuple((Composition(n_e, n_f), count) for (n_e, n_f), count in violations.items())
     return CoreReport(n_violating == 0, blocking, _share(n_violating, fleet.size))
 
 

@@ -19,6 +19,7 @@ from platoonshare import (
     Fleet,
     FleetTooLarge,
     FleetTooSmall,
+    InvalidInput,
     NotEfficient,
     SavingsParams,
     TruckType,
@@ -132,10 +133,12 @@ class TestInCore:
             in_core(alloc, fleet, params)
 
     def test_blocking_report_in_ascending_order(self, params, fleet23):
+        # each scan lists its compositions in ascending order itself
         alloc = stable_allocation(fleet23, params, 0.9)
-        report = in_core(alloc, fleet23, params)
-        comps = [c for c, _ in report.blocking_coalitions]
-        assert comps == sorted(comps)
+        for method in ("auto", "slow"):
+            comps = [c for c, _ in in_core(alloc, fleet23, params, method).blocking_coalitions]
+            assert len(comps) > 1
+            assert comps == sorted(comps)
 
 
 def _random_structured_allocation(rng, fleet, params):
@@ -187,6 +190,105 @@ class TestFastSlowAgreement:
         alloc = Allocation(tuple(p * scale for p in raw),
                            data.draw(st.integers(0, n - 1)), scheme="test")
         assert in_core(alloc, fleet, params) == in_core(alloc, fleet, params, method="slow")
+
+
+def _flat_violations(classes, n, params):
+    """The flat class scan, one entry per subset class, the classes summed in
+    the mapping's order: ``_violations``' twin, fed the canonical order."""
+    stability._check_class_cap(classes.values())
+    nes, nfs, counts, sums = [0], [0], [1], [0]
+    for (truck_type, pay), size in classes.items():
+        taken = range(size + 1)
+        if truck_type is TruckType.ELECTRIC:
+            nes, nfs = [e + k for k in taken for e in nes], nfs * (size + 1)
+        else:
+            nes, nfs = nes * (size + 1), [f + k for k in taken for f in nfs]
+        sums = [s + k * pay for k in taken for s in sums]
+        counts = [c * w for w in stability._binomials(size) for c in counts]
+    tol = params.money_tol()
+    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
+    out = {}
+    for e, f, got, count in zip(nes, nfs, sums, counts):
+        if 0 < e + f < n and game.rate_for_counts(e, f, ee, ef) * dist > got + tol:
+            out[(e, f)] = out.get((e, f), 0) + count
+    return out
+
+
+def _canonical(classes):
+    """The classes in ascending (count, type, pay) order: the largest comes last."""
+    return dict(sorted(classes.items(), key=lambda c: (c[1], c[0][0].value, c[0][1])))
+
+
+E, F = TruckType.ELECTRIC, TruckType.FUEL
+# tied, zero and cancelling pays; -0.0 and 0.0 are one class
+TWIN_PAYS = st.sampled_from([0.0, -0.0, 1.5, 2.5, 1e17, -1e17]) | st.floats(-60.0, 60.0)
+
+
+@st.composite
+def _paid_fleets(draw):
+    """Truck types and pays: each pay one of a few levels, the leader's its own."""
+    types = draw(st.lists(st.sampled_from(TruckType), min_size=1, max_size=12))
+    levels = draw(st.lists(TWIN_PAYS, min_size=1, max_size=3))
+    pays = draw(st.lists(st.sampled_from(levels), min_size=len(types), max_size=len(types)))
+    pays[draw(st.integers(0, len(types) - 1))] = draw(st.sampled_from(levels) | TWIN_PAYS)
+    return tuple(types), tuple(pays)
+
+
+class TestClassOrder:
+    """The class scan sums its classes in one order, whatever the mapping's."""
+
+    @given(fleet=_paid_fleets(), exact=st.booleans(),
+           ratio=st.sampled_from([Fraction(48, 70), Fraction(1, 2), Fraction(1), Fraction(9, 7)]))
+    @example(fleet=((F,) * 5, (3.0,) * 5), exact=False, ratio=Fraction(1))  # one class
+    # the largest class ET (and a pay tied across types), FPT, and the leader's
+    @example(fleet=((E,) * 6 + (F,) * 2 + (E,), (5.0,) * 8 + (40.0,)), exact=False,
+             ratio=Fraction(48, 70))
+    @example(fleet=((E, E, F, F, F, F, F, E), (1e17, 1e17) + (-1e17,) * 5 + (0.0,)),
+             exact=False, ratio=Fraction(48, 70))
+    @example(fleet=((E, F, F), (2.0, 1.0, 40.0)), exact=True, ratio=Fraction(1, 2))
+    # summed by type first, 1e17 + 36 rounds to 1e17 + 32 and a subset worth 35.4 blocks
+    @example(fleet=((E, F, F) + (E,) * 3, (1e17, -1e17, -1e17) + (36.0,) * 3), exact=False,
+             ratio=Fraction(48, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_flat_scan_in_canonical_order(self, fleet, exact, ratio):
+        types, pays = fleet
+        num = Fraction if exact else float
+        eps_f = num(Fraction(7, 100))
+        params = SavingsParams(epsilon_f=eps_f, epsilon_e=eps_f * num(ratio),
+                               distance=num(300))
+        classes = Counter(zip(types, map(num, pays)))
+        got = stability._violations(classes, len(types), params)
+        assert got == _flat_violations(_canonical(classes), len(types), params)
+        assert list(got) == sorted(got)
+        assert all(type(count) is int and count > 0 for count in got.values())
+        reordered = dict(reversed(list(classes.items())))
+        assert stability._violations(reordered, len(types), params) == got
+
+    def test_relabeling_keeps_the_report(self, params):
+        # summed in the mapping's order, the class scan once gave this allocation
+        # stability probability 0.785714 and, with ids 0 and 2 swapped, 0.857143
+        pays = (6.606115254007317, 7.676082903346565, 27.71780182164612, 14.400000020999997)
+        alloc = Allocation(pays, leader_id=0, scheme="test")
+        swapped = Allocation((pays[2], pays[1], pays[0], pays[3]), leader_id=2, scheme="test")
+        report = in_core(alloc, Fleet((E, F, F, E)), params)
+        assert in_core(swapped, Fleet((F, F, E, E)), params) == report
+
+    @given(data=st.data(), n=st.integers(2, 10), ratio=st.floats(0.05, 0.95),
+           levels=st.lists(st.just(0.0) | st.floats(0.01, 2.0), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_permuting_the_ids_keeps_the_report(self, data, n, ratio, levels):
+        params = SavingsParams(epsilon_f=0.07, epsilon_e=0.07 * ratio, distance=300.0)
+        fleet = Fleet(tuple(data.draw(st.lists(st.sampled_from(TruckType),
+                                               min_size=n, max_size=n))))
+        raw = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        assume(sum(raw) > 0)
+        scale = coalition_value(fleet.composition(), params) / sum(raw)
+        alloc = Allocation(tuple(p * scale for p in raw), 0, scheme="test")
+        order = data.draw(st.permutations(range(n)))
+        moved = Fleet(tuple(fleet.types[j] for j in order))
+        relabeled = Allocation(tuple(alloc.payoffs[j] for j in order), order.index(0),
+                               scheme="test")
+        assert in_core(relabeled, moved, params) == in_core(alloc, fleet, params)
 
 
 class TestStabilityProbability:
@@ -540,11 +642,8 @@ def _blocking(alloc, fleet, params):
 
 def _expected(alloc, fleet, params):
     """A table point's reading, from the per-truck allocation and the class scan,
-    its classes tallied in a table's order whatever the roster's: the leader,
-    the other ETs, the FPTs (a ``Fleet.from_composition`` roster's order)."""
-    order = sorted(range(fleet.size), key=lambda j: (fleet.types[j] is not TruckType.ELECTRIC,
-                                                     j != alloc.leader_id))
-    classes = Counter((fleet.types[j], alloc.payoffs[j]) for j in order)
+    which sums the classes in one order whatever the roster's."""
+    classes = Counter(zip(fleet.types, alloc.payoffs))
     return classes, sum(stability._violations(classes, fleet.size, params).values())
 
 
@@ -904,6 +1003,14 @@ class TestBreakpoints:
             with pytest.raises(ValueError, match="positive"):
                 scan.at(-ratio)
         assert len(built) == 3
+
+    def test_type_fair_tables_name_the_ratio_of_their_windows(self):
+        # valid params, but at rate ratio 1 the money tolerance underflows
+        tables = shapley_tables(SavingsParams(1e-320, 0.048, 300.0, 10**30))
+        with pytest.raises(InvalidInput, match=(
+                r"^epsilon_f x distance is too small for a money tolerance at rate ratio 1, "
+                r"where every table builds its windows$")):
+            tables(Composition(4, 2))
 
     def test_fig5_validates_params_per_table_not_per_point(self, monkeypatch, tmp_path):
         # size 40: 39 tables of 19 points each; one set of params per grid

@@ -173,32 +173,25 @@ def cmd_allocate(params: game.SavingsParams, comp: game.Composition, args: dict)
         head += f" xi={ratio6(allocation.xi)}"
     if allocation.within_bound is not None:
         head += f" within_bound={str(allocation.within_bound).lower()}"
-    lines = [head]
-    for i in fleet.ids():
+    lines = [head] + [
+        f"truck_id={i} type={fleet.types[i].code} payoff={money(allocation.payoffs[i])}"
+        f" leader={str(i == allocation.leader_id).lower()}" for i in fleet.ids()
+    ]
+    lines += [f"total={money(allocation.total())}",
+              f"core={str(report.is_member).lower()}"
+              f" stability_probability={ratio6(report.stability_probability)}"]
+    if report.blocking_coalitions:  # the parts live only until their join
+        lines.append("blocking=" + ";".join([f"{game.block_notation(block)}x{count}"
+                                             for block, count in report.blocking_coalitions]))
+    if scheme == "shapley" and comp.n_e >= 1 and comp.n_f >= 1:
         lines.append(
-            f"truck_id={i} type={fleet.types[i].code} payoff={money(allocation.payoffs[i])}"
-            f" leader={str(i == allocation.leader_id).lower()}"
+            "core_ratio_condition="
+            + str(stability.shapley_core_condition_ratio(comp, params)).lower()
+            + " core_exact_condition="
+            + str(stability.shapley_core_condition_exact(comp, params)).lower()
         )
-    lines.append(f"total={money(allocation.total())}")
-    lines.append(
-        f"core={str(report.is_member).lower()}"
-        f" stability_probability={ratio6(report.stability_probability)}"
-    )
-    if report.blocking_coalitions:
-        parts = [
-            f"{game.block_notation(comp)}x{count}"
-            for comp, count in report.blocking_coalitions
-        ]
-        lines.append("blocking=" + ";".join(parts))
-    if scheme == "shapley":
-        if comp.n_e >= 1 and comp.n_f >= 1:
-            lines.append(
-                "core_ratio_condition="
-                + str(stability.shapley_core_condition_ratio(comp, params)).lower()
-                + " core_exact_condition="
-                + str(stability.shapley_core_condition_exact(comp, params)).lower()
-            )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, with no second copy of the text
+    return "\n".join(lines)
 
 
 def cmd_table1(params: game.SavingsParams, comp: game.Composition, args: dict) -> str:

@@ -3,7 +3,9 @@
 One subset scan backs every verdict: trucks of the same type paid exactly
 the same are interchangeable, so it visits the classes of such subsets
 and weights each by its binomial multiplicity, summing the payoff classes
-in one order whatever the trucks' ids. Sweeps along a family of
+in one order whatever the trucks' ids, its v(S) tables and binomial rows
+memoized (128 of each, of up to 256 entries) for verdicts that repeat a
+composition and rates, or a class size. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
 turned into sorted thresholds per composition, each point given as payoff
 classes, and each table's rounding windows from a ``ClassWindows`` store.
@@ -18,8 +20,9 @@ import math
 import sys
 from bisect import bisect_left
 from collections import Counter
+from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from operator import add, gt, itemgetter
+from operator import add, gt, is_, itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import BothTypesRequired, FleetTooLarge, InvalidInput, NotEfficient
@@ -43,6 +46,7 @@ if TYPE_CHECKING:
 CLASS_SCAN_CAP_BITS = 20
 # Breakpoints' rounding bound, relative to the magnitude of an excess's terms
 _ROUNDING = 32 * sys.float_info.epsilon
+_MEMO_SIZE, _MEMO_ENTRIES = 128, 256  # results per memo, and entries per result at most
 
 
 class CoreReport(NamedTuple):
@@ -64,45 +68,61 @@ def _check_class_cap(sizes) -> None:
         raise FleetTooLarge(f"scan capped at 2^{CLASS_SCAN_CAP_BITS} subset classes")
 
 
-def _binomials(m: int) -> list[int]:
+@lru_cache(maxsize=_MEMO_SIZE)
+def _binomial_row(m: int) -> tuple[int, ...]:
     """The row comb(m, k) for k = 0..m, each entry from the one before."""
     row = [1]
     for k in range(m):
         row.append(row[-1] * (m - k) // (k + 1))
-    return row
+    return tuple(row)
+
+
+def _binomials(m: int) -> tuple[int, ...]:
+    """``_binomial_row(m)``, memoized if it has at most ``_MEMO_ENTRIES`` entries."""
+    return (_binomial_row if m < _MEMO_ENTRIES else _binomial_row.__wrapped__)(m)
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)  # typed: exact int params keep their own table
+def _worth(n_e: int, n_f: int, ee, ef, dist) -> tuple:
+    """v(S) of each (e, f) at key e*(n_f + 1) + f; -inf, never blocking, for {} and N."""
+    return tuple(rate_for_counts(e, f, ee, ef) * dist if 0 < e + f < n_e + n_f else -math.inf
+                 for e in range(n_e + 1) for f in range(n_f + 1))
 
 
 def _violations(
-    classes: Mapping[tuple[TruckType, float], int], n: int, params: SavingsParams
+    classes: Mapping[tuple[bool, float], int], n: int, params: SavingsParams
 ) -> dict[tuple[int, int], int]:
     """Scan of the subset classes of interchangeable trucks, weighted by count.
 
-    ``classes`` maps (truck type, pay) to its number of trucks in a fleet of
+    ``classes`` maps (is fuel, pay) to its number of trucks in a fleet of
     ``n``; such trucks are interchangeable: a subset takes k of a class of m
     in comb(m, k) ways. The classes are summed in ascending (count, type,
-    pay) order, whatever the mapping's. Each pick of all classes but the
-    last, the largest, is a row (key e*(n_f + 1) + f, sum, count), and a
-    row's m + 1 picks of the last class are compared together, each as
-    v(S) > (row sum + k*pay) + tol. The result lists (e, f) in ascending order.
+    pay) order, ET before FPT, whatever the mapping's. Each pick of all
+    classes but the last, the largest, is a row (key e*(n_f + 1) + f, sum,
+    count), and a row's m + 1 picks of the last class are compared together,
+    each as v(S) > (row sum + k*pay) + tol, v(S) and the binomial rows read
+    from memos. The result lists (e, f) in ascending order.
     """
     _check_class_cap(classes.values())
-    order = sorted(classes.items(), key=lambda c: (c[1], c[0][0].value, c[0][1]))
+    order = sorted(zip(classes.values(), classes))  # (count, (is fuel, pay))
     if not order:
         return {}
-    n_f = sum(size for (truck_type, _), size in order if truck_type is TruckType.FUEL)
-    steps = {TruckType.ELECTRIC: n_f + 1, TruckType.FUEL: 1}  # a truck's step in a key
+    n_f = sum(size for size, (fuel, _) in order if fuel)
     keys, counts, sums = [0], [1], [0]
-    for (truck_type, pay), size in order[:-1]:
-        taken, step = range(size + 1), steps[truck_type]
+    for size, (fuel, pay) in order[:-1]:
+        taken, step = range(size + 1), 1 if fuel else n_f + 1  # a truck's step in a key
+        if size == 1:  # the general case's floats, in its order
+            keys, sums = keys + [key + step for key in keys], sums + [s + pay for s in sums]
+            counts = counts * 2
+            continue
         keys = [key + k * step for k in taken for key in keys]
         sums = [s + k * pay for k in taken for s in sums]
         counts = [c * w for w in _binomials(size) for c in counts]
-    (truck_type, pay), m = order[-1]
+    m, (fuel, pay) = order[-1]
     # one endless repeat of the money tolerance serves every row
-    step, tols, taken = steps[truck_type], repeat(params.money_tol()), range(m + 1)
-    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    worth = [rate_for_counts(e, f, ee, ef) * dist if 0 < e + f < n else -math.inf
-             for e in range(sum(classes.values()) - n_f + 1) for f in range(n_f + 1)]
+    step, tols, taken = 1 if fuel else n_f + 1, repeat(params.money_tol()), range(m + 1)
+    memo = _worth if (n - n_f + 1) * (n_f + 1) <= _MEMO_ENTRIES else _worth.__wrapped__
+    worth = memo(n - n_f, n_f, params.epsilon_e, params.epsilon_f, params.distance)
     picks, ways, blocking = [k * pay for k in taken], _binomials(m), [0] * len(worth)
     for key, row_sum, count in zip(keys, sums, counts):
         got = map(add, map(add, repeat(row_sum), picks), tols)
@@ -245,7 +265,7 @@ class Breakpoints:
         if t >= self._starts[j] or tol != self._tol:
             tally = Counter()
             for truck_type, pay, count in classes:
-                tally[truck_type, pay] += count
+                tally[truck_type is TruckType.FUEL, pay] += count
             return classes, sum(_violations(tally, self.size, params).values())
         return classes, self._counts[j]
 
@@ -259,14 +279,15 @@ def in_core(
     """Decide core membership of an efficient allocation.
 
     Efficiency sums count*pay over the (type, pay) classes, as ``Breakpoints.at``
-    does. ``method`` "auto" takes the class scan, exact for any allocation;
-    "slow" the labeled oracle, loaded from ``platoonshare.oracles`` only then.
+    does. ``method`` "auto" takes the class scan, exact for any allocation, its
+    v(S) table memoized per composition and params; "slow" the labeled oracle,
+    loaded from ``platoonshare.oracles`` only then.
     """
     if method not in ("auto", "slow"):
         raise InvalidInput(f"unknown method {method!r}")
     if len(alloc.payoffs) != fleet.size:
         raise InvalidInput(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
-    classes = Counter(zip(fleet.types, alloc.payoffs))
+    classes = Counter(zip(map(is_, fleet.types, repeat(TruckType.FUEL)), alloc.payoffs))
     paid = sum(count * pay for (_, pay), count in classes.items())
     _check_efficient(paid, *_grand_value(fleet.composition(), params))
     if method == "slow":
@@ -276,7 +297,8 @@ def in_core(
         violations = _violations(classes, fleet.size, params)
 
     n_violating = sum(violations.values())
-    blocking = tuple((Composition(n_e, n_f), count) for (n_e, n_f), count in violations.items())
+    blocking = tuple(zip(map(tuple.__new__, repeat(Composition), violations),
+                         violations.values()))
     return CoreReport(n_violating == 0, blocking, _share(n_violating, fleet.size))
 
 

@@ -1,7 +1,10 @@
 import functools
+import json
 import math
 import operator
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -140,6 +143,14 @@ class TestInCore:
             assert len(comps) > 1
             assert comps == sorted(comps)
 
+    def test_blocking_coalitions_are_compositions(self, params, fleet23):
+        # built without Composition's own constructor, they are still Compositions
+        alloc = stable_allocation(fleet23, params, 0.9)
+        for method in ("auto", "slow"):
+            blocking = in_core(alloc, fleet23, params, method).blocking_coalitions
+            assert blocking
+            assert all(type(comp) is Composition for comp, _ in blocking)
+
 
 def _random_structured_allocation(rng, fleet, params):
     """Type-symmetric allocation with a leader extra, rescaled to efficiency."""
@@ -197,9 +208,9 @@ def _flat_violations(classes, n, params):
     the mapping's order: ``_violations``' twin, fed the canonical order."""
     stability._check_class_cap(classes.values())
     nes, nfs, counts, sums = [0], [0], [1], [0]
-    for (truck_type, pay), size in classes.items():
+    for (fuel, pay), size in classes.items():
         taken = range(size + 1)
-        if truck_type is TruckType.ELECTRIC:
+        if not fuel:
             nes, nfs = [e + k for k in taken for e in nes], nfs * (size + 1)
         else:
             nes, nfs = nes * (size + 1), [f + k for k in taken for f in nfs]
@@ -215,8 +226,14 @@ def _flat_violations(classes, n, params):
 
 
 def _canonical(classes):
-    """The classes in ascending (count, type, pay) order: the largest comes last."""
-    return dict(sorted(classes.items(), key=lambda c: (c[1], c[0][0].value, c[0][1])))
+    """The classes in ascending (count, type, pay) order, ET first: the largest comes last."""
+    return dict(sorted(classes.items(), key=lambda c: (c[1], c[0][0], c[0][1])))
+
+
+def _flagged(classes):
+    """(truck type, pay) classes keyed as the class scan reads them: (is fuel, pay)."""
+    return {(truck_type is TruckType.FUEL, pay): size
+            for (truck_type, pay), size in classes.items()}
 
 
 E, F = TruckType.ELECTRIC, TruckType.FUEL
@@ -256,7 +273,7 @@ class TestClassOrder:
         eps_f = num(Fraction(7, 100))
         params = SavingsParams(epsilon_f=eps_f, epsilon_e=eps_f * num(ratio),
                                distance=num(300))
-        classes = Counter(zip(types, map(num, pays)))
+        classes = Counter(zip((t is F for t in types), map(num, pays)))
         got = stability._violations(classes, len(types), params)
         assert got == _flat_violations(_canonical(classes), len(types), params)
         assert list(got) == sorted(got)
@@ -289,6 +306,115 @@ class TestClassOrder:
         relabeled = Allocation(tuple(alloc.payoffs[j] for j in order), order.index(0),
                                scheme="test")
         assert in_core(relabeled, moved, params) == in_core(alloc, fleet, params)
+
+
+def _clear_memos():
+    stability._worth.cache_clear()
+    stability._binomial_row.cache_clear()
+
+
+def _check_memo_bounds():
+    for memo in (stability._worth, stability._binomial_row):
+        info = memo.cache_info()
+        assert info.maxsize == stability._MEMO_SIZE == 128
+        assert info.currsize <= info.maxsize
+
+
+def _fresh_report(params, types, pays):
+    """``repr`` of ``in_core``'s report from a fresh process, its memos empty."""
+    code = ("import json, sys\n"
+            "from platoonshare import Allocation, Fleet, SavingsParams, TruckType, in_core\n"
+            "p, codes, pays = json.loads(sys.argv[1])\n"
+            "fleet = Fleet(tuple(TruckType.FUEL if c == 'D' else TruckType.ELECTRIC"
+            " for c in codes))\n"
+            "print(repr(in_core(Allocation(tuple(pays), 0, 'test'), fleet, SavingsParams(*p))))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stability.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    case = json.dumps([list(params), "".join(t.code for t in types), list(pays)])
+    done = subprocess.run([sys.executable, "-c", code, case], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+# Pays on the edge of one rounding: at rates 7 and 3 and distance 2^53 - 1 the
+# FPT pair of 1 ET + 2 FPT is worth 7 * (2^53 - 1) as an exact int, and blocks,
+# but 7 * 2^53 - 8 as a float, and does not.
+EXACT_DISTANCE = 2**53 - 1
+EXACT_PAYS = (6.305039484623733e+16, 3.152519736006827e+16, 3.152519736006827e+16)
+
+
+class TestMemos:
+    """The memoized v(S) tables and binomial rows change no report and stay bounded."""
+
+    @given(data=st.data(), n=st.integers(2, 12),
+           params=st.sampled_from([SavingsParams(0.07, 0.048, 300.0),
+                                   SavingsParams(7, 3, 11), SavingsParams(7.0, 3.0, 11.0)]),
+           levels=st.lists(st.just(0.0) | st.floats(0.01, 2.0), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_warm_reports_equal_cold_ones(self, data, n, params, levels):
+        fleet = Fleet(tuple(data.draw(st.lists(st.sampled_from(TruckType),
+                                               min_size=n, max_size=n))))
+        raw = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        assume(sum(raw) > 0)
+        scale = coalition_value(fleet.composition(), params) / sum(raw)
+        alloc = Allocation(tuple(p * scale for p in raw), 0, scheme="test")
+        warm = in_core(alloc, fleet, params)  # the memos as earlier examples left them
+        _clear_memos()
+        assert in_core(alloc, fleet, params) == warm  # built afresh
+        assert in_core(alloc, fleet, params) == warm  # read back
+        _check_memo_bounds()
+
+    def test_more_compositions_than_the_memo_holds(self):
+        params = SavingsParams(0.07, 0.048, 300.0, max_platoon_size=20)
+        comps = [Composition(n_e, n - n_e) for n in range(2, 21) for n_e in range(n + 1)]
+        assert len(comps) > stability._MEMO_SIZE
+        cases = []
+        for comp in comps + comps[::-1]:  # the way back hits the most recent tables
+            fleet = Fleet.from_composition(comp)
+            raw = [1.0 + i % 3 for i in fleet.ids()]
+            scale = coalition_value(comp, params) / sum(raw)
+            alloc = Allocation(tuple(p * scale for p in raw), 0, scheme="test")
+            cases.append((alloc, fleet, in_core(alloc, fleet, params)))
+            _check_memo_bounds()
+        for alloc, fleet, warm in cases:
+            _clear_memos()
+            assert in_core(alloc, fleet, params) == warm
+
+    def test_exact_int_params_keep_their_own_table(self):
+        exact = SavingsParams(7, 3, EXACT_DISTANCE)
+        twin = SavingsParams(7.0, 3.0, float(EXACT_DISTANCE))
+        assert exact == twin and exact.money_tol() == twin.money_tol()
+        fleet = Fleet((TruckType.ELECTRIC, TruckType.FUEL, TruckType.FUEL))
+        alloc = Allocation(EXACT_PAYS, 0, scheme="test")
+        _clear_memos()
+        reports = {}
+        for params in (twin, exact, twin):  # each after the other's table
+            reports[type(params.distance)] = in_core(alloc, fleet, params)
+            assert repr(reports[type(params.distance)]) == _fresh_report(params, fleet.types,
+                                                                         EXACT_PAYS)
+        assert reports[float].is_member
+        assert reports[int].blocking_coalitions == ((Composition(0, 2), 1),)
+        small = Fleet.from_composition(Composition(2, 3))
+        for params in (SavingsParams(7, 3, 11), SavingsParams(7.0, 3.0, 11.0)):
+            alloc = even_split(small, params)
+            assert repr(in_core(alloc, small, params)) == _fresh_report(params, small.types,
+                                                                        alloc.payoffs)
+
+    def test_large_tables_and_rows_are_built_per_call(self, params):
+        big = params._replace(max_platoon_size=400)
+        _clear_memos()
+        stability._binomials(stability._MEMO_ENTRIES - 1)  # 256 entries: kept
+        stability._worth(15, 15, 0.048, 0.07, 300.0)  # 256 entries: kept
+        kept = stability._worth.cache_info(), stability._binomial_row.cache_info()
+        assert kept[0].currsize == kept[1].currsize == 1
+        stability._binomials(stability._MEMO_ENTRIES)
+        for comp in (Composition(16, 16), Composition(1, 300)):  # 289 and 602 entries
+            fleet = Fleet.from_composition(comp)
+            in_core(shapley_allocation(fleet, big), fleet, big)
+            assert stability._worth.cache_info() == kept[0]
+        assert stability._binomial_row.cache_info().currsize == 2  # and row 16 of (16, 16)
 
 
 class TestStabilityProbability:
@@ -547,7 +673,7 @@ class TestEdgeCases:
 
     def test_binomial_rows(self):
         for m in range(401):
-            assert stability._binomials(m) == [math.comb(m, k) for k in range(m + 1)]
+            assert stability._binomials(m) == tuple(math.comb(m, k) for k in range(m + 1))
 
     @pytest.mark.parametrize("size", [stability.CLASS_SCAN_CAP_BITS + 1, 64])
     def test_class_scan_cap(self, size):
@@ -636,7 +762,7 @@ class TestMetamorphic:
 
 
 def _blocking(alloc, fleet, params):
-    classes = Counter(zip(fleet.types, alloc.payoffs))
+    classes = _flagged(Counter(zip(fleet.types, alloc.payoffs)))
     return sum(stability._violations(classes, fleet.size, params).values())
 
 
@@ -644,7 +770,7 @@ def _expected(alloc, fleet, params):
     """A table point's reading, from the per-truck allocation and the class scan,
     which sums the classes in one order whatever the roster's."""
     classes = Counter(zip(fleet.types, alloc.payoffs))
-    return classes, sum(stability._violations(classes, fleet.size, params).values())
+    return classes, sum(stability._violations(_flagged(classes), fleet.size, params).values())
 
 
 def _read(scan, t):

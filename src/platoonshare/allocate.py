@@ -9,7 +9,6 @@ cross-checks the closed form lives in ``platoonshare.oracles``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -123,8 +122,7 @@ def stable_tables(params: SavingsParams):
                            (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
 
     def table(comp: Composition) -> Breakpoints:
-        classes = _stable_classes(comp, params)
-        return Breakpoints(comp, windows, lambda xi: (classes(xi), params),
+        return Breakpoints(comp, windows, _stable_classes(comp, params),
                            optimal_leader_type(comp))
     return table
 
@@ -132,8 +130,8 @@ def stable_tables(params: SavingsParams):
 def _type_fair_classes(comp: Composition):
     """Per type (ET, FPT): the weights of (epsilon_e, epsilon_f) in its per-truck
     type-fair rate, or None when no truck of that type is present; and, as a
-    function of params, the payoff classes (truck type, pay, count) of the types
-    present."""
+    function of the rates and distance, the payoff classes (truck type, pay,
+    count) of the types present."""
     n = comp.total()
     if n < 1:
         raise FleetTooSmall("need at least one truck")
@@ -141,8 +139,7 @@ def _type_fair_classes(comp: Composition):
     w_f = (0.0, 1.0 - 1.0 / n) if comp.n_f else None
     present = [(t, w, m) for t, w, m in zip(TruckType, (w_e, w_f), (comp.n_e, comp.n_f)) if m]
 
-    def classes(params: SavingsParams) -> tuple:
-        ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
+    def classes(ee, ef, dist) -> tuple:
         if w_e and w_f and not ee < ef:  # a mixed fleet
             raise EpsilonOrderError("closed form requires epsilon_e < epsilon_f")
         return tuple((t, (w[0] * ee + w[1] * ef) * dist, m) for t, w, m in present)
@@ -158,7 +155,8 @@ def shapley_closed_form(
     epsilon_e < epsilon_f on mixed compositions; the electric-leads rule
     baked into the valuation is only the optimum under that ordering.
     """
-    phis = {t: pay for t, pay, _ in _type_fair_classes(comp)[1](params)}
+    classes = _type_fair_classes(comp)[1](params.epsilon_e, params.epsilon_f, params.distance)
+    phis = {t: pay for t, pay, _ in classes}
     return phis.get(TruckType.ELECTRIC), phis.get(TruckType.FUEL)
 
 
@@ -173,30 +171,32 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
 
 
 def shapley_tables(params: SavingsParams):
-    """The ``Breakpoints`` table of ``shapley_allocation`` along the rate ratio r,
-    at epsilon_e = r*epsilon_f, for each composition of a sweep: each type's line
-    comes from its rate weights, (0, 0) for an absent type, and no truck is left
-    out. A table holds the money tolerance of every r <= 1, whatever ``params``'
-    epsilon_e. The factory's tables share each ratio's params, built and checked
-    on first read; it keeps the 32 last read, more than a grid."""
+    """The ``Breakpoints`` table of ``shapley_allocation`` along the rate ratio r
+    in (0, 1], at epsilon_e = r*epsilon_f, for each composition of a sweep: each
+    type's line comes from its rate weights, (0, 0) for an absent type, and no
+    truck is left out. The family's rates are (r*epsilon_f, epsilon_f), whatever
+    ``params``' epsilon_e, so its one money tolerance, that of ratio 1, holds at
+    every r; the factory builds and checks those params once."""
     ef, dist = params.epsilon_f, params.distance
-    at_ratio = lru_cache(maxsize=32)(lambda r: params._replace(epsilon_e=r * ef))
+    try:  # at ratio 1 only the money tolerance can fail, as epsilon_e takes epsilon_f
+        at_one = params._replace(epsilon_e=ef)
+    except InvalidInput:
+        at_one = None
 
     def table(comp: Composition) -> Breakpoints:
         _check_fleet_size(comp.total(), params)
+        if at_one is None:
+            raise InvalidInput("epsilon_f x distance is too small for a money tolerance at "
+                               "rate ratio 1, where every table builds its windows")
         weights, classes = _type_fair_classes(comp)
         lines = [(w[1] * ef * dist, w[0] * ef * dist) if w else (0.0, 0.0) for w in weights]
 
-        def point(r: float):
-            at = at_ratio(r)
-            return classes(at), at
-
-        try:  # only the money tolerance can fail there, as epsilon_e takes epsilon_f
-            windows = ClassWindows(at_ratio(1.0), lines, (0.0, ef), (ef, 0.0))
-        except InvalidInput:
-            raise InvalidInput("epsilon_f x distance is too small for a money tolerance at "
-                               "rate ratio 1, where every table builds its windows") from None
-        return Breakpoints(comp, windows, point)
+        def point(r: float) -> tuple:
+            if not 0.0 < r <= 1.0:
+                raise InvalidInput(f"rate ratio must be in (0, 1], got {r}")
+            return classes(r * ef, ef, dist)
+        # int zeros add nothing: the rates at r are r*epsilon_f and epsilon_f, types kept
+        return Breakpoints(comp, ClassWindows(at_one, lines, (0, ef), (ef, 0)), point)
     return table
 
 

@@ -76,14 +76,14 @@ class SavingsParams(_Checked, _SavingsFields):
     def _check(self) -> None:
         if not (self.epsilon_f > 0 and self.epsilon_e > 0 and self.distance > 0):
             raise InvalidInput("saving rates and distance must be positive")
-        if self.max_platoon_size < 2:
-            raise InvalidInput("max_platoon_size must be at least 2")
+        if not isinstance(self.max_platoon_size, int) or self.max_platoon_size < 2:
+            raise InvalidInput("max_platoon_size must be an integer of at least 2")
         # bounds every rate sum, coalition worth and payoff sum, and rejects inf
         # inputs; below a distance of 1 the rate sums are the larger terms
-        largest = max(self.epsilon_e, self.epsilon_f) * max(1, self.distance)
-        try:
-            worth = largest * self.max_platoon_size
-        except OverflowError:  # an integer cap beyond float range
+        try:  # in floats, as exact int or Fraction inputs stay finite past float range
+            worth = 1.0 * max(self.epsilon_e, self.epsilon_f) * max(1, self.distance)
+            worth *= self.max_platoon_size
+        except OverflowError:  # an exact input beyond float range
             worth = math.inf
         if not worth < math.inf:
             raise InvalidInput("max rate x max(1, distance) x max_platoon_size must be finite")
@@ -108,8 +108,8 @@ class Composition(_Checked, NamedTuple("_CompositionFields", [("n_e", int), ("n_
     __slots__ = ()
 
     def __new__(cls, n_e: int, n_f: int):
-        if n_e < 0 or n_f < 0:
-            raise InvalidInput("counts must be non-negative")
+        if not (isinstance(n_e, int) and isinstance(n_f, int) and n_e >= 0 and n_f >= 0):
+            raise InvalidInput("counts must be non-negative integers")
         return tuple.__new__(cls, (n_e, n_f))
 
     def total(self) -> int:

@@ -7,8 +7,9 @@ in one order whatever the trucks' ids, its v(S) tables and binomial rows
 memoized (128 of each, of up to 256 entries) for verdicts that repeat a
 composition and rates, or a class size. Sweeps along a family of
 allocations affine in one parameter read ``Breakpoints``, the same classes
-turned into sorted thresholds per composition, each point given as payoff
-classes, and each table's rounding windows from a ``ClassWindows`` store.
+turned into sorted thresholds per composition: a point is its payoff classes,
+and a table reads its windows, rates and one money tolerance from its family's
+``ClassWindows`` (a type-fair table reads rate ratios in (0, 1] only).
 The labeled enumeration over all 2^N - 2 proper subsets that cross-checks
 both is an oracle in ``platoonshare.oracles``, run only on request
 (``method="slow"``).
@@ -131,12 +132,6 @@ def _violations(
     return {divmod(key, n_f + 1): c for key, c in compress(enumerate(blocking), blocking)}
 
 
-def _grand_value(comp: Composition, params: SavingsParams) -> tuple:
-    """v(N) and money_tol(), the terms of ``_check_efficient``."""
-    params.check_fleet_size(comp.total())
-    return coalition_value(comp, params), params.money_tol()
-
-
 def _check_efficient(paid, total: float, tol: float) -> None:
     """The payoffs' sum ``paid`` must be v(N) ``total`` within ``tol``; nan or inf fails."""
     if not abs(paid - total) <= tol:
@@ -152,14 +147,15 @@ class ClassWindows:
     multiplied by each table's subset counts.
 
     Each truck of a type is paid ``p0 + p1*t`` for its type's ``(p0, p1)`` in
-    ``lines`` (ET line, FPT line), and the rates are ``rates0 + t*rates1``, at
-    the distance and money tolerance of ``params``. A class (e, f) counting
-    ``count`` subsets has excess v(S) - x(S) - tol = ``a + b*t``; rounding can
-    flip its sign only where ``|a + b*t| <= err0 + err1*t``, the errs being
-    ``_ROUNDING`` times the terms' magnitudes: near the root ``-a/b``, or from
-    some t on where ``b`` is rounding noise. That span is the class's window
-    ``(end, start, change, below)``: ``below`` of its subsets block before
-    it, and ``below + change`` after it.
+    ``lines`` (ET line, FPT line), and the rates, which every table reads from
+    here, are ``rates0 + t*rates1``, at the distance and one money tolerance of
+    ``params``. A class (e, f) counting ``count`` subsets has excess
+    v(S) - x(S) - tol = ``a + b*t``; rounding can flip its sign only where
+    ``|a + b*t| <= err0 + err1*t``, the errs being ``_ROUNDING`` times the
+    terms' magnitudes: near the root ``-a/b``, or from some t on where ``b``
+    is rounding noise. That span is the class's window ``(end, start,
+    change, below)``: ``below`` of its subsets block before it, and
+    ``below + change`` after it.
 
     A window depends on (e, f) and the family alone, so one store serves
     every table of a family: all leader-share tables of a sweep share one,
@@ -218,17 +214,18 @@ class ClassWindows:
 class Breakpoints:
     """Class scan of a composition along allocations affine in a parameter t.
 
-    ``point(t)`` gives the member at t as ``(classes, params)``, its
-    ``(truck type, pay, count)`` classes counting ``comp``'s trucks. A table
-    class is a sub-composition (e, f) of the trucks other than ``leader`` (a
-    ``TruckType``, or None), counting comb(m_e, e)*comb(m_f, f) subsets; a
-    named leader's subsets must block at no point, and the class cap counts
-    them. A point must sum to v(N) within its params' money tolerance; its
-    count bisects ``windows``' rows sorted by end, with cumulative labeled
-    counts. Inside a window, or at another money tolerance than the windows',
-    ``_violations`` scans the point's classes, equal (type, pay) pairs merged,
-    as ``in_core`` merges them on any roster of ``comp``.
-    ``params`` are the windows' params.
+    ``point(t)`` gives the member at t as its payoff classes, ``(truck type,
+    pay, count)`` triples counting ``comp``'s trucks; its rates come from the
+    family of ``windows``. A table class is a sub-composition (e, f) of the
+    trucks other than ``leader`` (a ``TruckType``, or None), counting
+    comb(m_e, e)*comb(m_f, f) subsets; a named leader's subsets must block at
+    no point, and the class cap counts them. A point must sum to v(N) at t,
+    v0 + t*v1 from the family's rates, within the table's one money
+    tolerance; its count bisects ``windows``' rows sorted by end, with
+    cumulative labeled counts. Inside a window ``_violations`` scans the
+    point's classes at the params at t, each rate that moves along the family
+    set and the others kept, equal (type, pay) pairs merged, as ``in_core``
+    merges them on any roster of ``comp``. ``params`` are the windows' params.
     """
 
     def __init__(self, comp: Composition, windows: ClassWindows, point, leader=None):
@@ -237,7 +234,8 @@ class Breakpoints:
         _check_class_cap((leader is not None, m_e, m_f))  # the leader's class still counts
         self.comp, self.size, self._point = comp, comp.total(), point
         self.params, self._tol = windows.params, windows.tol
-        self._grand = None, None, None  # (params, v(N), money_tol) of the last point
+        dist, _, *self._rates = windows._family  # v(N) at t is v0 + t*v1, or v0 if v1 is 0
+        self._total = [rate_for_counts(*comp, *rates) * dist for rates in self._rates]
         # a stable sort keeps windows of equal end (every flat one ends at inf) in
         # (e, f) order, whichever windows built them
         self.windows = sorted(windows.rows(map(_binomials, (m_e, m_f)), self.size),
@@ -254,18 +252,19 @@ class Breakpoints:
 
     def at(self, t: float) -> tuple[tuple, int]:
         """The payoff classes at ``t`` and the labeled count of subsets blocking them."""
-        classes, params = self._point(t)
+        classes = self._point(t)
         if sum(count for _, _, count in classes) != self.size:
             raise InvalidInput(f"payoff classes do not count a fleet of {self.size}")
-        if params is not self._grand[0]:
-            self._grand = params, *_grand_value(self.comp, params)
-        _, total, tol = self._grand
-        _check_efficient(sum(count * pay for _, pay, count in classes), total, tol)
+        v0, v1 = self._total
+        _check_efficient(sum(count * pay for _, pay, count in classes),
+                         v0 + t * v1 if v1 else v0, self._tol)
         j = bisect_left(self._ends, t)
-        if t >= self._starts[j] or tol != self._tol:
+        if t >= self._starts[j]:
             tally = Counter()
             for truck_type, pay, count in classes:
                 tally[truck_type is TruckType.FUEL, pay] += count
+            moved = zip(("epsilon_e", "epsilon_f"), *self._rates)  # (name, r0, r1) per rate
+            params = self.params._replace(**{k: r0 + t * r1 for k, r0, r1 in moved if r1})
             return classes, sum(_violations(tally, self.size, params).values())
         return classes, self._counts[j]
 
@@ -289,7 +288,8 @@ def in_core(
         raise InvalidInput(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
     classes = Counter(zip(map(is_, fleet.types, repeat(TruckType.FUEL)), alloc.payoffs))
     paid = sum(count * pay for (_, pay), count in classes.items())
-    _check_efficient(paid, *_grand_value(fleet.composition(), params))
+    params.check_fleet_size(fleet.size)
+    _check_efficient(paid, coalition_value(fleet.composition(), params), params.money_tol())
     if method == "slow":
         from .oracles import labeled_violations
         violations = labeled_violations(alloc, fleet, params)

@@ -150,3 +150,18 @@ def test_public_functions_raise_only_game_errors(rates, cap, counts, t, grid, sk
     cut = fleet.size // 2  # skew -1 overlaps the two blocks, 1 leaves a gap
     attempt(structure_value, [fleet.ids()[:cut], fleet.ids()[cut + skew:]], fleet, params)
     attempt(fleet.subset_composition, range(fleet.size + skew))
+
+
+@pytest.mark.parametrize("build, args, match", [
+    # exact int distances past float range, checked in floats like any other
+    (SavingsParams, (0.07, 0.048, 10**400), "must be finite$"),
+    (SavingsParams, (7, 3, 10**400), "must be finite$"),
+    # a float count would reach a roster, a structure table or a worth
+    (Composition, (2.5, 3), "^counts must be non-negative integers$"),
+    (Composition, (2.0, 3), "^counts must be non-negative integers$"),
+    (Composition, (2, 3.0), "^counts must be non-negative integers$"),
+    (SavingsParams, (0.07, 0.048, 300.0, 15.5), "^max_platoon_size must be an integer"),
+], ids=["float-rates", "int-rates", "count-2.5", "count-2.0", "count-3.0", "cap-15.5"])
+def test_non_integer_counts_and_huge_int_distances_raise_invalid_input(build, args, match):
+    with pytest.raises(errors.InvalidInput, match=match):
+        build(*args)

@@ -843,36 +843,32 @@ class TestBreakpoints:
         assert scan.probability(0.5) < 1.0
         assert expected[0] == 0 < expected[1]
 
-    @pytest.mark.parametrize("change", [{"epsilon_e": 0.2}, {"epsilon_e": 0.5}])
-    def test_other_params_are_rechecked(self, change, params, monkeypatch):
-        # a point's params can differ from its table's only in the money
-        # tolerance: past ratio 1 it grows with the ratio, so a table built
-        # at the tolerance of every ratio <= 1 cannot answer there
-        fleet = Fleet.from_composition(Composition(4, 0))
-        scan = shapley_tables(params)(fleet.composition())
-        ratio = change["epsilon_e"] / params.epsilon_f
-        other = params._replace(epsilon_e=ratio * params.epsilon_f)
-        assert other.money_tol() > params.money_tol()
-        calls = []
-        scan_classes = stability._violations
-        monkeypatch.setattr(stability, "_violations",
-                            lambda *a: calls.append(a) or scan_classes(*a))
-        reading = _read(scan, ratio)
-        assert len(calls) == 1  # the recheck
-        assert reading == _expected(shapley_allocation(fleet, other), fleet, other)
-        assert len(calls) == 2  # and _blocking
-        scan.at(0.7)  # below ratio 1: read off the table
-        assert len(calls) == 2
+    @pytest.mark.parametrize("comp", [Composition(4, 0), Composition(2, 3)],
+                             ids=["single-type", "mixed"])
+    def test_type_fair_tables_read_ratios_in_their_domain(self, comp, params):
+        # a type-fair table reads rate ratios in (0, 1], where its one money
+        # tolerance, that of ratio 1, holds; any other ratio raises, whatever
+        # the fleet. At ratio 1 a mixed fleet breaks the closed form's order
+        scan = shapley_tables(params)(comp)
+        for r in (-0.4, 0.0, 1.5, math.nan):
+            with pytest.raises(InvalidInput, match=r"^rate ratio must be in \(0, 1\], got"):
+                scan.at(r)
+        if comp.n_f:
+            with pytest.raises(EpsilonOrderError):
+                scan.at(1.0)
+        else:
+            assert scan.at(1.0)[1] == 0
 
-    @pytest.mark.parametrize("epsilon_e", [0.2, 0.5])
+    @pytest.mark.parametrize("epsilon_e", [0.2, 0.5])  # the factory's, which no table reads
     def test_recheck_scans_the_points_classes(self, epsilon_e, params, monkeypatch):
-        # past ratio 1 a fig5 table rechecks at another money tolerance; it
-        # scans the point's payoff classes and rebuilds no per-truck allocation
-        fleet = Fleet.from_composition(Composition(4, 0))
-        ratio = epsilon_e / params.epsilon_f
-        other = params._replace(epsilon_e=ratio * params.epsilon_f)
-        expected = _blocking(shapley_allocation(fleet, other), fleet, other)
-        scan = shapley_tables(params)(fleet.composition())
+        # a read at a type-fair window's edge rechecks: it scans the point's
+        # payoff classes at the family's params at r, epsilon_e = r*epsilon_f,
+        # and rebuilds no per-truck allocation
+        fleet = Fleet.from_composition(Composition(3, 4))
+        scan = shapley_tables(params._replace(epsilon_e=epsilon_e))(fleet.composition())
+        ratio = next(start for _, start, *_ in scan.windows if 0.0 < start < 1.0)
+        at = params._replace(epsilon_e=ratio * params.epsilon_f)
+        expected = _blocking(shapley_allocation(fleet, at), fleet, at)
         built, calls = [], []
         for name in ("Allocation", "shapley_allocation", "stable_allocation"):
             original = getattr(allocate, name)
@@ -882,31 +878,68 @@ class TestBreakpoints:
         monkeypatch.setattr(stability, "_violations",
                             lambda *a: calls.append(a) or scan_classes(*a))
         assert scan.at(ratio)[1] == expected
-        assert len(calls) == 1  # the recheck
+        [(_, size, used)] = calls  # the recheck
+        assert size == 7
+        assert used == at and list(map(type, used)) == list(map(type, at))
         assert built == []
 
+    @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
+                             ids=["stable_tables", "shapley_tables"])
+    def test_recheck_keeps_exact_params(self, tables, monkeypatch):
+        # with Fraction rates, distance and points, each recheck scans at the
+        # family's params at t, equal in value and type to the point's own:
+        # along xi no rate moves, and along the ratio epsilon_e is r*epsilon_f
+        params = SavingsParams(Fraction(7, 100), Fraction(6, 125), Fraction(300))
+        fleet = Fleet.from_composition(Composition(3, 12))
+        scan = tables(params)(fleet.composition())
+
+        def member(t):
+            """The point's own params at t, and its per-truck allocation."""
+            if tables is stable_tables:
+                return params, stable_allocation(fleet, params, t)
+            at = params._replace(epsilon_e=t * params.epsilon_f)
+            return at, shapley_allocation(fleet, at)
+
+        probes = sorted(Fraction(t) for t in _probe_points(scan) if 0.0 < t < 1.0)
+        used, readings = [], []
+        scan_classes = stability._violations
+        monkeypatch.setattr(stability, "_violations",
+                            lambda *a: used.append(a[2]) or scan_classes(*a))
+        for t in probes:
+            rechecks = len(used)
+            readings.append(_read(scan, t))
+            for at in used[rechecks:]:
+                assert at == member(t)[0] and list(map(type, at)) == [Fraction] * 3 + [int]
+        assert used  # the window edges recheck
+        monkeypatch.setattr(stability, "_violations", scan_classes)
+        assert readings == [_expected(alloc, fleet, at) for at, alloc in map(member, probes)]
+
     def test_equal_pay_classes_merge(self, params, monkeypatch):
-        # the point pays the leader exactly what it pays each ET follower, and
-        # windows at another money tolerance force the recheck: it scans one
-        # ET class of 3, as in_core does on the per-truck allocation
+        # the point pays the leader exactly what it pays each ET follower, and a
+        # read at a window's edge forces the recheck: it scans one ET class of
+        # 3, as in_core does on the per-truck allocation
         fleet = Fleet.from_composition(Composition(3, 1))
         electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
         pay_e = 0.1 * params.epsilon_e * params.distance
         pay_f = coalition_value(fleet.composition(), params) - 3 * pay_e
         classes = ((electric, pay_e, 1), (electric, pay_e, 2), (fuel, pay_f, 1))
-        other = params._replace(distance=2 * params.distance)
-        windows = stability.ClassWindows(other, [(1.0, 0.0)] * 2,
-                                         (other.epsilon_e, other.epsilon_f), (0.0, 0.0))
-        assert windows.tol != params.money_tol()
-        scan = stability.Breakpoints(fleet.composition(), windows, lambda t: (classes, params))
+        windows = stability.ClassWindows(params, *_leader_share_family(params))
+        scan = stability.Breakpoints(fleet.composition(), windows, lambda t: classes)
+        edge = next(start for _, start, *_ in scan.windows if 0.0 < start <= 1.0)
         alloc = Allocation((pay_e,) * 3 + (pay_f,), leader_id=0, scheme="test")
         report = in_core(alloc, fleet, params)
         expected = sum(count for _, count in report.blocking_coalitions)
         assert expected > 0
-        assert scan.at(0.1)[1] == expected
+        calls = []
+        scan_classes = stability._violations
+        monkeypatch.setattr(stability, "_violations",
+                            lambda *a: calls.append(a) or scan_classes(*a))
+        assert scan.at(edge)[1] == expected
+        assert len(calls) == 1  # the recheck
         # 4 * 2 classes fit a cap of 2^3; two ET classes, 2 * 3 * 2, would not
         monkeypatch.setattr(stability, "CLASS_SCAN_CAP_BITS", 3)
-        assert scan.at(0.1)[1] == expected
+        assert scan.at(edge)[1] == expected
+        assert len(calls) == 2
         assert in_core(alloc, fleet, params) == report
 
     @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
@@ -973,21 +1006,20 @@ class TestBreakpoints:
                  "payoff classes do not count a fleet of 5")):
             windows = stability.ClassWindows(params, [(1.0, 0.0)] * 2,
                                              (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
-            scan = stability.Breakpoints(comp23, windows, lambda t: (classes, params), None)
+            scan = stability.Breakpoints(comp23, windows, lambda t: classes, None)
             with pytest.raises(error, match=match):
                 scan.at(0.1)
 
     def test_efficiency_checked_at_every_point(self, params, comp23):
-        # a table holds v(N) for its params, yet checks every point against it:
-        # a later point of the same params object short by 2 money_tol fails
+        # a table holds v(N) along its family, yet checks every point against
+        # it at its one money tolerance: a later point short by 2 money_tol fails
         total = coalition_value(comp23, params)
         short = {0.1: 0.0, 0.2: 2 * params.money_tol()}
         electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
         windows = stability.ClassWindows(params, [(1.0, 0.0)] * 2,
                                          (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
         scan = stability.Breakpoints(comp23, windows, lambda t: (
-            ((electric, (total - short[t]) / 5, 2), (fuel, (total - short[t]) / 5, 3)),
-            params), None)
+            (electric, (total - short[t]) / 5, 2), (fuel, (total - short[t]) / 5, 3)), None)
         assert scan.at(0.1)[0][0][1] == total / 5
         with pytest.raises(NotEfficient):
             scan.at(0.2)
@@ -1109,26 +1141,26 @@ class TestBreakpoints:
                         assert shared._counts[0] == alone._counts[0]  # the base count
 
     def test_tables_share_each_rates_params(self, params, comp23, monkeypatch):
-        # two tables of one factory read at one ratio build its params once,
-        # at epsilon_e = ratio * epsilon_f, and each reads as a table of a
-        # fresh factory
+        # two tables of one factory share its one set of params, built at
+        # ratio 1, epsilon_e = epsilon_f; reads at a ratio build none, and
+        # each table reads as a table of a fresh factory
         comps = [comp23, Composition(3, 4)]
         ratio = 0.4
         expected = [shapley_tables(params)(comp).at(ratio) for comp in comps]
-        tables = shapley_tables(params)
-        scans = [tables(comp) for comp in comps]
         built = []
         check = SavingsParams._check
         monkeypatch.setattr(SavingsParams, "_check",
                             lambda self: built.append(self) or check(self))
+        tables = shapley_tables(params)
+        scans = [tables(comp) for comp in comps]
+        assert [(at.epsilon_e, at.epsilon_f) for at in built] == [(params.epsilon_f,) * 2]
         assert [scan.at(ratio) for scan in scans] == expected
-        assert [at.epsilon_e for at in built] == [ratio * params.epsilon_f]
         assert [scan.at(ratio) for scan in scans] == expected
         assert len(built) == 1
-        for scan in scans:  # a ratio the params refuse is refused at every read
-            with pytest.raises(ValueError, match="positive"):
+        for scan in scans:  # a ratio the family refuses is refused at every read
+            with pytest.raises(InvalidInput, match=r"^rate ratio must be in \(0, 1\]"):
                 scan.at(-ratio)
-        assert len(built) == 3
+        assert len(built) == 1
 
     def test_type_fair_tables_name_the_ratio_of_their_windows(self):
         # valid params, but at rate ratio 1 the money tolerance underflows
@@ -1139,16 +1171,17 @@ class TestBreakpoints:
             tables(Composition(4, 2))
 
     def test_fig5_validates_params_per_table_not_per_point(self, monkeypatch, tmp_path):
-        # size 40: 39 tables of 19 points each; one set of params per grid
-        # ratio and one for the windows' ratio 1, both per sweep, and the
-        # run's one, built by the config at epsilon_e = epsilon_f
+        # size 40: 39 tables of 19 points each validate no params of their
+        # own; the run's, built by the config at epsilon_e = epsilon_f, and
+        # the factory's windows params at rate ratio 1 are the only two
         built = []
         check = SavingsParams._check
         monkeypatch.setattr(SavingsParams, "_check",
                             lambda self: built.append(self) or check(self))
         out = tmp_path / "fig5.csv"
         assert main(["sweep", "fig5", "--max-platoon-size", "40", "--out", str(out)]) == 0
-        assert len(built) == 19 + 1 + 1
+        assert len(built) == 2
+        assert all(at.epsilon_e == at.epsilon_f for at in built)
 
     def test_default_sweeps_never_rescan(self, monkeypatch, tmp_path):
         calls = []

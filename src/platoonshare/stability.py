@@ -98,34 +98,30 @@ def _violations(
     ``classes`` maps (is fuel, pay) to its number of trucks in a fleet of
     ``n``; such trucks are interchangeable: a subset takes k of a class of m
     in comb(m, k) ways. The classes are summed in ascending (count, type,
-    pay) order, ET before FPT, whatever the mapping's. Each pick of all
-    classes but the last, the largest, is a row (key e*(n_f + 1) + f, sum,
-    count), and a row's m + 1 picks of the last class are compared together,
-    each as v(S) > (row sum + k*pay) + tol, v(S) and the binomial rows read
-    from memos. The result lists (e, f) in ascending order.
+    pay) order, ET before FPT, whatever the mapping's. One list of rows (key
+    e*(n_f + 1) + f, sum, count) holds the picks of all classes but the last,
+    the largest, each class extending every row by its k = 0..m trucks, and a
+    row's m + 1 picks of the last class are compared together, each as v(S) >
+    (row sum + k*pay) + tol, v(S) and the binomial rows read from memos. The
+    result lists (e, f) in ascending order.
     """
     _check_class_cap(classes.values())
     order = sorted(zip(classes.values(), classes))  # (count, (is fuel, pay))
     if not order:
         return {}
     n_f = sum(size for size, (fuel, _) in order if fuel)
-    keys, counts, sums = [0], [1], [0]
+    rows = [(0, 0, 1)]
     for size, (fuel, pay) in order[:-1]:
-        taken, step = range(size + 1), 1 if fuel else n_f + 1  # a truck's step in a key
-        if size == 1:  # the general case's floats, in its order
-            keys, sums = keys + [key + step for key in keys], sums + [s + pay for s in sums]
-            counts = counts * 2
-            continue
-        keys = [key + k * step for k in taken for key in keys]
-        sums = [s + k * pay for k in taken for s in sums]
-        counts = [c * w for w in _binomials(size) for c in counts]
+        step = 1 if fuel else n_f + 1  # a truck's step in a key
+        rows = [(key + k * step, s + k * pay, c * w)
+                for k, w in enumerate(_binomials(size)) for key, s, c in rows]
     m, (fuel, pay) = order[-1]
     # one endless repeat of the money tolerance serves every row
     step, tols, taken = 1 if fuel else n_f + 1, repeat(params.money_tol()), range(m + 1)
     memo = _worth if (n - n_f + 1) * (n_f + 1) <= _MEMO_ENTRIES else _worth.__wrapped__
     worth = memo(n - n_f, n_f, params.epsilon_e, params.epsilon_f, params.distance)
     picks, ways, blocking = [k * pay for k in taken], _binomials(m), [0] * len(worth)
-    for key, row_sum, count in zip(keys, sums, counts):
+    for key, row_sum, count in rows:
         got = map(add, map(add, repeat(row_sum), picks), tols)
         for k in compress(taken, map(gt, worth[key:key + m * step + 1:step], got)):
             blocking[key + k * step] += count * ways[k]

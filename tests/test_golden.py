@@ -8,9 +8,9 @@ and only when an output change is intended. ``sweep_size40.sha256`` and
 and 100 by digest, in ``sha256sum`` format, since those CSVs are large.
 ``sweep_settings.sha256`` pins them at ``--max-platoon-size`` 30 under
 non-default rates and distances; each name is the sweep and its flags,
-comma-separated. The fig2, fig3 and fig5 cells, and every fig2 and fig3
-cell at size 40, are also recomputed from each subset class's closed-form
-excess, in exact arithmetic.
+comma-separated. The fig2, fig3 and fig5 cells, every fig2, fig3 and fig5
+cell at size 40, and fig6's in_core column at size 40 are also recomputed
+from each subset class's closed-form excess, in exact arithmetic.
 """
 
 import csv
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from platoonshare import SavingsParams
+from platoonshare import Composition, SavingsParams, default_xi_grid
 from platoonshare.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -89,35 +89,31 @@ def test_sweep_settings_match_digest(name, tmp_path):
 DEFAULT = SavingsParams(epsilon_f=0.07, epsilon_e=0.048, distance=300.0)
 
 
-def _blocking(m_e, m_f, params, excess):
-    """Subsets of m_e ETs and m_f FPTs that block: the class (e, f) counts
-    comb(m_e, e)*comb(m_f, f) of them, and blocks if its exact excess per km
-    ``excess(e, f, epsilon_e, epsilon_f)`` times the distance exceeds the
-    money tolerance."""
-    ee, ef, dist = map(Fraction, (params.epsilon_e, params.epsilon_f, params.distance))
-    tol = Fraction(params.money_tol())
-    return sum(comb(m_e, e) * comb(m_f, f) for e in range(m_e + 1) for f in range(m_f + 1)
-               if e + f and dist * excess(e, f, ee, ef) > tol)
+def _leader_out_excess(e, f, xi, ee, ef):
+    """Excess per km of a class of e follower ETs and f follower FPTs under
+    x(xi), an ET leading when one is present: xi*(e*ee + f*ef) - ee, or
+    ef*(xi*f - 1) with no ET. It names no fleet, and it grows with xi."""
+    return xi * (e * ee + f * ef) - ee if e else ef * (xi * f - 1)
+
+
+def _exact(params):
+    """The rates, distance and money tolerance of ``params`` as exact Fractions."""
+    return (*map(Fraction, (params.epsilon_e, params.epsilon_f, params.distance)),
+            Fraction(params.money_tol()))
 
 
 def _leader_share_cells(kind, size):
     """fig2 (mixed fleets of ``size``) or fig3 (FPT fleets up to ``size``)
-    rows: x(xi) leaves the leader's subsets out, since they never block; a
-    class of e follower ETs and f follower FPTs has excess per km
-    xi*(e*ee + f*ef) - ee, or ef*(xi*f - 1) with no ET. That excess names no
-    fleet, so each class's verdict is found once per xi and serves every
-    composition, as one store of windows serves every leader-share table."""
-    ee, ef, dist = map(Fraction, (DEFAULT.epsilon_e, DEFAULT.epsilon_f, DEFAULT.distance))
-    tol = Fraction(DEFAULT.money_tol())
-
-    def excess(e, f, xi):
-        return xi * (e * ee + f * ef) - ee if e else ef * (xi * f - 1)
-
+    rows: x(xi) leaves the leader's subsets out, since they never block. A
+    class's excess names no fleet, so each class's verdict is found once per
+    xi and serves every composition, as one store of windows serves every
+    leader-share table."""
+    ee, ef, dist, tol = _exact(DEFAULT)
     blocking = []  # per xi: the leader-out classes (e, f) that block
     for i in range(1, 31):
         xi = Fraction(i * 0.005)
         blocking.append([(e, f) for e in range(size) for f in range(size - e)
-                         if (e or f) and dist * excess(e, f, xi) > tol])
+                         if (e or f) and dist * _leader_out_excess(e, f, xi, ee, ef) > tol])
     if kind == "fig2":
         compositions = [(n_e, size - n_e) for n_e in range(1, size)]
     else:
@@ -130,24 +126,48 @@ def _leader_share_cells(kind, size):
             yield [*key, i * 0.005], n_e + n_f, count
 
 
-def _type_fair_cells():
-    """fig5 rows: under the type-fair payoff only classes of 1 <= e < n_e
-    ETs can block, with excess per km ee*(e/n_e - 1) + ef*(f/n - e*n_f/(n*n_e))."""
-    n = 15
+def _type_fair_cells(n):
+    """fig5 rows in mixed fleets of ``n``: under the type-fair payoff only
+    classes of 1 <= e < n_e ETs can block, so only they are visited, with
+    excess per km ee*(e/n_e - 1) - ef*e*n_f/(n*n_e) + ef*f/n, a term in e and
+    one in f."""
     for n_e in range(1, n):
         n_f = n - n_e
         for i in range(1, 20):
-            params = DEFAULT._replace(epsilon_e=i * 0.05 * DEFAULT.epsilon_f)
-            blocking = _blocking(n_e, n_f, params, lambda e, f, ee, ef: (
-                ee * (Fraction(e, n_e) - 1) + ef * (Fraction(f, n) - Fraction(e * n_f, n * n_e))
-                if 1 <= e < n_e else -1))
+            ee, ef, dist, tol = _exact(DEFAULT._replace(epsilon_e=i * 0.05 * DEFAULT.epsilon_f))
+            in_f = [ef * Fraction(f, n) for f in range(n_f + 1)]
+            blocking = 0
+            for e in range(1, n_e):  # a class blocks if its f term exceeds rest
+                rest = tol / dist - ee * (Fraction(e, n_e) - 1) + ef * Fraction(e * n_f, n * n_e)
+                blocking += comb(n_e, e) * sum(comb(n_f, f) for f, term in enumerate(in_f)
+                                               if term > rest)
             yield [n_e, n_f, i * 0.05], n, blocking
+
+
+def _leader_share_in_core_cells(size):
+    """fig6's (n_e, n_f, xi, in_core) cells along each mixed fleet's
+    ``default_xi_grid`` under the ``epsilon_f = 0.72`` preset. A leader-out
+    class blocks once xi passes the root of dist*excess = tol, its excess
+    being affine and increasing in xi, so x(xi) is in the core iff xi is at
+    most the smallest of its classes' roots."""
+    params = DEFAULT._replace(epsilon_f=0.72)
+    ee, ef, dist, tol = _exact(params)
+
+    def root(e, f):
+        at0 = _leader_out_excess(e, f, 0, ee, ef)
+        return (tol / dist - at0) / (_leader_out_excess(e, f, 1, ee, ef) - at0)
+
+    for n_e in range(1, size):
+        n_f = size - n_e
+        bound = min(root(e, f) for e in range(n_e) for f in range(n_f + 1) if e or f)
+        for xi in default_xi_grid(Composition(n_e, n_f), params):
+            yield [str(n_e), str(n_f), f"{xi:.6f}", str(Fraction(xi) <= bound).lower()]
 
 
 CELLS = {
     "sweep_fig2.csv": lambda: _leader_share_cells("fig2", 15),
     "sweep_fig3.csv": lambda: _leader_share_cells("fig3", 15),
-    "sweep_fig5.csv": _type_fair_cells,
+    "sweep_fig5.csv": lambda: _type_fair_cells(15),
 }
 
 
@@ -167,12 +187,19 @@ def test_golden_cells_from_closed_form_excesses(name):
     _check_cells(rows, CELLS[name]())
 
 
-@pytest.mark.parametrize("kind", ["fig2", "fig3"])
+@pytest.mark.parametrize("kind", ["fig2", "fig3", "fig5", "fig6"])
 def test_size40_cells_from_closed_form_excesses(kind, tmp_path):
     # all 1170 cells of each leader-share sweep at size 40, whose tables read
-    # windows off one store grown over 39 compositions
+    # windows off one store grown over 39 compositions, fig5's 741 cells, and
+    # the in_core column of fig6's 2,340
     out_path = tmp_path / f"{kind}.csv"
     assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out_path)]) == 0
     with open(out_path, newline="") as fh:
         rows = list(csv.reader(fh))[2:]
-    _check_cells(rows, _leader_share_cells(kind, 40))
+    if kind == "fig6":
+        expected = list(_leader_share_in_core_cells(40))
+        assert [[*row[:3], row[4]] for row in rows] == expected
+        assert len(expected) == 2340
+    else:
+        _check_cells(rows, _type_fair_cells(40) if kind == "fig5"
+                     else _leader_share_cells(kind, 40))

@@ -65,6 +65,15 @@ COLD_IMPORT = ("import platoonshare.cli, sys; "
                "assert not loaded, loaded")
 
 
+# The benchmark's import contract: its core-audit set-up and its tracer read
+# these modules from sys.modules after importing platoonshare.cli alone, so a
+# lazy import of any of them breaks traced runs while untraced ones pass.
+CLI_LOADS = ("import platoonshare.cli, sys; "
+             "missing = {'platoonshare.game', 'platoonshare.allocate', "
+             "'platoonshare.stability', 'platoonshare.fairness'} - set(sys.modules); "
+             "assert not missing, missing")
+
+
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     src = str(Path(platoonshare.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -80,6 +89,11 @@ def test_cli_never_loads_the_oracles():
 
 def test_cold_cli_import_is_lean():
     done = run_fresh(COLD_IMPORT)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_what_the_benchmark_reads():
+    done = run_fresh(CLI_LOADS)
     assert done.returncode == 0, done.stderr
 
 

@@ -29,7 +29,7 @@ from .game import (
     optimal_leader_type,
     rate_for_counts,
 )
-from .stability import Breakpoints, ClassWindows, shapley_core_condition_ratio
+from .stability import SweepTable, shapley_core_condition_ratio
 
 SCHEME_STABLE = "stable"
 SCHEME_SHAPLEY = "shapley-closed-form"
@@ -111,27 +111,18 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
 
 
 def stable_tables(params: SavingsParams):
-    """The ``Breakpoints`` table of ``stable_allocation`` along xi, for each
-    composition of a sweep. The factory's tables share their class windows;
-    the pay lines (ET, FPT) along xi come from the follower pays at xi = 0
-    and 1, where every product is exact. A table leaves out the subsets
-    holding the leader: each is paid (1 - xi)*v(S) + xi*v(N), so its excess
+    """The ``SweepTable`` of ``stable_allocation`` along xi, for each
+    composition of a sweep. A table leaves out the subsets holding the
+    leader: each is paid (1 - xi)*v(S) + xi*v(N), so its excess
     xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
-    at0, at1 = _follower_pays(params, 0.0), _follower_pays(params, 1.0)
-    windows = ClassWindows(params, [(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
-                           (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
-
-    def table(comp: Composition) -> Breakpoints:
-        return Breakpoints(comp, windows, _stable_classes(comp, params),
-                           optimal_leader_type(comp))
-    return table
+    return lambda comp: SweepTable(comp, params, _stable_classes(comp, params),
+                                   optimal_leader_type(comp))
 
 
 def _type_fair_classes(comp: Composition):
-    """Per type (ET, FPT): the weights of (epsilon_e, epsilon_f) in its per-truck
-    type-fair rate, or None when no truck of that type is present; and, as a
-    function of the rates and distance, the payoff classes (truck type, pay,
-    count) of the types present."""
+    """The type-fair payoff classes (truck type, pay, count) of the types
+    present, as a function of the rates and distance: each type's pay is its
+    weights of (epsilon_e, epsilon_f) times the distance."""
     n = comp.total()
     if n < 1:
         raise FleetTooSmall("need at least one truck")
@@ -143,7 +134,7 @@ def _type_fair_classes(comp: Composition):
         if w_e and w_f and not ee < ef:  # a mixed fleet
             raise EpsilonOrderError("closed form requires epsilon_e < epsilon_f")
         return tuple((t, (w[0] * ee + w[1] * ef) * dist, m) for t, w, m in present)
-    return (w_e, w_f), classes
+    return classes
 
 
 def shapley_closed_form(
@@ -155,7 +146,7 @@ def shapley_closed_form(
     epsilon_e < epsilon_f on mixed compositions; the electric-leads rule
     baked into the valuation is only the optimum under that ordering.
     """
-    classes = _type_fair_classes(comp)[1](params.epsilon_e, params.epsilon_f, params.distance)
+    classes = _type_fair_classes(comp)(params.epsilon_e, params.epsilon_f, params.distance)
     phis = {t: pay for t, pay, _ in classes}
     return phis.get(TruckType.ELECTRIC), phis.get(TruckType.FUEL)
 
@@ -171,9 +162,8 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
 
 
 def shapley_tables(params: SavingsParams):
-    """The ``Breakpoints`` table of ``shapley_allocation`` along the rate ratio r
-    in (0, 1], at epsilon_e = r*epsilon_f, for each composition of a sweep: each
-    type's line comes from its rate weights, (0, 0) for an absent type, and no
+    """The ``SweepTable`` of ``shapley_allocation`` along the rate ratio r in
+    (0, 1], at epsilon_e = r*epsilon_f, for each composition of a sweep; no
     truck is left out. The family's rates are (r*epsilon_f, epsilon_f), whatever
     ``params``' epsilon_e, so its one money tolerance, that of ratio 1, holds at
     every r; the factory builds and checks those params once."""
@@ -183,20 +173,18 @@ def shapley_tables(params: SavingsParams):
     except InvalidInput:
         at_one = None
 
-    def table(comp: Composition) -> Breakpoints:
+    def table(comp: Composition) -> SweepTable:
         _check_fleet_size(comp.total(), params)
         if at_one is None:
             raise InvalidInput("epsilon_f x distance is too small for a money tolerance at "
-                               "rate ratio 1, where every table builds its windows")
-        weights, classes = _type_fair_classes(comp)
-        lines = [(w[1] * ef * dist, w[0] * ef * dist) if w else (0.0, 0.0) for w in weights]
+                               "rate ratio 1, the tolerance of every table")
+        classes = _type_fair_classes(comp)
 
         def point(r: float) -> tuple:
             if not 0.0 < r <= 1.0:
                 raise InvalidInput(f"rate ratio must be in (0, 1], got {r}")
             return classes(r * ef, ef, dist)
-        # int zeros add nothing: the rates at r are r*epsilon_f and epsilon_f, types kept
-        return Breakpoints(comp, ClassWindows(at_one, lines, (0, ef), (ef, 0)), point)
+        return SweepTable(comp, at_one, point, ratio=True)
     return table
 
 

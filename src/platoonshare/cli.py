@@ -102,7 +102,7 @@ def build_config(args: dict) -> tuple[game.SavingsParams, game.Composition]:
     if swept in values:
         raise ConfigError(f"sweep {args['kind']} sets {swept} itself")
     args.update({**{o.name: o.default for o in OPTIONS}, **preset, **values})
-    if swept == "epsilon_e":  # fig5's rate ratio 1, where its tables build their windows
+    if swept == "epsilon_e":  # fig5's rate ratio 1, whose tolerance its tables read
         args["epsilon_e"] = args["epsilon_f"]
     try:  # values the domain types reject are config errors
         params = game.SavingsParams(args["epsilon_f"], args["epsilon_e"], args["distance"],

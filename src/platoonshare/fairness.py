@@ -43,10 +43,9 @@ def deviation_curve(table, xi_grid: Sequence[float]) -> tuple[DeviationPoint, ..
     On the certified interval (0, xi*] of a fleet where the ratio core
     condition fails, the deviation decreases strictly and bottoms out at
     xi*; points beyond the bound are reported as-is for inspection. ``table``
-    is one composition's leader-share ``Breakpoints``, whose composition, size
-    and params the curve takes. Core flags and payoff classes are read off it,
-    and delta sums over the classes; a point within rounding of a threshold
-    gets the class scan.
+    is one composition's leader-share ``SweepTable``, whose composition, size
+    and params the curve takes. Each point's payoff classes and exact count
+    of blocking subsets are read off it, and delta sums over the classes.
     """
     if not xi_grid:
         raise InvalidInput("empty xi grid")

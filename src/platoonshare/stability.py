@@ -6,24 +6,21 @@ and weights each by its binomial multiplicity, summing the payoff classes
 in one order whatever the trucks' ids, its v(S) tables and binomial rows
 memoized (128 of each, of up to 256 entries) for verdicts that repeat a
 composition and rates, or a class size. Sweeps along a family of
-allocations affine in one parameter read ``Breakpoints``, the same classes
-turned into sorted thresholds per composition: a point is its payoff classes,
-and a table reads its windows, rates and one money tolerance from its family's
-``ClassWindows`` (a type-fair table reads rate ratios in (0, 1] only).
-The labeled enumeration over all 2^N - 2 proper subsets that cross-checks
-both is an oracle in ``platoonshare.oracles``, run only on request
-(``method="slow"``).
+allocations affine in one parameter read a ``SweepTable`` per composition:
+a point is its payoff classes, one pay per follower type, and its count is
+exact, in ints, one range of FPT counts per row of e ETs (a type-fair table
+reads rate ratios in (0, 1] only). The labeled enumeration over all 2^N - 2
+proper subsets that cross-checks both is an oracle in
+``platoonshare.oracles``, run only on request (``method="slow"``).
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from operator import add, gt, is_, itemgetter
+from operator import add, gt, is_
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import BothTypesRequired, FleetTooLarge, InvalidInput, NotEfficient
@@ -45,8 +42,7 @@ if TYPE_CHECKING:
 # The class scan holds one entry per pick of all payoff classes but the
 # largest, and is capped at 2^CLASS_SCAN_CAP_BITS subset classes.
 CLASS_SCAN_CAP_BITS = 20
-# Breakpoints' rounding bound, relative to the magnitude of an excess's terms
-_ROUNDING = 32 * sys.float_info.epsilon
+_FUEL = TruckType.FUEL
 _MEMO_SIZE, _MEMO_ENTRIES = 128, 256  # results per memo, and entries per result at most
 
 
@@ -138,113 +134,45 @@ def _share(n_violating: int, size: int) -> float:
     return 1.0 if n_violating == 0 else 1.0 - n_violating / ((1 << size) - 2)
 
 
-class ClassWindows:
-    """The windows of one family's subset classes, stored at count 1 and
-    multiplied by each table's subset counts.
-
-    Each truck of a type is paid ``p0 + p1*t`` for its type's ``(p0, p1)`` in
-    ``lines`` (ET line, FPT line), and the rates, which every table reads from
-    here, are ``rates0 + t*rates1``, at the distance and one money tolerance of
-    ``params``. A class (e, f) counting ``count`` subsets has excess
-    v(S) - x(S) - tol = ``a + b*t``; rounding can flip its sign only where
-    ``|a + b*t| <= err0 + err1*t``, the errs being ``_ROUNDING`` times the
-    terms' magnitudes: near the root ``-a/b``, or from some t on where ``b``
-    is rounding noise. That span is the class's window ``(end, start,
-    change, below)``: ``below`` of its subsets block before it, and
-    ``below + change`` after it.
-
-    A window depends on (e, f) and the family alone, so one store serves
-    every table of a family: all leader-share tables of a sweep share one,
-    and each type-fair table, whose lines depend on its fleet, has its own.
-    A table of ``n`` trucks cuts its row of e ETs at n - e FPTs, since the
-    store may hold the class of its whole fleet.
-    """
-
-    def __init__(self, params: SavingsParams, lines, rates0, rates1):
-        self.params, self.tol = params, params.money_tol()
-        self._family = (params.distance, lines, rates0, rates1)
-        self._store: list[list] = []  # _store[e][f - (e == 0)]: (e, f)'s window at count 1
-
-    def rows(self, combs, n: int) -> list:
-        """The windows of the classes (e, f) with e, f indexing ``combs``' two
-        lists of subset counts; none for the empty class or a class of all
-        ``n`` trucks. The store grows by the rows and columns it lacks."""
-        comb_e, comb_f = combs
-        store = self._store
-        store += [[] for _ in range(len(comb_e) - len(store))]
-        rows = []
-        for e, (kept, ways_e) in enumerate(zip(store, comb_e)):
-            first = e == 0  # the empty class has no window
-            if len(kept) + first < len(comb_f):
-                kept += self._windows(e, range(len(kept) + first, len(comb_f)))
-            rows += [(end, start, change * count, count if below else 0)
-                     for (end, start, change, below), ways_f in zip(kept, comb_f[first:n - e])
-                     for count in [ways_e * ways_f]]
-        return rows
-
-    def _windows(self, e: int, fs) -> list:
-        """The one excess and rounding rule: the count-1 windows of the
-        classes (e, f) for f in ``fs``, the terms in e computed once."""
-        dist, ((pe0, pe1), (pf0, pf1)), (ee0, ef0), (ee1, ef1) = self._family
-        tol, inf = self.tol, math.inf
-        tiny = sys.float_info.min  # a floor for underflow
-        apf0, apf1 = abs(pf0), abs(pf1)
-        ep0, ep1, eap0, eap1 = e * pe0, e * pe1, e * abs(pe0), e * abs(pe1)
-        rows = []
-        for f in fs:
-            v0 = rate_for_counts(e, f, ee0, ef0) * dist
-            v1 = rate_for_counts(e, f, ee1, ef1) * dist
-            a, b = v0 - (ep0 + f * pf0) - tol, v1 - (ep1 + f * pf1)
-            err0 = _ROUNDING * (abs(v0) + (eap0 + f * apf0) + tol) + tiny
-            err1 = _ROUNDING * (abs(v1) + (eap1 + f * apf1)) + tiny
-            slope = abs(b)
-            root = -a / b if slope > 2 * err1 else inf
-            if -inf < root < inf:
-                half = 2 * (err0 + err1 * abs(root)) / slope
-                rows.append((root + half, root - half, 1 if b > 0 else -1, 1 if b < 0 else 0))
-            else:
-                rows.append((inf, (abs(a) - err0) / (slope + err1), 0, 1 if a > 0 else 0))
-        return rows
-
-
-class Breakpoints:
-    """Class scan of a composition along allocations affine in a parameter t.
+class SweepTable:
+    """Exact class count of a composition along allocations affine in a parameter t.
 
     ``point(t)`` gives the member at t as its payoff classes, ``(truck type,
-    pay, count)`` triples counting ``comp``'s trucks; its rates come from the
-    family of ``windows``. A table class is a sub-composition (e, f) of the
-    trucks other than ``leader`` (a ``TruckType``, or None), counting
-    comb(m_e, e)*comb(m_f, f) subsets; a named leader's subsets must block at
-    no point, and the class cap counts them. A point must sum to v(N) at t,
-    v0 + t*v1 from the family's rates, within the table's one money
-    tolerance; its count bisects ``windows``' rows sorted by end, with
-    cumulative labeled counts. Inside a window ``_violations`` scans the
-    point's classes at the params at t, each rate that moves along the family
-    set and the others kept, equal (type, pay) pairs merged, as ``in_core``
-    merges them on any roster of ``comp``. ``params`` are the windows' params.
+    pay, count)`` triples counting ``comp``'s trucks: the first class of
+    ``leader``'s type (a ``TruckType``, or None) holds the leader, and each
+    other truck of a type is paid its type's one follower pay. The rates are
+    ``params``' own or, along the rate ratio t (``ratio``), t*epsilon_f and
+    epsilon_f, at ``params``' distance d and one money tolerance tol. A point
+    must sum to v(N) at t within tol. A class (e, f) of the m_e ETs and m_f
+    FPTs other than the leader counts comb(m_e, e)*comb(m_f, f) subsets; a
+    leader's subsets never block, though the class cap counts them, and with
+    no leader the whole fleet is left out. A class blocks if v(S) - x(S) >
+    tol, exactly on the float inputs' values over one common denominator:
+    that excess is c_e + f*slope, slope = d*eps_f - pay_f, where c_0 =
+    -d*eps_f - tol < 0 and c_e = -d*eps_e - tol + e*step for e >= 1, step =
+    d*eps_e - pay_e. So a row of e ETs blocks at one range of f, counted off
+    suffix sums of the FPTs' binomial row.
     """
 
-    def __init__(self, comp: Composition, windows: ClassWindows, point, leader=None):
+    def __init__(self, comp: Composition, params: SavingsParams, point, leader=None,
+                 ratio=False):
         m_e = comp.n_e - (leader is TruckType.ELECTRIC)
         m_f = comp.n_f - (leader is TruckType.FUEL)
         _check_class_cap((leader is not None, m_e, m_f))  # the leader's class still counts
-        self.comp, self.size, self._point = comp, comp.total(), point
-        self.params, self._tol = windows.params, windows.tol
-        dist, _, *self._rates = windows._family  # v(N) at t is v0 + t*v1, or v0 if v1 is 0
-        self._total = [rate_for_counts(*comp, *rates) * dist for rates in self._rates]
-        # a stable sort keeps windows of equal end (every flat one ends at inf) in
-        # (e, f) order, whichever windows built them
-        self.windows = sorted(windows.rows(map(_binomials, (m_e, m_f)), self.size),
-                              key=itemgetter(0))
-        self._ends = list(map(itemgetter(0), self.windows))
-        base = sum(map(itemgetter(3), self.windows))
-        self._counts = list(accumulate(map(itemgetter(2), self.windows), initial=base))
-        # _starts[j]: the earliest start among windows j and later
-        starts, least = [math.inf], math.inf
-        for _, start, _, _ in reversed(self.windows):
-            least = start if start < least else least
-            starts.append(least)
-        self._starts = starts[::-1]
+        self.comp, self.size, self.params, self._point = comp, comp.total(), params, point
+        self._leader, self._tol = leader, params.money_tol()
+        dist, ef = params.distance, params.epsilon_f
+        lines = ((0, ef), (ef, 0)) if ratio else ((params.epsilon_e, ef), (0, 0))
+        # v(N) at t is v0 + t*v1, or v0 if v1 is 0
+        self._total = [rate_for_counts(*comp, *rates) * dist for rates in lines]
+        self._ways = _binomials(m_e)
+        self._suffix = [*accumulate(reversed(_binomials(m_f)))][::-1] + [0]
+        self._dist = dist.as_integer_ratio()
+        # d*eps_e, unless it moves; and d*eps_f and tol over one denominator q
+        self._d_ee = None if ratio else _times(self._dist, params.epsilon_e.as_integer_ratio())
+        (b, q_b), (c, q_c) = _times(self._dist, ef.as_integer_ratio()), self._tol.as_integer_ratio()
+        q = math.lcm(q_b, q_c)
+        self._fixed = q, b * (q // q_b), c * (q // q_c)
 
     def at(self, t: float) -> tuple[tuple, int]:
         """The payoff classes at ``t`` and the labeled count of subsets blocking them."""
@@ -254,18 +182,61 @@ class Breakpoints:
         v0, v1 = self._total
         _check_efficient(sum(count * pay for _, pay, count in classes),
                          v0 + t * v1 if v1 else v0, self._tol)
-        j = bisect_left(self._ends, t)
-        if t >= self._starts[j]:
-            tally = Counter()
-            for truck_type, pay, count in classes:
-                tally[truck_type is TruckType.FUEL, pay] += count
-            moved = zip(("epsilon_e", "epsilon_f"), *self._rates)  # (name, r0, r1) per rate
-            params = self.params._replace(**{k: r0 + t * r1 for k, r0, r1 in moved if r1})
-            return classes, sum(_violations(tally, self.size, params).values())
-        return classes, self._counts[j]
+        pays, lead = {}, self._leader  # keyed by is fuel
+        for truck_type, pay, count in classes:
+            if truck_type is lead:  # the leader's class, which may hold followers too
+                lead, count = None, count - 1
+            if count and pays.setdefault(truck_type is _FUEL, pay) != pay:
+                raise InvalidInput(f"the point pays two {truck_type.name} followers differently")
+        (a, q_a), (p, q_p), (f, q_f) = (
+            self._d_ee or _times(self._dist, (t * self.params.epsilon_f).as_integer_ratio()),
+            pays.get(False, 0).as_integer_ratio(), pays.get(True, 0).as_integer_ratio())
+        q, d_ef, tol = self._fixed
+        if q % q_a or q % q_p or q % q_f:  # a finer denominator than the table's
+            k = math.lcm(q, q_a, q_p, q_f) // q
+            q, d_ef, tol = q * k, d_ef * k, tol * k
+        d_ee, p, f = a * (q // q_a), p * (q // q_p), f * (q // q_f)
+        return classes, self._count(-d_ef - tol, -p - tol, d_ee - p, d_ef - f)
+
+    def _count(self, c0: int, c1: int, step: int, slope: int) -> int:
+        """Labeled subsets whose excess c_e + f*slope is positive, c_e = c1 +
+        (e - 1)*step for e >= 1, c0 < 0 for e = 0. Rows that block nothing are
+        skipped at once, and if step >= 0, so are those after a row that blocks
+        in full: they all do. A row that blocks some takes the most FPTs it can
+        if slope > 0, and the fewest if slope < 0."""
+        ways, suffix = self._ways, self._suffix
+        m_e, m_f = len(ways) - 1, len(suffix) - 2
+        top, low = (m_f * slope, 0) if slope > 0 else (0, m_f * slope)  # a row's extreme f*slope
+        count = suffix[-c0 // slope + 1] if c0 + top > 0 else 0
+        e, c = 1, c1
+        while e <= m_e:
+            if c + top <= 0:  # the row blocks nothing, nor does a later one if step <= 0
+                if step <= 0:
+                    break
+                jump = (-c - top) // step + 1
+                e, c = e + jump, c + jump * step
+                continue
+            if c + low > 0:  # the row blocks in full
+                if step >= 0:
+                    count += sum(ways[e:]) * suffix[0]
+                    break
+                count += ways[e] * suffix[0]
+            elif slope > 0:
+                count += ways[e] * suffix[-c // slope + 1]
+            else:
+                count += ways[e] * (suffix[0] - suffix[(c - 1) // -slope + 1])
+            e, c = e + 1, c + step
+        if self._leader is None and (c1 + (m_e - 1) * step if m_e else c0) + m_f * slope > 0:
+            count -= 1  # the whole fleet, a row of every ET and FPT
+        return count
 
     def probability(self, t: float) -> float:
         return _share(self.at(t)[1], self.size)
+
+
+def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The product of two (numerator, denominator) ratios."""
+    return a[0] * b[0], a[1] * b[1]
 
 
 def in_core(
@@ -273,7 +244,7 @@ def in_core(
 ) -> CoreReport:
     """Decide core membership of an efficient allocation.
 
-    Efficiency sums count*pay over the (type, pay) classes, as ``Breakpoints.at``
+    Efficiency sums count*pay over the (type, pay) classes, as ``SweepTable.at``
     does. ``method`` "auto" takes the class scan, exact for any allocation, its
     v(S) table memoized per composition and params; "slow" the labeled oracle,
     loaded from ``platoonshare.oracles`` only then.

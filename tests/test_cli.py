@@ -403,7 +403,7 @@ class TestSweeps:
         def no_table(*args, **kwargs):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr(stability.Breakpoints, "__init__", no_table)
+        monkeypatch.setattr(stability.SweepTable, "__init__", no_table)
         assert main(["sweep", kind, "--max-platoon-size", str(cap)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -426,7 +426,7 @@ class TestSweeps:
         def first_table(*args, **kwargs):
             raise FirstTable
 
-        monkeypatch.setattr(stability.Breakpoints, "__init__", first_table)
+        monkeypatch.setattr(stability.SweepTable, "__init__", first_table)
         monkeypatch.setattr(cli, "SWEEP_CLASS_BUDGET", budget)
         with pytest.raises(FirstTable):
             main(["sweep", kind, "--max-platoon-size", str(largest)])
@@ -932,9 +932,9 @@ def test_sweep_rows_read_their_tables(kind, cap, epsilon_f, share, distance):
        cap=st.integers(2, 30))
 @settings(max_examples=100, deadline=None)
 def test_fig5_runs_iff_its_ratio_one_params_are_valid(epsilon_f, distance, cap):
-    # fig5's tables read rate ratios up to 0.95 and build their windows at
-    # ratio 1, whose params have the largest rate and money tolerance of the
-    # sweep: the run's params are those, so a run either builds every table
+    # fig5's tables read rate ratios up to 0.95 and take their money
+    # tolerance from ratio 1, whose params have the largest rate and money
+    # tolerance of the sweep: the run's params are those, so a run either builds every table
     # or is refused as a config error, and never fails midway
     try:
         game.SavingsParams(epsilon_f, epsilon_f, distance, cap)

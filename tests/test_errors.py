@@ -118,6 +118,9 @@ POINTS = st.one_of(st.sampled_from([0.0, -0.5, math.nan, 1.0, 1.5, 2.0, math.inf
          skew=0, method="auto")
 @example(rates=(1.0, 0.048, 1e300), cap=10**8, counts=(0, 3), t=2.0, grid=[0.1],
          skew=0, method="auto")
+# a subnormal epsilon_f: the leader-share table's slope d*epsilon_f - pay_f is tiny
+@example(rates=(1e-320, 0.048, 1e-05), cap=10**30, counts=(0, 2), t=1.0, grid=[0.1],
+         skew=0, method="auto")
 @settings(max_examples=300, deadline=None)
 def test_public_functions_raise_only_game_errors(rates, cap, counts, t, grid, skew, method):
     params, comp = attempt(SavingsParams, *rates, cap), attempt(Composition, *counts)

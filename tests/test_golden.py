@@ -3,14 +3,16 @@
 Each file under ``tests/golden/`` is the stdout of the listed command at
 the default settings, apart from the flags it lists. Regenerate one with, for example,
 ``PYTHONPATH=src python -m platoonshare.cli sweep fig2 > tests/golden/sweep_fig2.csv``
-and only when an output change is intended. ``sweep_size40.sha256`` and
-``sweep_size100.sha256`` pin the four sweeps at ``--max-platoon-size`` 40
-and 100 by digest, in ``sha256sum`` format, since those CSVs are large.
+and only when an output change is intended. ``sweep_size40.sha256``,
+``sweep_size100.sha256`` and ``sweep_size200.sha256`` pin the four sweeps at
+``--max-platoon-size`` 40, 100 and 200 by digest, in ``sha256sum`` format,
+since those CSVs are large.
 ``sweep_settings.sha256`` pins them at ``--max-platoon-size`` 30 under
 non-default rates and distances; each name is the sweep and its flags,
 comma-separated. The fig2, fig3 and fig5 cells, every fig2, fig3 and fig5
 cell at size 40, and fig6's in_core column at size 40 are also recomputed
-from each subset class's closed-form excess, in exact arithmetic.
+from each subset class's closed-form excess, and fig6's delta column at size
+40 from the closed-form pays, in exact arithmetic.
 """
 
 import csv
@@ -59,9 +61,11 @@ def test_size40_sweep_matches_digest(kind, tmp_path):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SIZE40[kind]
 
 
-# size 100 builds larger class tables and rounding windows than size 40
+# sizes 100 and 200 count larger classes, with longer rows, than size 40
 SIZE100 = dict(line.split()[::-1]
                for line in (GOLDEN_DIR / "sweep_size100.sha256").read_text().splitlines())
+SIZE200 = dict(line.split()[::-1]
+               for line in (GOLDEN_DIR / "sweep_size200.sha256").read_text().splitlines())
 
 
 @pytest.mark.parametrize("kind", sorted(SIZE100))
@@ -71,8 +75,15 @@ def test_size100_sweep_matches_digest(kind, tmp_path):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SIZE100[kind]
 
 
-# tiny and huge distances and rates: money tolerances and rounding windows
-# far from the defaults'
+@pytest.mark.parametrize("kind", sorted(SIZE200))
+def test_size200_sweep_matches_digest(kind, tmp_path):
+    out_path = tmp_path / f"{kind}.csv"
+    assert main(["sweep", kind, "--max-platoon-size", "200", "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SIZE200[kind]
+
+
+# tiny and huge distances and rates: money tolerances and excesses far from
+# the defaults'
 SETTINGS = dict(line.split()[::-1]
                 for line in (GOLDEN_DIR / "sweep_settings.sha256").read_text().splitlines())
 
@@ -106,8 +117,7 @@ def _leader_share_cells(kind, size):
     """fig2 (mixed fleets of ``size``) or fig3 (FPT fleets up to ``size``)
     rows: x(xi) leaves the leader's subsets out, since they never block. A
     class's excess names no fleet, so each class's verdict is found once per
-    xi and serves every composition, as one store of windows serves every
-    leader-share table."""
+    xi and serves every composition."""
     ee, ef, dist, tol = _exact(DEFAULT)
     blocking = []  # per xi: the leader-out classes (e, f) that block
     for i in range(1, 31):
@@ -164,6 +174,24 @@ def _leader_share_in_core_cells(size):
             yield [str(n_e), str(n_f), f"{xi:.6f}", str(Fraction(xi) <= bound).lower()]
 
 
+def _deviation_cells(size):
+    """fig6's (n_e, n_f, xi, delta) cells along each mixed fleet's
+    ``default_xi_grid`` under the ``epsilon_f = 0.72`` preset: delta is the
+    mean of |phi - x|/phi over the trucks, phi the closed-form type-fair pays
+    and x(xi) the leader-share ones, each truck of a role alike."""
+    ee, ef, dist, _ = _exact(DEFAULT._replace(epsilon_f=0.72))
+    for n_e in range(1, size):
+        n_f = size - n_e
+        phi_e = ((1 - Fraction(1, n_e)) * ee + Fraction(n_f, size * n_e) * ef) * dist
+        phi_f = (1 - Fraction(1, size)) * ef * dist
+        total = (ee * (n_e - 1) + ef * n_f) * dist  # an ET leads
+        for xi in default_xi_grid(Composition(n_e, n_f), DEFAULT._replace(epsilon_f=0.72)):
+            x = Fraction(xi)
+            gaps = (abs(phi_e - x * total) / phi_e + (n_e - 1) * abs(phi_e - (1 - x) * ee * dist)
+                    / phi_e + n_f * abs(phi_f - (1 - x) * ef * dist) / phi_f)
+            yield [str(n_e), str(n_f), f"{xi:.6f}", f"{float(gaps / size):.6f}"]
+
+
 CELLS = {
     "sweep_fig2.csv": lambda: _leader_share_cells("fig2", 15),
     "sweep_fig3.csv": lambda: _leader_share_cells("fig3", 15),
@@ -181,7 +209,7 @@ def _check_cells(rows, cells):
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_golden_cells_from_closed_form_excesses(name):
-    # no table, window or class scan: each row from the blocking classes alone
+    # no table or class scan: each row from the blocking classes alone
     with open(GOLDEN_DIR / name, newline="") as fh:
         rows = list(csv.reader(fh))[2:]
     _check_cells(rows, CELLS[name]())
@@ -189,9 +217,8 @@ def test_golden_cells_from_closed_form_excesses(name):
 
 @pytest.mark.parametrize("kind", ["fig2", "fig3", "fig5", "fig6"])
 def test_size40_cells_from_closed_form_excesses(kind, tmp_path):
-    # all 1170 cells of each leader-share sweep at size 40, whose tables read
-    # windows off one store grown over 39 compositions, fig5's 741 cells, and
-    # the in_core column of fig6's 2,340
+    # all 1170 cells of each leader-share sweep at size 40, fig5's 741 cells,
+    # and the in_core and delta columns of fig6's 2,340
     out_path = tmp_path / f"{kind}.csv"
     assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out_path)]) == 0
     with open(out_path, newline="") as fh:
@@ -200,6 +227,7 @@ def test_size40_cells_from_closed_form_excesses(kind, tmp_path):
         expected = list(_leader_share_in_core_cells(40))
         assert [[*row[:3], row[4]] for row in rows] == expected
         assert len(expected) == 2340
+        assert [row[:4] for row in rows] == list(_deviation_cells(40))
     else:
         _check_cells(rows, _type_fair_cells(40) if kind == "fig5"
                      else _leader_share_cells(kind, 40))

@@ -818,63 +818,114 @@ def _read(scan, t):
     return tally, count
 
 
-def _probe_points(scan):
-    """Each window's edges and centre (its class's root), and their float neighbours."""
+def _counted_classes(comp, leader):
+    """The classes (e, f) a table counts, with their labeled subset counts: those
+    of the trucks but ``leader``'s, bar the empty class and the whole fleet."""
+    m_e, m_f = comp.n_e - (leader is E), comp.n_f - (leader is F)
+    return [((e, f), math.comb(m_e, e) * math.comb(m_f, f))
+            for e in range(m_e + 1) for f in range(m_f + 1) if 0 < e + f < comp.total()]
+
+
+def _exact_count(table, t, leader):
+    """The count ``table.at(t)`` must read, recounted in Fractions of the float
+    inputs: a counted class blocks if its excess v(S) - x(S) passes the table's
+    tolerance. The point's first class is the leader's, if ``leader`` names its
+    type; with no leader the rates are those of rate ratio t."""
+    classes, _ = table.at(t)
+    params = table.params
+    ee = params.epsilon_e if leader else t * params.epsilon_f
+    ee, ef, dist, tol = map(Fraction, (ee, params.epsilon_f, params.distance, params.money_tol()))
+    pays = {truck_type: Fraction(pay) for truck_type, pay, _ in classes[leader is not None:]}
+    return sum(count for (e, f), count in _counted_classes(table.comp, leader)
+               if dist * game.rate_for_counts(e, f, ee, ef) - e * pays.get(E, 0)
+               - f * pays.get(F, 0) > tol)
+
+
+def _exact_roots(comp, params, leader):
+    """Each counted class's root, in Fractions with the pays unrounded: where its
+    excess crosses the tolerance along xi (with ``leader``), or along the rate
+    ratio (without)."""
+    ee, ef, dist, tol = map(Fraction, (params.epsilon_e, params.epsilon_f, params.distance,
+                                       params.money_tol()))
+    n_e, n_f = comp
+    n = n_e + n_f
+
+    def excess(e, f, t):
+        if leader:
+            rate_e, pay_e, pay_f = ee, (1 - t) * ee, (1 - t) * ef
+        else:
+            rate_e = t * ef
+            pay_e = (1 - Fraction(1, n_e)) * rate_e + Fraction(n_f, n * n_e) * ef if n_e else 0
+            pay_f = (1 - Fraction(1, n)) * ef
+        return dist * (game.rate_for_counts(e, f, rate_e, ef) - e * pay_e - f * pay_f) - tol
+
+    roots = set()
+    for (e, f), _ in _counted_classes(comp, leader):
+        at0, at1 = excess(e, f, 0), excess(e, f, 1)
+        if at0 != at1:
+            roots.add(at0 / (at0 - at1))
+    return roots
+
+
+def _probes(roots):
+    """Each root as a float, and its float neighbours."""
     points = set()
-    for end, start, *_ in scan.windows:
-        for t in (start, end, (start + end) / 2):
-            points |= {t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)}
+    for root in roots:
+        t = float(root)
+        points |= {t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)}
     return points
 
 
-def _leader_share_family(params):
-    """The leader-share pay lines and rates along xi, built here rather than
-    read off a table: the follower pays at xi = 0 and 1."""
-    at0, at1 = allocate._follower_pays(params, 0.0), allocate._follower_pays(params, 1.0)
-    return ([(p0, p1 - p0) for p0, p1 in zip(at0, at1)],
-            (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
-
-
 class TestBreakpoints:
-    """The parametric class scan gives the blocking count of ``_violations``."""
+    """Each sweep table read is the exact count of the subsets blocking its point."""
 
-    @given(data=st.data(), comp=compositions, eps_f=fuel_rates, ratio=rate_ratios,
-           distance=distances, k=st.integers(-6, 9),
-           xis=st.lists(leader_shares, min_size=1, max_size=5))
-    @settings(max_examples=150, deadline=None)
-    def test_leader_share_family(self, data, comp, eps_f, ratio, distance, k, xis):
+    @given(comp=compositions, eps_f=fuel_rates, ratio=rate_ratios, distance=distances,
+           k=st.integers(-6, 9), xis=st.lists(leader_shares, min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_leader_share_family(self, comp, eps_f, ratio, distance, k, xis):
         params = SavingsParams(epsilon_f=eps_f, epsilon_e=ratio * eps_f,
                                distance=distance * 10.0 ** k)
-        fleet = Fleet(tuple(data.draw(st.permutations(
-            Fleet.from_composition(Composition(*comp)).types))))
-        scan = stable_tables(params)(fleet.composition())
-        for xi in sorted(_probe_points(scan) | set(xis)):
+        comp = Composition(*comp)
+        leader = game.optimal_leader_type(comp)
+        scan = stable_tables(params)(comp)
+        for xi in sorted(_probes(_exact_roots(comp, params, leader)) | set(xis)):
             if 0.0 < xi <= 1.0:
-                alloc = stable_allocation(fleet, params, xi)
-                assert _read(scan, xi) == _expected(alloc, fleet, params)
+                assert scan.at(xi)[1] == _exact_count(scan, xi, leader)
 
-    @given(data=st.data(), comp=compositions.filter(lambda c: min(c) >= 1),
+    @given(comp=compositions.filter(lambda c: min(c) >= 1),
            eps_f=fuel_rates, distance=distances, k=st.integers(-6, 9),
            ratios=st.lists(rate_ratios, min_size=1, max_size=5))
-    @settings(max_examples=150, deadline=None)
-    def test_electric_rate_family(self, data, comp, eps_f, distance, k, ratios):
+    @settings(max_examples=60, deadline=None)
+    def test_electric_rate_family(self, comp, eps_f, distance, k, ratios):
         base = SavingsParams(epsilon_f=eps_f, epsilon_e=0.5 * eps_f,
                              distance=distance * 10.0 ** k)
-        fleet = Fleet(tuple(data.draw(st.permutations(
-            Fleet.from_composition(Composition(*comp)).types))))
-        scan = shapley_tables(base)(fleet.composition())
-        for r in sorted(_probe_points(scan) | set(ratios)):
+        comp = Composition(*comp)
+        scan = shapley_tables(base)(comp)
+        for r in sorted(_probes(_exact_roots(comp, base, None)) | set(ratios)):
             if 0.0 < r * eps_f < eps_f:  # the table's own rate
-                params = base._replace(epsilon_e=r * eps_f)
-                alloc = shapley_allocation(fleet, params)
-                assert _read(scan, r) == _expected(alloc, fleet, params)
+                assert scan.at(r)[1] == _exact_count(scan, r, None)
+
+    @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
+                             ids=["stable_tables", "shapley_tables"])
+    def test_exact_params_read_exact_counts(self, tables):
+        # with Fraction rates and distance, every root is read at itself, where
+        # the excess equals the tolerance and so does not block, and just off it
+        params = SavingsParams(Fraction(7, 100), Fraction(6, 125), Fraction(300))
+        comp = Composition(3, 12)
+        leader = game.optimal_leader_type(comp) if tables is stable_tables else None
+        scan = tables(params)(comp)
+        eps = Fraction(1, 10**12)
+        points = {t + d for t in _exact_roots(comp, params, leader) for d in (-eps, 0, eps)}
+        readings = [(t, scan.at(t)[1]) for t in sorted(points) if 0 < t < 1]
+        assert readings == [(t, _exact_count(scan, t, leader)) for t, _ in readings]
+        assert len({count for _, count in readings}) > 2
 
     def test_reads_the_thresholds_away_from_them(self, monkeypatch, params):
         fleet = Fleet.from_composition(Composition(3, 12))
         scan = stable_tables(params)(fleet.composition())
         expected = [_blocking(stable_allocation(fleet, params, xi), fleet, params)
                     for xi in (0.01, 0.1, 0.5)]
-        monkeypatch.setattr(stability, "_violations", None)  # any recheck would fail
+        monkeypatch.setattr(stability, "_violations", None)  # no table scans classes
         assert [scan.at(xi)[1] for xi in (0.01, 0.1, 0.5)] == expected
         assert scan.probability(0.5) < 1.0
         assert expected[0] == 0 < expected[1]
@@ -895,88 +946,21 @@ class TestBreakpoints:
         else:
             assert scan.at(1.0)[1] == 0
 
-    @pytest.mark.parametrize("epsilon_e", [0.2, 0.5])  # the factory's, which no table reads
-    def test_recheck_scans_the_points_classes(self, epsilon_e, params, monkeypatch):
-        # a read at a type-fair window's edge rechecks: it scans the point's
-        # payoff classes at the family's params at r, epsilon_e = r*epsilon_f,
-        # and rebuilds no per-truck allocation
-        fleet = Fleet.from_composition(Composition(3, 4))
-        scan = shapley_tables(params._replace(epsilon_e=epsilon_e))(fleet.composition())
-        ratio = next(start for _, start, *_ in scan.windows if 0.0 < start < 1.0)
-        at = params._replace(epsilon_e=ratio * params.epsilon_f)
-        expected = _blocking(shapley_allocation(fleet, at), fleet, at)
-        built, calls = [], []
-        for name in ("Allocation", "shapley_allocation", "stable_allocation"):
-            original = getattr(allocate, name)
-            monkeypatch.setattr(allocate, name, lambda *a, name=name, original=original, **k:
-                                built.append(name) or original(*a, **k))
-        scan_classes = stability._violations
-        monkeypatch.setattr(stability, "_violations",
-                            lambda *a: calls.append(a) or scan_classes(*a))
-        assert scan.at(ratio)[1] == expected
-        [(_, size, used)] = calls  # the recheck
-        assert size == 7
-        assert used == at and list(map(type, used)) == list(map(type, at))
-        assert built == []
-
-    @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
-                             ids=["stable_tables", "shapley_tables"])
-    def test_recheck_keeps_exact_params(self, tables, monkeypatch):
-        # with Fraction rates, distance and points, each recheck scans at the
-        # family's params at t, equal in value and type to the point's own:
-        # along xi no rate moves, and along the ratio epsilon_e is r*epsilon_f
-        params = SavingsParams(Fraction(7, 100), Fraction(6, 125), Fraction(300))
-        fleet = Fleet.from_composition(Composition(3, 12))
-        scan = tables(params)(fleet.composition())
-
-        def member(t):
-            """The point's own params at t, and its per-truck allocation."""
-            if tables is stable_tables:
-                return params, stable_allocation(fleet, params, t)
-            at = params._replace(epsilon_e=t * params.epsilon_f)
-            return at, shapley_allocation(fleet, at)
-
-        probes = sorted(Fraction(t) for t in _probe_points(scan) if 0.0 < t < 1.0)
-        used, readings = [], []
-        scan_classes = stability._violations
-        monkeypatch.setattr(stability, "_violations",
-                            lambda *a: used.append(a[2]) or scan_classes(*a))
-        for t in probes:
-            rechecks = len(used)
-            readings.append(_read(scan, t))
-            for at in used[rechecks:]:
-                assert at == member(t)[0] and list(map(type, at)) == [Fraction] * 3 + [int]
-        assert used  # the window edges recheck
-        monkeypatch.setattr(stability, "_violations", scan_classes)
-        assert readings == [_expected(alloc, fleet, at) for at, alloc in map(member, probes)]
-
-    def test_equal_pay_classes_merge(self, params, monkeypatch):
-        # the point pays the leader exactly what it pays each ET follower, and a
-        # read at a window's edge forces the recheck: it scans one ET class of
-        # 3, as in_core does on the per-truck allocation
+    def test_equal_pay_classes_merge(self, params):
+        # the point pays the leader exactly what it pays each ET follower, in
+        # two classes of one pay: the table reads one ET pay, as in_core reads
+        # one ET class of 3 off the per-truck allocation
         fleet = Fleet.from_composition(Composition(3, 1))
         electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
         pay_e = 0.1 * params.epsilon_e * params.distance
         pay_f = coalition_value(fleet.composition(), params) - 3 * pay_e
         classes = ((electric, pay_e, 1), (electric, pay_e, 2), (fuel, pay_f, 1))
-        windows = stability.ClassWindows(params, *_leader_share_family(params))
-        scan = stability.Breakpoints(fleet.composition(), windows, lambda t: classes)
-        edge = next(start for _, start, *_ in scan.windows if 0.0 < start <= 1.0)
         alloc = Allocation((pay_e,) * 3 + (pay_f,), leader_id=0, scheme="test")
         report = in_core(alloc, fleet, params)
         expected = sum(count for _, count in report.blocking_coalitions)
         assert expected > 0
-        calls = []
-        scan_classes = stability._violations
-        monkeypatch.setattr(stability, "_violations",
-                            lambda *a: calls.append(a) or scan_classes(*a))
-        assert scan.at(edge)[1] == expected
-        assert len(calls) == 1  # the recheck
-        # 4 * 2 classes fit a cap of 2^3; two ET classes, 2 * 3 * 2, would not
-        monkeypatch.setattr(stability, "CLASS_SCAN_CAP_BITS", 3)
-        assert scan.at(edge)[1] == expected
-        assert len(calls) == 2
-        assert in_core(alloc, fleet, params) == report
+        scan = stability.SweepTable(fleet.composition(), params, lambda t: classes)
+        assert scan.at(0.1)[1] == expected
 
     @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
                              ids=["stable_tables", "shapley_tables"])
@@ -990,35 +974,96 @@ class TestBreakpoints:
     @pytest.mark.parametrize("epsilon_e", [0.048, 0.08])  # with and without a bound
     def test_leader_subsets_left_out(self, epsilon_e, params):
         # the table holds only subsets without the leader; the count is the
-        # full scan's at the smallest xi, a tiny one and the largest
+        # exact one and the full scan's at the smallest xi, tiny ones and the
+        # largest. Near xi = 0, 0.07*300 rounds above the exact saving, so each
+        # FPT follower is paid more than it brings: a slope below zero
         params = params._replace(epsilon_e=epsilon_e)
+        for xi in (5e-324, 1e-17):
+            _, pay_f = allocate._follower_pays(params, xi)
+            assert Fraction(params.distance) * Fraction(params.epsilon_f) < Fraction(pay_f)
         for n in range(2, 16):
             for n_e in range(n + 1):
                 roster = Fleet.from_composition(Composition(n_e, n - n_e))
                 scan = stable_tables(params)(roster.composition())
-                if 1 <= n_e < n:
-                    assert len(scan.windows) == n_e * (n - n_e + 1) - 1
-                for fleet in (roster, Fleet(roster.types[::-1])):  # leader at 0, at n_f
-                    for xi in (5e-324, 1e-12, 1.0):
+                for xi in (5e-324, 1e-17, 1e-12, 1.0):
+                    leader = game.optimal_leader_type(roster.composition())
+                    assert scan.at(xi)[1] == _exact_count(scan, xi, leader)
+                    for fleet in (roster, Fleet(roster.types[::-1])):  # leader at 0, at n_f
                         alloc = stable_allocation(fleet, params, xi)
                         assert _read(scan, xi) == _expected(alloc, fleet, params)
 
+    @pytest.mark.parametrize("change, code", [
+        # epsilon_f*distance and epsilon_e*distance exact: near xi = 0 each
+        # follower is paid exactly its saving, so slope and step are 0
+        ({"epsilon_f": 0.5, "epsilon_e": 0.25, "distance": 4.0}, 0),
+        # a subnormal rate: fig6 reads 1 ET + 14 FPT, then refuses the grid of 2 + 13
+        ({"epsilon_e": 1e-320}, 3),
+    ], ids=["exact-savings", "subnormal-rate"])
+    def test_flat_slopes(self, change, code, params, tmp_path, capsys):
+        params = params._replace(**change)
+        for comp in (Composition(0, 2), Composition(1, 1), Composition(3, 12)):
+            leader = game.optimal_leader_type(comp)
+            scan = stable_tables(params)(comp)
+            for xi in (5e-324, 1e-17, 0.5, 1.0):
+                assert scan.at(xi)[1] == _exact_count(scan, xi, leader)
+        out = tmp_path / "fig6.csv"
+        flags = [arg for name, value in change.items()
+                 for arg in (f"--{name.replace('_', '-')}", repr(value))]
+        assert main(["sweep", "fig6", *flags, "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("error: XiOutOfRange: " if code else "")
+
+    @given(sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)), leader=st.booleans(),
+           ints=st.tuples(st.integers(-40, -1), *[st.integers(-40, 40)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_row_count_matches_every_class(self, sizes, leader, ints):
+        # the kernel alone, on small ints: c0 < 0, and c_e = c1 + (e - 1)*step,
+        # each sign of step and slope; the brute force visits every counted class
+        m_e, m_f = sizes
+        c0, c1, step, slope = ints
+        assume(leader or m_e + m_f >= 1)
+        comp = Composition(m_e + leader, m_f)
+        table = stability.SweepTable(comp, SavingsParams(0.07, 0.048, 300.0, 20), None,
+                                     E if leader else None)
+        expected = sum(count for (e, f), count in _counted_classes(comp, E if leader else None)
+                       if (c1 + (e - 1) * step if e else c0) + f * slope > 0)
+        assert table._count(c0, c1, step, slope) == expected
+
+    @pytest.mark.parametrize("fine", ["ET", "FPT"])
+    def test_fine_pays_rescale_the_table(self, fine):
+        # d*epsilon_e = 1, d*epsilon_f = 2, and the leader's pay absorbs the
+        # rest. A class of 1 ET and 1 FPT has excess err - fine pay, err the
+        # rounding error of the other follower's float pay, 2 - tol; the fine
+        # pay is err's float neighbour across it, a denominator finer than the
+        # table's, so it alone decides whether that class blocks
+        params = SavingsParams(0.5, 0.25, 4.0)
+        comp, tol = Composition(2, 2), params.money_tol()
+        coarse = 2.0 - tol
+        err = 2 - Fraction(tol) - Fraction(coarse)
+        assert err != 0
+        pay = math.nextafter(float(err), math.inf if err > 0 else -math.inf)
+
+        def table(pay):
+            pay_e, pay_f = (pay, coarse) if fine == "ET" else (coarse, pay)
+            total = coalition_value(comp, params)
+            classes = ((E, total - pay_e - 2 * pay_f, 1), (E, pay_e, 1), (F, pay_f, 2))
+            return stability.SweepTable(comp, params, lambda t: classes, E)
+
+        scan = table(pay)
+        assert scan.at(0.5)[1] == _exact_count(scan, 0.5, E)
+        assert scan.at(0.5)[1] != table(0.0).at(0.5)[1]  # the fine pay decides
+
     @pytest.mark.parametrize("epsilon_f", [0.07, 0.5])  # rate ratio test holds, fails
     def test_type_fair_table_keeps_every_class(self, epsilon_f, params):
-        # no truck is left out: every sub-composition but the empty and full
-        # ones has a window, and each probe reads the full scan's count
+        # no truck is left out: each read at a root of any class but the empty
+        # and full ones, or next to it, is the exact count over all of them
         params = params._replace(epsilon_f=epsilon_f)
-        for n in range(2, 16):
+        for n in range(2, 12):
             for n_e in range(1, n):
-                roster = Fleet.from_composition(Composition(n_e, n - n_e))
-                scan = shapley_tables(params)(roster.composition())
-                assert len(scan.windows) == (n_e + 1) * (n - n_e + 1) - 2
-                for fleet in (roster, Fleet(roster.types[::-1])):
-                    for r in _probe_points(scan):
-                        if 0.0 < r * epsilon_f < epsilon_f:
-                            at = params._replace(epsilon_e=r * epsilon_f)
-                            alloc = shapley_allocation(fleet, at)
-                            assert _read(scan, r) == _expected(alloc, fleet, at)
+                comp = Composition(n_e, n - n_e)
+                scan = shapley_tables(params)(comp)
+                for r in _probes(_exact_roots(comp, params, None)):
+                    if 0.0 < r * epsilon_f < epsilon_f:
+                        assert scan.at(r)[1] == _exact_count(scan, r, None)
 
     def test_leader_subsets_count_toward_the_cap(self, params, monkeypatch):
         # 2 * 1000 * 701 classes with the leader's, 1000 * 701 without: over 2^20
@@ -1033,16 +1078,17 @@ class TestBreakpoints:
 
     def test_not_efficient_raises(self, params, comp23):
         # 2 ETs and 3 FPTs paid 1.0 each fall short of v(N); classes counting
-        # 4 trucks index another fleet, whatever they sum to
+        # 4 trucks index another fleet, whatever they sum to; and a point may
+        # pay the followers of a type only one pay
         total = coalition_value(comp23, params)
         electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
         for classes, error, match in (
                 (((electric, 1.0, 2), (fuel, 1.0, 3)), NotEfficient, None),
                 (((electric, total / 4, 2), (fuel, total / 4, 2)), ValueError,
-                 "payoff classes do not count a fleet of 5")):
-            windows = stability.ClassWindows(params, [(1.0, 0.0)] * 2,
-                                             (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
-            scan = stability.Breakpoints(comp23, windows, lambda t: classes, None)
+                 "payoff classes do not count a fleet of 5"),
+                (((electric, total / 5, 2), (fuel, total / 5 - 1.0, 2), (fuel, total / 5 + 2.0, 1)),
+                 InvalidInput, "the point pays two FUEL followers differently")):
+            scan = stability.SweepTable(comp23, params, lambda t: classes)
             with pytest.raises(error, match=match):
                 scan.at(0.1)
 
@@ -1052,10 +1098,8 @@ class TestBreakpoints:
         total = coalition_value(comp23, params)
         short = {0.1: 0.0, 0.2: 2 * params.money_tol()}
         electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
-        windows = stability.ClassWindows(params, [(1.0, 0.0)] * 2,
-                                         (params.epsilon_e, params.epsilon_f), (0.0, 0.0))
-        scan = stability.Breakpoints(comp23, windows, lambda t: (
-            (electric, (total - short[t]) / 5, 2), (fuel, (total - short[t]) / 5, 3)), None)
+        scan = stability.SweepTable(comp23, params, lambda t: (
+            (electric, (total - short[t]) / 5, 2), (fuel, (total - short[t]) / 5, 3)))
         assert scan.at(0.1)[0][0][1] == total / 5
         with pytest.raises(NotEfficient):
             scan.at(0.2)
@@ -1091,91 +1135,6 @@ class TestBreakpoints:
         assert main(["sweep", kind, "--max-platoon-size", "40", "--out", str(out)]) == 0
         assert built == []
 
-    # the default rates, fig6's preset and the settings of sweep_settings.sha256
-    @pytest.mark.parametrize("change", [{}, {"epsilon_f": 0.72},
-                                        {"epsilon_f": 0.13, "distance": 1e-3},
-                                        {"epsilon_f": 0.5, "distance": 1e9},
-                                        {"distance": 1e-290}])
-    def test_shared_tables_match_standalone(self, change, params, monkeypatch):
-        # one factory's store grows over every composition of 2-30 trucks,
-        # all-FPT ones (FPT leader) among the mixed (ET leader); each table it
-        # serves equals the table built for that composition alone, and reads
-        # each window edge alike: off the table, or by a recheck. The recheck
-        # does not consult the table, so it is stubbed; each point is the
-        # composition's own classes. The lone table reads a fresh store of the
-        # leader-share lines, built here rather than by the factory
-        params = params._replace(max_platoon_size=30, **change)
-        monkeypatch.setattr(stability, "_violations", lambda *_: {"recheck": -1})
-        tables = stable_tables(params)
-        for n in range(2, 31):
-            for n_e in range(n):
-                comp = Composition(n_e, n - n_e)
-                shared = tables(comp)
-                own = stability.ClassWindows(params, *_leader_share_family(params))
-                alone = stability.Breakpoints(comp, own, shared._point,
-                                              game.optimal_leader_type(comp))
-                assert shared.windows == alone.windows
-                assert shared._counts[0] == alone._counts[0]  # the base count
-                edges = {t for end, start, *_ in alone.windows for t in (start, end)}
-                for t in sorted(t for t in edges if 0.0 < t <= 1.0):
-                    assert shared.at(t) == alone.at(t)
-
-    @pytest.mark.parametrize("kind", ["fig2", "fig3", "fig5", "fig6"])
-    def test_sweeps_compute_each_window_once(self, kind, monkeypatch, tmp_path):
-        # a size-30 sweep computes each class (e, f) of a store once. The
-        # leader-share sweeps share one store of the leader-out classes: the
-        # staircase e <= 28, e + f <= 29 for fig2 and fig6, and f <= 29 of
-        # FPTs alone for fig3. Each fig5 table of n_e ETs has its own store of
-        # every class e <= n_e, f <= 30 - n_e but the empty one
-        computed = {}
-        windows = stability.ClassWindows._windows
-
-        def spy(self, e, fs):
-            computed.setdefault(self, []).extend((e, f) for f in fs)
-            return windows(self, e, fs)
-
-        monkeypatch.setattr(stability.ClassWindows, "_windows", spy)
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", kind, "--max-platoon-size", "30", "--out", str(out)]) == 0
-        if kind == "fig5":
-            expected = [{(e, f) for e in range(n_e + 1) for f in range(31 - n_e)} - {(0, 0)}
-                        for n_e in range(1, 30)]
-        elif kind == "fig3":
-            expected = [{(0, f) for f in range(1, 30)}]
-        else:
-            expected = [{(e, f) for e in range(29) for f in range(30 - e)} - {(0, 0)}]
-        assert [len(classes) for classes in computed.values()] == list(map(len, expected))
-        assert list(map(set, computed.values())) == expected
-
-    @pytest.mark.parametrize("change", [{}, {"epsilon_f": 0.72}, {"distance": 1e-290}])
-    def test_shared_windows_serve_whole_fleet_tables(self, change, params):
-        # a store grown over every composition of 2-30 trucks serves each table
-        # the rows and base count of a fresh store, read with the leader left
-        # out and with every truck kept: a table of its whole fleet cuts off
-        # that class, which the store holds as a proper class of larger fleets.
-        # The lines are the leader-share ones and one fleet's type-fair ones
-        params = params._replace(max_platoon_size=30, **change)
-        ef, dist = params.epsilon_f, params.distance
-        (w_e, w_f), _ = allocate._type_fair_classes(Composition(3, 12))
-        families = [_leader_share_family(params),
-                    ([(w[1] * ef * dist, w[0] * ef * dist) for w in (w_e, w_f)], (0.0, ef),
-                     (ef, 0.0))]
-        for family in families:
-            grown = stability.ClassWindows(params, *family)
-            for n in range(2, 31):
-                for n_e in range(n + 1):
-                    comp = Composition(n_e, n - n_e)
-                    for leader in (game.optimal_leader_type(comp), None):
-                        own = stability.ClassWindows(params, *family)
-                        shared = stability.Breakpoints(comp, grown, None, leader)
-                        alone = stability.Breakpoints(comp, own, None, leader)
-                        m_e = comp.n_e - (leader is TruckType.ELECTRIC)
-                        m_f = comp.n_f - (leader is TruckType.FUEL)
-                        # no empty class, and none of the whole fleet
-                        assert len(alone.windows) == (m_e + 1) * (m_f + 1) - 1 - (leader is None)
-                        assert shared.windows == alone.windows
-                        assert shared._counts[0] == alone._counts[0]  # the base count
-
     def test_tables_share_each_rates_params(self, params, comp23, monkeypatch):
         # two tables of one factory share its one set of params, built at
         # ratio 1, epsilon_e = epsilon_f; reads at a ratio build none, and
@@ -1198,18 +1157,18 @@ class TestBreakpoints:
                 scan.at(-ratio)
         assert len(built) == 1
 
-    def test_type_fair_tables_name_the_ratio_of_their_windows(self):
+    def test_type_fair_tables_name_rate_ratio_one(self):
         # valid params, but at rate ratio 1 the money tolerance underflows
         tables = shapley_tables(SavingsParams(1e-320, 0.048, 300.0, 10**30))
         with pytest.raises(InvalidInput, match=(
                 r"^epsilon_f x distance is too small for a money tolerance at rate ratio 1, "
-                r"where every table builds its windows$")):
+                r"the tolerance of every table$")):
             tables(Composition(4, 2))
 
     def test_fig5_validates_params_per_table_not_per_point(self, monkeypatch, tmp_path):
         # size 40: 39 tables of 19 points each validate no params of their
         # own; the run's, built by the config at epsilon_e = epsilon_f, and
-        # the factory's windows params at rate ratio 1 are the only two
+        # the factory's params at rate ratio 1 are the only two
         built = []
         check = SavingsParams._check
         monkeypatch.setattr(SavingsParams, "_check",

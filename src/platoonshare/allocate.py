@@ -184,7 +184,7 @@ def shapley_tables(params: SavingsParams):
             if not 0.0 < r <= 1.0:
                 raise InvalidInput(f"rate ratio must be in (0, 1], got {r}")
             return classes(r * ef, ef, dist)
-        return SweepTable(comp, at_one, point, ratio=True)
+        return SweepTable(comp, at_one, point, rate_e=lambda r: r * ef)
     return table
 
 

@@ -141,36 +141,33 @@ class SweepTable:
     pay, count)`` triples counting ``comp``'s trucks: the first class of
     ``leader``'s type (a ``TruckType``, or None) holds the leader, and each
     other truck of a type is paid its type's one follower pay. The rates are
-    ``params``' own or, along the rate ratio t (``ratio``), t*epsilon_f and
-    epsilon_f, at ``params``' distance d and one money tolerance tol. A point
-    must sum to v(N) at t within tol. A class (e, f) of the m_e ETs and m_f
-    FPTs other than the leader counts comb(m_e, e)*comb(m_f, f) subsets; a
-    leader's subsets never block, though the class cap counts them, and with
-    no leader the whole fleet is left out. A class blocks if v(S) - x(S) >
-    tol, exactly on the float inputs' values over one common denominator:
-    that excess is c_e + f*slope, slope = d*eps_f - pay_f, where c_0 =
-    -d*eps_f - tol < 0 and c_e = -d*eps_e - tol + e*step for e >= 1, step =
-    d*eps_e - pay_e. So a row of e ETs blocks at one range of f, counted off
-    suffix sums of the FPTs' binomial row.
+    ``params``', but for the ET rate at t, ``rate_e(t)`` if given (the type-fair
+    family's t*epsilon_f), at ``params``' distance d and one money tolerance
+    tol. A point must sum to v(N) at t within tol. A class (e, f) of the m_e
+    ETs and m_f FPTs other than the leader counts comb(m_e, e)*comb(m_f, f)
+    subsets; a leader's subsets never block, though the class cap counts
+    them, and with no leader the whole fleet is left out. A class blocks if
+    v(S) - x(S) > tol, exactly on the float inputs' values over one common
+    denominator: that excess is c_e + f*slope, slope = d*eps_f - pay_f, where
+    c_0 = -d*eps_f - tol < 0 and c_e = -d*eps_e - tol + e*step for e >= 1,
+    step = d*eps_e - pay_e. So a row of e ETs blocks at one range of f,
+    counted off suffix sums of the FPTs' binomial row.
     """
 
     def __init__(self, comp: Composition, params: SavingsParams, point, leader=None,
-                 ratio=False):
+                 rate_e=None):
         m_e = comp.n_e - (leader is TruckType.ELECTRIC)
         m_f = comp.n_f - (leader is TruckType.FUEL)
         _check_class_cap((leader is not None, m_e, m_f))  # the leader's class still counts
         self.comp, self.size, self.params, self._point = comp, comp.total(), params, point
-        self._leader, self._tol = leader, params.money_tol()
-        dist, ef = params.distance, params.epsilon_f
-        lines = ((0, ef), (ef, 0)) if ratio else ((params.epsilon_e, ef), (0, 0))
-        # v(N) at t is v0 + t*v1, or v0 if v1 is 0
-        self._total = [rate_for_counts(*comp, *rates) * dist for rates in lines]
+        self._leader, self._tol, self._rate_e = leader, params.money_tol(), rate_e
         self._ways = _binomials(m_e)
         self._suffix = [*accumulate(reversed(_binomials(m_f)))][::-1] + [0]
-        self._dist = dist.as_integer_ratio()
-        # d*eps_e, unless it moves; and d*eps_f and tol over one denominator q
-        self._d_ee = None if ratio else _times(self._dist, params.epsilon_e.as_integer_ratio())
-        (b, q_b), (c, q_c) = _times(self._dist, ef.as_integer_ratio()), self._tol.as_integer_ratio()
+        self._dist = params.distance.as_integer_ratio()
+        # v(N) and d*eps_e, unless eps_e moves; and d*eps_f and tol over one denominator q
+        self._fixed_e = None if rate_e else self._at_rate(params.epsilon_e)
+        (b, q_b), (c, q_c) = (_times(self._dist, params.epsilon_f.as_integer_ratio()),
+                              self._tol.as_integer_ratio())
         q = math.lcm(q_b, q_c)
         self._fixed = q, b * (q // q_b), c * (q // q_c)
 
@@ -179,9 +176,8 @@ class SweepTable:
         classes = self._point(t)
         if sum(count for _, _, count in classes) != self.size:
             raise InvalidInput(f"payoff classes do not count a fleet of {self.size}")
-        v0, v1 = self._total
-        _check_efficient(sum(count * pay for _, pay, count in classes),
-                         v0 + t * v1 if v1 else v0, self._tol)
+        total, d_ee = self._at_rate(self._rate_e(t)) if self._rate_e else self._fixed_e
+        _check_efficient(sum(count * pay for _, pay, count in classes), total, self._tol)
         pays, lead = {}, self._leader  # keyed by is fuel
         for truck_type, pay, count in classes:
             if truck_type is lead:  # the leader's class, which may hold followers too
@@ -189,14 +185,18 @@ class SweepTable:
             if count and pays.setdefault(truck_type is _FUEL, pay) != pay:
                 raise InvalidInput(f"the point pays two {truck_type.name} followers differently")
         (a, q_a), (p, q_p), (f, q_f) = (
-            self._d_ee or _times(self._dist, (t * self.params.epsilon_f).as_integer_ratio()),
-            pays.get(False, 0).as_integer_ratio(), pays.get(True, 0).as_integer_ratio())
+            d_ee, pays.get(False, 0).as_integer_ratio(), pays.get(True, 0).as_integer_ratio())
         q, d_ef, tol = self._fixed
         if q % q_a or q % q_p or q % q_f:  # a finer denominator than the table's
             k = math.lcm(q, q_a, q_p, q_f) // q
             q, d_ef, tol = q * k, d_ef * k, tol * k
         d_ee, p, f = a * (q // q_a), p * (q // q_p), f * (q // q_f)
         return classes, self._count(-d_ef - tol, -p - tol, d_ee - p, d_ef - f)
+
+    def _at_rate(self, ee) -> tuple:
+        """v(N) at ET rate ``ee``, and d*ee as a (numerator, denominator) ratio."""
+        return (rate_for_counts(*self.comp, ee, self.params.epsilon_f) * self.params.distance,
+                _times(self._dist, ee.as_integer_ratio()))
 
     def _count(self, c0: int, c1: int, step: int, slope: int) -> int:
         """Labeled subsets whose excess c_e + f*slope is positive, c_e = c1 +

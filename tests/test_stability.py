@@ -826,19 +826,29 @@ def _counted_classes(comp, leader):
             for e in range(m_e + 1) for f in range(m_f + 1) if 0 < e + f < comp.total()]
 
 
-def _exact_count(table, t, leader):
-    """The count ``table.at(t)`` must read, recounted in Fractions of the float
-    inputs: a counted class blocks if its excess v(S) - x(S) passes the table's
-    tolerance. The point's first class is the leader's, if ``leader`` names its
-    type; with no leader the rates are those of rate ratio t."""
-    classes, _ = table.at(t)
+def _exact_counter(table, leader):
+    """The count ``table.at(t)`` must read, as a function of t: a counted class
+    blocks if its excess v(S) - x(S) passes the table's tolerance, recounted
+    class by class in ints over one denominator q of the float inputs' values.
+    The point's first class is the leader's, if ``leader`` names its type;
+    with no leader the ET rate is that of rate ratio t. Each class's v(S)/d is
+    a*eps_e + b*eps_f, its (e, f, a, b) worked out once per table."""
     params = table.params
-    ee = params.epsilon_e if leader else t * params.epsilon_f
-    ee, ef, dist, tol = map(Fraction, (ee, params.epsilon_f, params.distance, params.money_tol()))
-    pays = {truck_type: Fraction(pay) for truck_type, pay, _ in classes[leader is not None:]}
-    return sum(count for (e, f), count in _counted_classes(table.comp, leader)
-               if dist * game.rate_for_counts(e, f, ee, ef) - e * pays.get(E, 0)
-               - f * pays.get(F, 0) > tol)
+    fixed = [Fraction(x) for x in (params.epsilon_f, params.distance, params.money_tol())]
+    rows = [(e, f, max(e - 1, 0), f if e else f - 1, count)
+            for (e, f), count in _counted_classes(table.comp, leader)]
+
+    def count(t):
+        classes, _ = table.at(t)
+        pays = {truck_type: pay for truck_type, pay, _ in classes[leader is not None:]}
+        ee = params.epsilon_e if leader else t * params.epsilon_f
+        values = [Fraction(x) for x in (ee, pays.get(E, 0), pays.get(F, 0))] + fixed
+        q = math.lcm(*(v.denominator for v in values))
+        ee, pay_e, pay_f, ef, dist, tol = (int(v * q) for v in values)
+        # each side times q^2
+        return sum(c for e, f, a, b, c in rows
+                   if dist * (a * ee + b * ef) > q * (e * pay_e + f * pay_f + tol))
+    return count
 
 
 def _exact_roots(comp, params, leader):
@@ -879,31 +889,50 @@ def _probes(roots):
 class TestBreakpoints:
     """Each sweep table read is the exact count of the subsets blocking its point."""
 
-    @given(comp=compositions, eps_f=fuel_rates, ratio=rate_ratios, distance=distances,
-           k=st.integers(-6, 9), xis=st.lists(leader_shares, min_size=1, max_size=5))
-    @settings(max_examples=60, deadline=None)
-    def test_leader_share_family(self, comp, eps_f, ratio, distance, k, xis):
+    @given(data=st.data(), comp=compositions, eps_f=fuel_rates, ratio=rate_ratios,
+           distance=distances, k=st.integers(-6, 9),
+           xis=st.lists(leader_shares, min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_leader_share_family(self, data, comp, eps_f, ratio, distance, k, xis):
+        # each read at a class's root, next to it or at a random xi is the exact
+        # count; at the random xis, off every root, it is also the per-truck
+        # allocation's classes and the class scan's count, on a permuted roster
         params = SavingsParams(epsilon_f=eps_f, epsilon_e=ratio * eps_f,
                                distance=distance * 10.0 ** k)
-        comp = Composition(*comp)
+        fleet = Fleet(tuple(data.draw(st.permutations(
+            Fleet.from_composition(Composition(*comp)).types))))
+        comp = fleet.composition()
         leader = game.optimal_leader_type(comp)
         scan = stable_tables(params)(comp)
+        exact = _exact_counter(scan, leader)
         for xi in sorted(_probes(_exact_roots(comp, params, leader)) | set(xis)):
             if 0.0 < xi <= 1.0:
-                assert scan.at(xi)[1] == _exact_count(scan, xi, leader)
+                assert scan.at(xi)[1] == exact(xi)
+        for xi in xis:
+            alloc = stable_allocation(fleet, params, xi)
+            assert _read(scan, xi) == _expected(alloc, fleet, params)
 
-    @given(comp=compositions.filter(lambda c: min(c) >= 1),
+    @given(data=st.data(), comp=compositions.filter(lambda c: min(c) >= 1),
            eps_f=fuel_rates, distance=distances, k=st.integers(-6, 9),
            ratios=st.lists(rate_ratios, min_size=1, max_size=5))
-    @settings(max_examples=60, deadline=None)
-    def test_electric_rate_family(self, comp, eps_f, distance, k, ratios):
+    @settings(max_examples=150, deadline=None)
+    def test_electric_rate_family(self, data, comp, eps_f, distance, k, ratios):
+        # as along xi, at the rate ratio's roots and random ratios; there the
+        # per-truck allocation is shapley_allocation's at epsilon_e = r*epsilon_f
         base = SavingsParams(epsilon_f=eps_f, epsilon_e=0.5 * eps_f,
                              distance=distance * 10.0 ** k)
-        comp = Composition(*comp)
+        fleet = Fleet(tuple(data.draw(st.permutations(
+            Fleet.from_composition(Composition(*comp)).types))))
+        comp = fleet.composition()
         scan = shapley_tables(base)(comp)
+        exact = _exact_counter(scan, None)
         for r in sorted(_probes(_exact_roots(comp, base, None)) | set(ratios)):
             if 0.0 < r * eps_f < eps_f:  # the table's own rate
-                assert scan.at(r)[1] == _exact_count(scan, r, None)
+                assert scan.at(r)[1] == exact(r)
+        for r in ratios:
+            params = base._replace(epsilon_e=r * eps_f)
+            alloc = shapley_allocation(fleet, params)
+            assert _read(scan, r) == _expected(alloc, fleet, params)
 
     @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
                              ids=["stable_tables", "shapley_tables"])
@@ -917,7 +946,7 @@ class TestBreakpoints:
         eps = Fraction(1, 10**12)
         points = {t + d for t in _exact_roots(comp, params, leader) for d in (-eps, 0, eps)}
         readings = [(t, scan.at(t)[1]) for t in sorted(points) if 0 < t < 1]
-        assert readings == [(t, _exact_count(scan, t, leader)) for t, _ in readings]
+        assert readings == [(t, _exact_counter(scan, leader)(t)) for t, _ in readings]
         assert len({count for _, count in readings}) > 2
 
     def test_reads_the_thresholds_away_from_them(self, monkeypatch, params):
@@ -985,9 +1014,9 @@ class TestBreakpoints:
             for n_e in range(n + 1):
                 roster = Fleet.from_composition(Composition(n_e, n - n_e))
                 scan = stable_tables(params)(roster.composition())
+                exact = _exact_counter(scan, game.optimal_leader_type(roster.composition()))
                 for xi in (5e-324, 1e-17, 1e-12, 1.0):
-                    leader = game.optimal_leader_type(roster.composition())
-                    assert scan.at(xi)[1] == _exact_count(scan, xi, leader)
+                    assert scan.at(xi)[1] == exact(xi)
                     for fleet in (roster, Fleet(roster.types[::-1])):  # leader at 0, at n_f
                         alloc = stable_allocation(fleet, params, xi)
                         assert _read(scan, xi) == _expected(alloc, fleet, params)
@@ -1005,7 +1034,7 @@ class TestBreakpoints:
             leader = game.optimal_leader_type(comp)
             scan = stable_tables(params)(comp)
             for xi in (5e-324, 1e-17, 0.5, 1.0):
-                assert scan.at(xi)[1] == _exact_count(scan, xi, leader)
+                assert scan.at(xi)[1] == _exact_counter(scan, leader)(xi)
         out = tmp_path / "fig6.csv"
         flags = [arg for name, value in change.items()
                  for arg in (f"--{name.replace('_', '-')}", repr(value))]
@@ -1049,7 +1078,7 @@ class TestBreakpoints:
             return stability.SweepTable(comp, params, lambda t: classes, E)
 
         scan = table(pay)
-        assert scan.at(0.5)[1] == _exact_count(scan, 0.5, E)
+        assert scan.at(0.5)[1] == _exact_counter(scan, E)(0.5)
         assert scan.at(0.5)[1] != table(0.0).at(0.5)[1]  # the fine pay decides
 
     @pytest.mark.parametrize("epsilon_f", [0.07, 0.5])  # rate ratio test holds, fails
@@ -1057,13 +1086,14 @@ class TestBreakpoints:
         # no truck is left out: each read at a root of any class but the empty
         # and full ones, or next to it, is the exact count over all of them
         params = params._replace(epsilon_f=epsilon_f)
-        for n in range(2, 12):
+        for n in range(2, 16):
             for n_e in range(1, n):
                 comp = Composition(n_e, n - n_e)
                 scan = shapley_tables(params)(comp)
+                exact = _exact_counter(scan, None)
                 for r in _probes(_exact_roots(comp, params, None)):
                     if 0.0 < r * epsilon_f < epsilon_f:
-                        assert scan.at(r)[1] == _exact_count(scan, r, None)
+                        assert scan.at(r)[1] == exact(r)
 
     def test_leader_subsets_count_toward_the_cap(self, params, monkeypatch):
         # 2 * 1000 * 701 classes with the leader's, 1000 * 701 without: over 2^20

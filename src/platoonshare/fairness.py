@@ -62,14 +62,15 @@ def deviation_curve(table, xi_grid: Sequence[float]) -> tuple[DeviationPoint, ..
 
 
 def default_xi_grid(comp: Composition, params: SavingsParams) -> list[float]:
-    """60 evenly spaced points to ``xi_upper_bound`` xi*, from 0.002, or xi*/60 if
-    xi* <= 0.002. A subnormal xi* may be too small for 60 distinct floats."""
+    """60 evenly spaced points to ``xi_upper_bound`` xi*, from 0.002, or from xi*/60
+    if xi* <= 0.002 or too close to 0.002 for 60 distinct floats. A subnormal xi*
+    may be too small for 60 distinct floats."""
     n = 60
     xi_star = xi_upper_bound(comp, params)
-    start = 0.002 if xi_star > 0.002 else xi_star / n
-    step = (xi_star - start) / (n - 1)
-    grid = [start + i * step for i in range(n - 1)] + [xi_star]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise XiOutOfRange(f"xi* = {xi_star:.3g} of {comp.n_e} ET + {comp.n_f} FPT is too "
-                           f"small for {n} distinct grid points")
-    return grid
+    for start in (0.002, xi_star / n):  # at xi* <= 0.002 the first grid falls
+        step = (xi_star - start) / (n - 1)
+        grid = [start + i * step for i in range(n - 1)] + [xi_star]
+        if all(a < b for a, b in zip(grid, grid[1:])):
+            return grid
+    raise XiOutOfRange(f"xi* = {xi_star:.3g} of {comp.n_e} ET + {comp.n_f} FPT is too "
+                       f"small for {n} distinct grid points")

@@ -22,6 +22,7 @@ from .game import (
     coalition_value,
     rate_for_counts,
 )
+from .stability import _scaled
 
 SCHEME_SHAPLEY_BF = "shapley-brute-force"
 BRUTE_FORCE_MAX_FLEET = 10
@@ -143,10 +144,9 @@ def shapley_bruteforce(fleet: Fleet, params: SavingsParams) -> Allocation:
     return Allocation(tuple(payoffs), _leader_id(fleet), SCHEME_SHAPLEY_BF)
 
 
-def _subset_sums(start, terms: Sequence) -> list:
-    """``start`` plus each subset of ``terms``, added in list order; bit i of an
-    entry's index picks terms[i]."""
-    sums = [start]
+def _subset_sums(terms: Sequence[int]) -> list[int]:
+    """The sum of each subset of ``terms``; bit i of an entry's index picks terms[i]."""
+    sums = [0]
     for term in terms:
         sums += list(map(operator.add, sums, repeat(term)))
     return sums
@@ -157,38 +157,32 @@ def labeled_violations(
 ) -> dict[tuple[int, int], int]:
     """Labeled scan of every non-empty proper subset, keyed like the class scan.
 
-    Meet in the middle: the subsets of the high half of the ids, n//2 and
-    up, are built once, and each is extended over the low half into one
-    list of 2^(n//2) sums, so the scan holds about 2^(N/2) entries, never
-    2^N. Each subset's sum is 0.0 plus its pays added from the highest id
-    down, one float order however the ids are split. Each (ET count, size)
-    key is valued once; the empty set and the whole fleet never block.
+    A subset S blocks if v(S) - x(S) > ``params.money_tol()``, exactly on the
+    float inputs' values, as in the class scan: in ints from its ``_scaled``,
+    with v(S) = v_e*e + v_f*f - lead, v_e = d*eps_e, v_f = d*eps_f and lead
+    that of S's leader. Meet in the middle: the subsets of the high half of
+    the ids, n//2 and up, are built once, and each is extended over the low
+    half, so the scan holds about 2^(N/2) entries, never 2^N. Each (ET count,
+    FPT count) key is valued once; the empty set and the whole fleet never block.
     """
     n = fleet.size
     if n > LABELED_SCAN_MAX_FLEET:
         raise FleetTooLarge(f"labeled scan capped at {LABELED_SCAN_MAX_FLEET} trucks")
-    tol = params.money_tol()
-    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    pay = alloc.payoffs
+    _, v_e, v_f, tol, *pay = _scaled(params, *alloc.payoffs)
     n_e = fleet.types.count(TruckType.ELECTRIC)
-    worth = [-math.inf] * (n + 1) ** 2  # v per key, ET count * (n + 1) + size
+    worth = [-math.inf] * (n + 1) ** 2  # v - tol per key, ET count * (n + 1) + FPT count
     for e in range(n_e + 1):
         for f in range(n - n_e + 1):
             if 0 < e + f < n:
-                worth[e * (n + 2) + f] = rate_for_counts(e, f, ee, ef) * dist
-    steps = [n + 2 if t is TruckType.ELECTRIC else 1 for t in fleet.types]
-    high, low = range(n - 1, n // 2 - 1, -1), range(n // 2 - 1, -1, -1)
-    low_pays, low_keys = [pay[i] for i in low], _subset_sums(0, [steps[i] for i in low])
+                worth[e * (n + 1) + f] = v_e * e + v_f * f - (v_e if e else v_f) - tol
+    steps = [n + 1 if t is TruckType.ELECTRIC else 1 for t in fleet.types]
+    half = n // 2
+    low_sums, low_keys = _subset_sums(pay[:half]), _subset_sums(steps[:half])
 
     blocking: Counter[int] = Counter()
-    for got, head in zip(_subset_sums(0.0, [pay[i] for i in high]),
-                         _subset_sums(0, [steps[i] for i in high])):
-        sums = _subset_sums(got, low_pays)
+    for got, head in zip(_subset_sums(pay[half:]), _subset_sums(steps[half:])):
         blocks = map(operator.gt, map(worth[head:].__getitem__, low_keys),
-                     map(operator.add, sums, repeat(tol)))
+                     map(got.__add__, low_sums))
         blocking.update(map(head.__add__, compress(low_keys, blocks)))
-    out: dict[tuple[int, int], int] = {}
-    for key, count in sorted(blocking.items()):  # ascending (e, f), as the class scan
-        e, size = divmod(key, n + 1)
-        out[(e, size - e)] = count
-    return out
+    # ascending (e, f), as the class scan
+    return {divmod(key, n + 1): count for key, count in sorted(blocking.items())}

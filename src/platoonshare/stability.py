@@ -1,16 +1,16 @@
 """Core-membership certification and the stability probability.
 
-One subset scan backs every verdict: trucks of the same type paid exactly
-the same are interchangeable, so it visits the classes of such subsets
-and weights each by its binomial multiplicity, summing the payoff classes
-in one order whatever the trucks' ids, its v(S) tables and binomial rows
-memoized (128 of each, of up to 256 entries) for verdicts that repeat a
-composition and rates, or a class size. Sweeps along a family of
-allocations affine in one parameter read a ``SweepTable`` per composition:
-a point is its payoff classes, one pay per follower type, and its count is
-exact, in ints, one range of FPT counts per row of e ETs (a type-fair table
-reads rate ratios in (0, 1] only). The labeled enumeration over all 2^N - 2
-proper subsets that cross-checks both is an oracle in
+Every verdict follows one rule: a subset S blocks if v(S) - x(S) exceeds
+the money tolerance, decided exactly on the float inputs' values, in ints
+over one denominator (``_scaled``). One subset scan backs every verdict:
+trucks of the same type paid exactly the same are interchangeable, so it
+visits the classes of such subsets and weights each by its binomial
+multiplicity, one range of picks of the largest class per row of the
+others. Sweeps along a family of allocations affine in one parameter read a
+``SweepTable`` per composition: a point is its payoff classes, one pay per
+follower type, and its count is one range of FPT counts per row of e ETs (a
+type-fair table reads rate ratios in (0, 1] only). The labeled enumeration
+over all 2^N - 2 proper subsets that cross-checks both is an oracle in
 ``platoonshare.oracles``, run only on request (``method="slow"``).
 """
 
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from operator import add, gt, is_
+from operator import is_, itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import BothTypesRequired, FleetTooLarge, InvalidInput, NotEfficient
@@ -43,7 +42,6 @@ if TYPE_CHECKING:
 # largest, and is capped at 2^CLASS_SCAN_CAP_BITS subset classes.
 CLASS_SCAN_CAP_BITS = 20
 _FUEL = TruckType.FUEL
-_MEMO_SIZE, _MEMO_ENTRIES = 128, 256  # results per memo, and entries per result at most
 
 
 class CoreReport(NamedTuple):
@@ -65,25 +63,24 @@ def _check_class_cap(sizes) -> None:
         raise FleetTooLarge(f"scan capped at 2^{CLASS_SCAN_CAP_BITS} subset classes")
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _binomial_row(m: int) -> tuple[int, ...]:
-    """The row comb(m, k) for k = 0..m, each entry from the one before."""
-    row = [1]
-    for k in range(m):
-        row.append(row[-1] * (m - k) // (k + 1))
+def _binomials(m: int) -> tuple[int, ...]:
+    """The row comb(m, k) for k = 0..m, each entry of its first half from the one
+    before, and mirrored."""
+    row = [1] * (m + 1)
+    for k in range(1, m // 2 + 1):
+        row[k] = row[m - k] = row[k - 1] * (m - k + 1) // k
     return tuple(row)
 
 
-def _binomials(m: int) -> tuple[int, ...]:
-    """``_binomial_row(m)``, memoized if it has at most ``_MEMO_ENTRIES`` entries."""
-    return (_binomial_row if m < _MEMO_ENTRIES else _binomial_row.__wrapped__)(m)
-
-
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)  # typed: exact int params keep their own table
-def _worth(n_e: int, n_f: int, ee, ef, dist) -> tuple:
-    """v(S) of each (e, f) at key e*(n_f + 1) + f; -inf, never blocking, for {} and N."""
-    return tuple(rate_for_counts(e, f, ee, ef) * dist if 0 < e + f < n_e + n_f else -math.inf
-                 for e in range(n_e + 1) for f in range(n_f + 1))
+def _scaled(params: SavingsParams, *pays) -> tuple[int, ...]:
+    """q, then d*eps_e, d*eps_f, ``params.money_tol()`` and ``pays`` times q, as
+    ints: the exact values of the inputs over one common denominator q."""
+    dist = params.distance.as_integer_ratio()
+    ratios = [_times(dist, params.epsilon_e.as_integer_ratio()),
+              _times(dist, params.epsilon_f.as_integer_ratio()),
+              params.money_tol().as_integer_ratio(), *(pay.as_integer_ratio() for pay in pays)]
+    q = math.lcm(*(b for _, b in ratios))
+    return q, *(a * (q // b) for a, b in ratios)
 
 
 def _violations(
@@ -93,34 +90,45 @@ def _violations(
 
     ``classes`` maps (is fuel, pay) to its number of trucks in a fleet of
     ``n``; such trucks are interchangeable: a subset takes k of a class of m
-    in comb(m, k) ways. The classes are summed in ascending (count, type,
-    pay) order, ET before FPT, whatever the mapping's. One list of rows (key
-    e*(n_f + 1) + f, sum, count) holds the picks of all classes but the last,
-    the largest, each class extending every row by its k = 0..m trucks, and a
-    row's m + 1 picks of the last class are compared together, each as v(S) >
-    (row sum + k*pay) + tol, v(S) and the binomial rows read from memos. The
-    result lists (e, f) in ascending order.
+    in comb(m, k) ways. A subset S blocks if v(S) - x(S) > tol, exactly on the
+    float inputs' values, in ints from ``_scaled``: v(S) = v_e*e + v_f*f - lead,
+    v_e = d*eps_e and v_f = d*eps_f, lead that of S's leader, so its excess is
+    the sum of k*(v - pay) over its picks, less lead. One list of rows (key
+    e*(n_f + 1) + f, that sum, count) holds the picks of all classes but the
+    largest, each class extending every row by its k = 0..m trucks. Along the
+    largest class a row's excess is affine in k for k >= 1, where the lead is
+    fixed, so its blocking picks are one range; k = 0 is checked on its own.
+    The result lists (e, f) in ascending order.
     """
     _check_class_cap(classes.values())
-    order = sorted(zip(classes.values(), classes))  # (count, (is fuel, pay))
+    order = sorted(classes.items(), key=itemgetter(1))  # the largest class last
     if not order:
         return {}
-    n_f = sum(size for size, (fuel, _) in order if fuel)
+    n_f = sum(size for (fuel, _), size in order if fuel)
+    _, v_e, v_f, tol, *pays = _scaled(params, *(pay for (_, pay), _ in order))
+    gains = [(v_f if fuel else v_e) - pay for ((fuel, _), _), pay in zip(order, pays)]
     rows = [(0, 0, 1)]
-    for size, (fuel, pay) in order[:-1]:
+    for ((fuel, _), size), gain in zip(order[:-1], gains):
         step = 1 if fuel else n_f + 1  # a truck's step in a key
-        rows = [(key + k * step, s + k * pay, c * w)
+        rows = [(key + k * step, s + k * gain, c * w)
                 for k, w in enumerate(_binomials(size)) for key, s, c in rows]
-    m, (fuel, pay) = order[-1]
-    # one endless repeat of the money tolerance serves every row
-    step, tols, taken = 1 if fuel else n_f + 1, repeat(params.money_tol()), range(m + 1)
-    memo = _worth if (n - n_f + 1) * (n_f + 1) <= _MEMO_ENTRIES else _worth.__wrapped__
-    worth = memo(n - n_f, n_f, params.epsilon_e, params.epsilon_f, params.distance)
-    picks, ways, blocking = [k * pay for k in taken], _binomials(m), [0] * len(worth)
-    for key, row_sum, count in rows:
-        got = map(add, map(add, repeat(row_sum), picks), tols)
-        for k in compress(taken, map(gt, worth[key:key + m * step + 1:step], got)):
-            blocking[key + k * step] += count * ways[k]
+    ((fuel, _), m), gain = order[-1], gains[-1]
+    step, ways = 1 if fuel else n_f + 1, _binomials(m)
+    blocking = [0] * ((n - n_f + 1) * (n_f + 1))
+    for key, s, c in rows:  # the row holds an ET, which leads, if key > n_f
+        if s - (v_e if key > n_f else v_f) > tol:  # k = 0; the empty row never blocks
+            blocking[key] += c
+        # for k >= 1 the excess less tol is rest + k*gain
+        rest = s - tol - (v_e if key > n_f or not fuel else v_f)
+        if gain > 0:
+            picks = range(max(1, -rest // gain + 1), m + 1)
+        elif gain < 0:
+            picks = range(1, min(m, (rest - 1) // -gain) + 1)
+        else:
+            picks = range(1, m + 1 if rest > 0 else 1)
+        for k in picks:
+            blocking[key + k * step] += c * ways[k]
+    blocking[-1] = 0  # the whole fleet
     return {divmod(key, n_f + 1): c for key, c in compress(enumerate(blocking), blocking)}
 
 
@@ -166,10 +174,8 @@ class SweepTable:
         self._dist = params.distance.as_integer_ratio()
         # v(N) and d*eps_e, unless eps_e moves; and d*eps_f and tol over one denominator q
         self._fixed_e = None if rate_e else self._at_rate(params.epsilon_e)
-        (b, q_b), (c, q_c) = (_times(self._dist, params.epsilon_f.as_integer_ratio()),
-                              self._tol.as_integer_ratio())
-        q = math.lcm(q_b, q_c)
-        self._fixed = q, b * (q // q_b), c * (q // q_c)
+        q, _, d_ef, tol = _scaled(params)
+        self._fixed = q, d_ef, tol
 
     def at(self, t: float) -> tuple[tuple, int]:
         """The payoff classes at ``t`` and the labeled count of subsets blocking them."""
@@ -245,9 +251,9 @@ def in_core(
     """Decide core membership of an efficient allocation.
 
     Efficiency sums count*pay over the (type, pay) classes, as ``SweepTable.at``
-    does. ``method`` "auto" takes the class scan, exact for any allocation, its
-    v(S) table memoized per composition and params; "slow" the labeled oracle,
-    loaded from ``platoonshare.oracles`` only then.
+    does. ``method`` "auto" takes the class scan, exact for any allocation;
+    "slow" the labeled oracle, loaded from ``platoonshare.oracles`` only then.
+    Both decide each subset by the exact rule of ``_violations``.
     """
     if method not in ("auto", "slow"):
         raise InvalidInput(f"unknown method {method!r}")

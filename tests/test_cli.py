@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonshare import allocate, cli, game, stability
@@ -884,6 +884,8 @@ def test_verdicts_ignore_power_of_two_units(case, k, rates_scaled):
 @given(kind=st.sampled_from(list(SWEEPS)), cap=st.integers(2, 12),
        epsilon_f=st.floats(1e-3, 1.0), share=st.floats(0.01, 0.99),
        distance=st.floats(1e-3, 1e6))
+# xi* = 0.0020000000000000005 of 1 ET + 5 FPT: a step from 0.002 is below one ulp
+@example(kind="fig6", cap=6, epsilon_f=1.0, share=0.010000000000000002, distance=1.0)
 @settings(max_examples=100, deadline=None)
 def test_sweep_rows_read_their_tables(kind, cap, epsilon_f, share, distance):
     # at any settings each probability row is a direct read of its table, and

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -133,19 +134,21 @@ def test_slow_method_takes_the_labeled_scan(monkeypatch, params):
 
 
 def per_mask_violations(alloc, fleet, params):
-    """Reference loop: each mask's sum is its rest's (lowest bit dropped) plus that pay."""
-    n, tol = fleet.size, params.money_tol()
+    """Reference loop in exact Fractions of the float inputs: each mask's sum is
+    its rest's (lowest bit dropped) plus that pay."""
+    n = fleet.size
+    ee, ef, dist, tol = map(Fraction, (params.epsilon_e, params.epsilon_f, params.distance,
+                                       params.money_tol()))
     et = [t is TruckType.ELECTRIC for t in fleet.types]
-    sums, nes, sizes = [0.0] * (1 << n), [0] * (1 << n), [0] * (1 << n)
+    sums, nes, sizes = [Fraction(0)] * (1 << n), [0] * (1 << n), [0] * (1 << n)
     out = {}
     for mask in range(1, (1 << n) - 1):
         idx = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << idx)
-        sums[mask] = sums[rest] + alloc.payoffs[idx]
+        sums[mask] = sums[rest] + Fraction(alloc.payoffs[idx])
         nes[mask], sizes[mask] = nes[rest] + et[idx], sizes[rest] + 1
         n_e, n_f = nes[mask], sizes[mask] - nes[mask]
-        worth = rate_for_counts(n_e, n_f, params.epsilon_e, params.epsilon_f) * params.distance
-        if worth > sums[mask] + tol:
+        if rate_for_counts(n_e, n_f, ee, ef) * dist - sums[mask] > tol:
             out[n_e, n_f] = out.get((n_e, n_f), 0) + 1
     return out
 
@@ -167,7 +170,7 @@ class TestLabeledScan:
         scale = coalition_value(fleet.composition(), params) / (sum(raw) or 1.0)
         pay = [p * scale for p in raw]
         if n > 1 and data.draw(st.booleans()):
-            # two pays that cancel: a sum holding both depends on its order
+            # two pays that cancel: a float sum holding both would depend on its order
             i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
             pay[i] += 1e17
             pay[j] -= 1e17

@@ -1,10 +1,7 @@
 import functools
-import json
 import math
 import operator
-import os
 import random
-import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -38,7 +35,7 @@ from platoonshare import (
 )
 from platoonshare import allocate, game, stability
 from platoonshare.allocate import shapley_tables, stable_tables
-from platoonshare.cli import main
+from platoonshare.cli import _RATIO_GRID, _XI_GRID, main
 from platoonshare.game import REL_TOL
 from platoonshare.oracles import LABELED_SCAN_MAX_FLEET
 
@@ -204,30 +201,21 @@ class TestFastSlowAgreement:
 
 
 def _flat_violations(classes, n, params):
-    """The flat class scan, one entry per subset class, the classes summed in
-    the mapping's order: ``_violations``' twin, fed the canonical order."""
+    """The flat class scan, one entry per subset class: ``_violations``' twin in
+    exact Fractions of the float inputs, each class counted with ``math.comb``."""
     stability._check_class_cap(classes.values())
-    nes, nfs, counts, sums = [0], [0], [1], [0]
+    ee, ef, dist, tol = map(Fraction, (params.epsilon_e, params.epsilon_f, params.distance,
+                                       params.money_tol()))
+    picks = [(0, 0, Fraction(0), 1)]  # (e, f, exact sum, count) per subset class
     for (fuel, pay), size in classes.items():
-        taken = range(size + 1)
-        if not fuel:
-            nes, nfs = [e + k for k in taken for e in nes], nfs * (size + 1)
-        else:
-            nes, nfs = nes * (size + 1), [f + k for k in taken for f in nfs]
-        sums = [s + k * pay for k in taken for s in sums]
-        counts = [c * w for w in stability._binomials(size) for c in counts]
-    tol = params.money_tol()
-    ee, ef, dist = params.epsilon_e, params.epsilon_f, params.distance
-    out = {}
-    for e, f, got, count in zip(nes, nfs, sums, counts):
-        if 0 < e + f < n and game.rate_for_counts(e, f, ee, ef) * dist > got + tol:
-            out[(e, f)] = out.get((e, f), 0) + count
-    return out
-
-
-def _canonical(classes):
-    """The classes in ascending (count, type, pay) order, ET first: the largest comes last."""
-    return dict(sorted(classes.items(), key=lambda c: (c[1], c[0][0], c[0][1])))
+        picks = [(e + k * (not fuel), f + k * fuel, got + k * Fraction(pay),
+                  count * math.comb(size, k))
+                 for e, f, got, count in picks for k in range(size + 1)]
+    out = Counter()
+    for e, f, got, count in picks:
+        if 0 < e + f < n and game.rate_for_counts(e, f, ee, ef) * dist - got > tol:
+            out[(e, f)] += count
+    return dict(out)
 
 
 def _flagged(classes):
@@ -242,9 +230,9 @@ TWIN_PAYS = st.sampled_from([0.0, -0.0, 1.5, 2.5, 1e17, -1e17]) | st.floats(-60.
 
 
 @st.composite
-def _paid_fleets(draw):
+def _paid_fleets(draw, max_size=12):
     """Truck types and pays: each pay one of a few levels, the leader's its own."""
-    types = draw(st.lists(st.sampled_from(TruckType), min_size=1, max_size=12))
+    types = draw(st.lists(st.sampled_from(TruckType), min_size=1, max_size=max_size))
     levels = draw(st.lists(TWIN_PAYS, min_size=1, max_size=3))
     pays = draw(st.lists(st.sampled_from(levels), min_size=len(types), max_size=len(types)))
     pays[draw(st.integers(0, len(types) - 1))] = draw(st.sampled_from(levels) | TWIN_PAYS)
@@ -274,7 +262,7 @@ def _exact_blocking(types, pays, params):
 
 
 class TestClassOrder:
-    """The class scan sums its classes in one order, whatever the mapping's."""
+    """The class scan gives one report, whatever the mapping's order or the trucks' ids."""
 
     @given(fleet=_paid_fleets(), exact=st.booleans(),
            ratio=st.sampled_from([Fraction(48, 70), Fraction(1, 2), Fraction(1), Fraction(9, 7)]))
@@ -285,7 +273,7 @@ class TestClassOrder:
     @example(fleet=((E, E, F, F, F, F, F, E), (1e17, 1e17) + (-1e17,) * 5 + (0.0,)),
              exact=False, ratio=Fraction(48, 70))
     @example(fleet=((E, F, F), (2.0, 1.0, 40.0)), exact=True, ratio=Fraction(1, 2))
-    # summed by type first, 1e17 + 36 rounds to 1e17 + 32 and a subset worth 35.4 blocks
+    # in floats summed by type first, 1e17 + 36 rounds to 1e17 + 32 and a subset worth 35.4 blocks
     @example(fleet=((E, F, F) + (E,) * 3, (1e17, -1e17, -1e17) + (36.0,) * 3), exact=False,
              ratio=Fraction(48, 70))
     @settings(max_examples=300, deadline=None)
@@ -297,7 +285,7 @@ class TestClassOrder:
                                distance=num(300))
         classes = Counter(zip((t is F for t in types), map(num, pays)))
         got = stability._violations(classes, len(types), params)
-        assert got == _flat_violations(_canonical(classes), len(types), params)
+        assert got == _flat_violations(classes, len(types), params)
         assert list(got) == sorted(got)
         assert all(type(count) is int and count > 0 for count in got.values())
         reordered = dict(reversed(list(classes.items())))
@@ -310,12 +298,7 @@ class TestClassOrder:
         report = in_core(alloc, Fleet(RELABELING_TYPES), params)
         assert in_core(swapped, Fleet((F, F, E, E)), params) == report
 
-    @pytest.mark.parametrize("method", [
-        "auto",
-        pytest.param("slow", marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 13: the labeled oracle's float order sums {0, 1, 2} an ulp "
-            "high and misses its block"))),
-    ])
+    @pytest.mark.parametrize("method", ["auto", "slow"])
     def test_relabeling_allocation_blocks_by_exact_excesses(self, params, method):
         # three of the 14 proper subsets block, {0, 1, 2} by about 2e-15 over the tolerance
         blocking = _exact_blocking(RELABELING_TYPES, RELABELING_PAYS, params)
@@ -343,114 +326,102 @@ class TestClassOrder:
         assert in_core(relabeled, moved, params) == in_core(alloc, fleet, params)
 
 
-def _clear_memos():
-    stability._worth.cache_clear()
-    stability._binomial_row.cache_clear()
-
-
-def _check_memo_bounds():
-    for memo in (stability._worth, stability._binomial_row):
-        info = memo.cache_info()
-        assert info.maxsize == stability._MEMO_SIZE == 128
-        assert info.currsize <= info.maxsize
-
-
-def _fresh_report(params, types, pays):
-    """``repr`` of ``in_core``'s report from a fresh process, its memos empty."""
-    code = ("import json, sys\n"
-            "from platoonshare import Allocation, Fleet, SavingsParams, TruckType, in_core\n"
-            "p, codes, pays = json.loads(sys.argv[1])\n"
-            "fleet = Fleet(tuple(TruckType.FUEL if c == 'D' else TruckType.ELECTRIC"
-            " for c in codes))\n"
-            "print(repr(in_core(Allocation(tuple(pays), 0, 'test'), fleet, SavingsParams(*p))))")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(stability.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    case = json.dumps([list(params), "".join(t.code for t in types), list(pays)])
-    done = subprocess.run([sys.executable, "-c", code, case], env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
-
-
 # Pays on the edge of one rounding: at rates 7 and 3 and distance 2^53 - 1 the
-# FPT pair of 1 ET + 2 FPT is worth 7 * (2^53 - 1) as an exact int, and blocks,
-# but 7 * 2^53 - 8 as a float, and does not.
+# FPT pair of 1 ET + 2 FPT gains exactly 63,050,393 over its pays, less than the
+# tolerance of 63,050,394.78, though 7.0 * (2^53 - 1) rounds to 7 * 2^53 - 8.
 EXACT_DISTANCE = 2**53 - 1
 EXACT_PAYS = (6.305039484623733e+16, 3.152519736006827e+16, 3.152519736006827e+16)
+# at most 40 trucks, default rates and fig6's epsilon_f preset
+RULE_PARAMS = st.sampled_from([SavingsParams(0.07, 0.048, 300.0, 40),
+                               SavingsParams(0.72, 0.048, 300.0, 40)])
+RULE_COMPS = st.integers(2, 40).flatmap(
+    lambda n: st.integers(0, n).map(lambda n_e: Composition(n_e, n - n_e)))
 
 
-class TestMemos:
-    """The memoized v(S) tables and binomial rows change no report and stay bounded."""
+def _blocking_count(alloc, fleet, params):
+    return sum(count for _, count in in_core(alloc, fleet, params).blocking_coalitions)
 
-    @given(data=st.data(), n=st.integers(2, 12),
-           params=st.sampled_from([SavingsParams(0.07, 0.048, 300.0),
-                                   SavingsParams(7, 3, 11), SavingsParams(7.0, 3.0, 11.0)]),
-           levels=st.lists(st.just(0.0) | st.floats(0.01, 2.0), min_size=1, max_size=3))
+
+class TestOneRule:
+    """Sweep cells, the class scan and the labeled oracle decide each subset by
+    one rule: v(S) - x(S) > tol, exactly on the float inputs' values."""
+
+    @given(comp=RULE_COMPS, params=RULE_PARAMS, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stable_tables_count_what_in_core_counts(self, comp, params, data):
+        xi_star = xi_upper_bound(comp, params)
+        xi = data.draw(st.sampled_from(
+            [*_XI_GRID, xi_star, math.nextafter(xi_star, 0), math.nextafter(xi_star, 1)]))
+        fleet = Fleet.from_composition(comp)
+        count = _blocking_count(stable_allocation(fleet, params, xi), fleet, params)
+        assert stable_tables(params)(comp).at(xi)[1] == count
+
+    @given(comp=RULE_COMPS, params=RULE_PARAMS, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_type_fair_tables_count_what_in_core_counts(self, comp, params, data):
+        edge = comp.n_f / comp.total()  # the ratio core condition's threshold
+        edges = [edge, math.nextafter(edge, 0), math.nextafter(edge, 1)] if 0 < edge < 1 else []
+        ratio = data.draw(st.sampled_from([*_RATIO_GRID, *edges]))
+        at_ratio = params._replace(epsilon_e=ratio * params.epsilon_f)
+        fleet = Fleet.from_composition(comp)
+        count = _blocking_count(shapley_allocation(fleet, at_ratio), fleet, at_ratio)
+        assert shapley_tables(params)(comp).at(ratio)[1] == count
+
+    @given(fleet=_paid_fleets(max_size=10),
+           ratio=st.sampled_from([Fraction(48, 70), Fraction(1, 2), Fraction(1), Fraction(9, 7)]))
+    @example(fleet=(RELABELING_TYPES, RELABELING_PAYS), ratio=Fraction(48, 70))
     @settings(max_examples=200, deadline=None)
-    def test_warm_reports_equal_cold_ones(self, data, n, params, levels):
-        fleet = Fleet(tuple(data.draw(st.lists(st.sampled_from(TruckType),
-                                               min_size=n, max_size=n))))
-        raw = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
-        assume(sum(raw) > 0)
-        scale = coalition_value(fleet.composition(), params) / sum(raw)
-        alloc = Allocation(tuple(p * scale for p in raw), 0, scheme="test")
-        warm = in_core(alloc, fleet, params)  # the memos as earlier examples left them
-        _clear_memos()
-        assert in_core(alloc, fleet, params) == warm  # built afresh
-        assert in_core(alloc, fleet, params) == warm  # read back
-        _check_memo_bounds()
+    def test_verdicts_count_every_exact_excess(self, fleet, ratio):
+        types, pays = fleet
+        params = SavingsParams(0.07, 0.07 * float(ratio), 300.0)
+        total = coalition_value(Fleet(types).composition(), params)
+        pays = (total - math.fsum(pays[1:]), *pays[1:])  # truck 0's pay makes it efficient
+        alloc = Allocation(pays, 0, scheme="test")
+        try:
+            report = in_core(alloc, Fleet(types), params)
+        except NotEfficient:  # cancelling pays whose float sum misses v(N)
+            assume(False)
+        assert report.blocking_coalitions == _exact_blocking(types, pays, params)
+        assert in_core(alloc, Fleet(types), params, method="slow") == report
 
-    def test_more_compositions_than_the_memo_holds(self):
-        params = SavingsParams(0.07, 0.048, 300.0, max_platoon_size=20)
-        comps = [Composition(n_e, n - n_e) for n in range(2, 21) for n_e in range(n + 1)]
-        assert len(comps) > stability._MEMO_SIZE
-        cases = []
-        for comp in comps + comps[::-1]:  # the way back hits the most recent tables
-            fleet = Fleet.from_composition(comp)
-            raw = [1.0 + i % 3 for i in fleet.ids()]
-            scale = coalition_value(comp, params) / sum(raw)
-            alloc = Allocation(tuple(p * scale for p in raw), 0, scheme="test")
-            cases.append((alloc, fleet, in_core(alloc, fleet, params)))
-            _check_memo_bounds()
-        for alloc, fleet, warm in cases:
-            _clear_memos()
-            assert in_core(alloc, fleet, params) == warm
+    @pytest.mark.parametrize("case", ["positive gain", "negative gain",
+                                      "no pick of the largest class", "zero gain"])
+    def test_an_excess_of_exactly_the_tolerance_never_blocks(self, case):
+        # exact rates and pays, so that some subsets gain exactly the tolerance t
+        params = SavingsParams(Fraction(1), Fraction(1, 2), Fraction(1))
+        t = Fraction(params.money_tol())
+        if case == "positive gain":  # the first ET and 2 FPTs gain t, and 3 FPTs 2t
+            types, pays, ties = (E, E, F, F, F), (t, Fraction(1, 2) + 2 * t) + (1 - t,) * 3, (1, 2)
+        elif case == "negative gain":  # ET + 2 FPTs gain t, ET + 1 FPT 2t and the ET 3t
+            types, pays, ties = (E, F, F, F), (-3 * t,) + (1 + t,) * 3, (1, 2)
+        elif case == "no pick of the largest class":  # the ET alone gains t
+            types, pays, ties = (E, F, F, F), (-t,) + ((3 + t) / 3,) * 3, (1, 0)
+        else:  # the ETs are paid their saving: the first FPT and any ETs gain t
+            half = Fraction(1, 2)
+            types, pays, ties = (F, F, E, E, E), (half - t, 1 + t) + (half,) * 3, (3, 1)
+        assert sum(pays) == coalition_value(Fleet(types).composition(), params)
+        blocking = _exact_blocking(types, pays, params)
+        assert ties not in dict(blocking)
+        assert len(blocking) == {"positive gain": 1, "negative gain": 2}.get(case, 0)
+        for method in ("auto", "slow"):
+            report = in_core(Allocation(pays, 0, scheme="test"), Fleet(types), params, method)
+            assert report.blocking_coalitions == blocking
 
-    def test_exact_int_params_keep_their_own_table(self):
+    def test_int_and_float_params_of_one_value_give_one_report(self):
         exact = SavingsParams(7, 3, EXACT_DISTANCE)
         twin = SavingsParams(7.0, 3.0, float(EXACT_DISTANCE))
         assert exact == twin and exact.money_tol() == twin.money_tol()
         fleet = Fleet((TruckType.ELECTRIC, TruckType.FUEL, TruckType.FUEL))
         alloc = Allocation(EXACT_PAYS, 0, scheme="test")
-        _clear_memos()
-        reports = {}
-        for params in (twin, exact, twin):  # each after the other's table
-            reports[type(params.distance)] = in_core(alloc, fleet, params)
-            assert repr(reports[type(params.distance)]) == _fresh_report(params, fleet.types,
-                                                                         EXACT_PAYS)
-        assert reports[float].is_member
-        assert reports[int].blocking_coalitions == ((Composition(0, 2), 1),)
+        report = in_core(alloc, fleet, twin)
+        assert report.is_member
+        for params in (exact, twin):
+            for method in ("auto", "slow"):
+                assert in_core(alloc, fleet, params, method) == report
         small = Fleet.from_composition(Composition(2, 3))
-        for params in (SavingsParams(7, 3, 11), SavingsParams(7.0, 3.0, 11.0)):
-            alloc = even_split(small, params)
-            assert repr(in_core(alloc, small, params)) == _fresh_report(params, small.types,
-                                                                        alloc.payoffs)
-
-    def test_large_tables_and_rows_are_built_per_call(self, params):
-        big = params._replace(max_platoon_size=400)
-        _clear_memos()
-        stability._binomials(stability._MEMO_ENTRIES - 1)  # 256 entries: kept
-        stability._worth(15, 15, 0.048, 0.07, 300.0)  # 256 entries: kept
-        kept = stability._worth.cache_info(), stability._binomial_row.cache_info()
-        assert kept[0].currsize == kept[1].currsize == 1
-        stability._binomials(stability._MEMO_ENTRIES)
-        for comp in (Composition(16, 16), Composition(1, 300)):  # 289 and 602 entries
-            fleet = Fleet.from_composition(comp)
-            in_core(shapley_allocation(fleet, big), fleet, big)
-            assert stability._worth.cache_info() == kept[0]
-        # and row 16 of (16, 16), and row 1 of (1, 300)'s one-truck class
-        assert stability._binomial_row.cache_info().currsize == 3
+        reports = {in_core(even_split(small, params), small, params)
+                   for params in (SavingsParams(7, 3, 11), SavingsParams(7.0, 3.0, 11.0))}
+        assert len(reports) == 1
 
 
 class TestStabilityProbability:

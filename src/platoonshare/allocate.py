@@ -83,26 +83,25 @@ def _check_xi(xi: float) -> None:
         raise XiOutOfRange(f"xi must be in (0, 1], got {xi}")
 
 
-def _stable_classes(comp: Composition, params: SavingsParams):
-    """The leader-share payoff classes (truck type, pay, count) as a function of
-    xi: the leader, then its followers by type."""
+def _stable_pays(comp: Composition, params: SavingsParams):
+    """The leader-share pays (leader, ET follower, FPT follower) as a function
+    of xi."""
     _check_fleet_size(comp.total(), params)
-    leader, total = optimal_leader_type(comp), coalition_value(comp, params)
-    counts = [(t, m - (t is leader)) for t, m in zip(TruckType, (comp.n_e, comp.n_f))]
+    total = coalition_value(comp, params)
 
-    def classes(xi: float) -> tuple:
+    def pays(xi: float) -> tuple:
         _check_xi(xi)
-        pays = zip(counts, _follower_pays(params, xi))
-        return ((leader, xi * total, 1), *[(t, pay, m) for (t, m), pay in pays if m])
-    return classes
+        return (xi * total, *_follower_pays(params, xi))
+    return pays
 
 
 def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocation:
     """Leader takes xi of the total; followers keep (1 - xi) of their rate."""
     _check_xi(xi)  # before the fleet checks
-    (_, lead, _), *followers = _stable_classes(fleet.composition(), params)(xi)
-    leader, pays = _leader_id(fleet), {t: pay for t, pay, _ in followers}
-    payoffs = tuple(lead if i == leader else pays[t] for i, t in enumerate(fleet.types))
+    lead, pay_e, pay_f = _stable_pays(fleet.composition(), params)(xi)
+    leader, electric = _leader_id(fleet), TruckType.ELECTRIC
+    payoffs = tuple(lead if i == leader else pay_e if t is electric else pay_f
+                    for i, t in enumerate(fleet.types))
     try:
         within = xi <= xi_upper_bound(fleet.composition(), params) + REL_TOL
     except EpsilonOrderError:  # no certified bound
@@ -115,26 +114,25 @@ def stable_tables(params: SavingsParams):
     composition of a sweep. A table leaves out the subsets holding the
     leader: each is paid (1 - xi)*v(S) + xi*v(N), so its excess
     xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
-    return lambda comp: SweepTable(comp, params, _stable_classes(comp, params),
+    return lambda comp: SweepTable(comp, params, _stable_pays(comp, params),
                                    optimal_leader_type(comp))
 
 
-def _type_fair_classes(comp: Composition):
-    """The type-fair payoff classes (truck type, pay, count) of the types
-    present, as a function of the rates and distance: each type's pay is its
-    weights of (epsilon_e, epsilon_f) times the distance."""
+def _type_fair_pays(comp: Composition):
+    """The type-fair pays (no leader, ET, FPT) as a function of the rates and
+    distance: each type's pay is its weights of (epsilon_e, epsilon_f) times the
+    distance, or None if no truck of that type is present."""
     n = comp.total()
     if n < 1:
         raise FleetTooSmall("need at least one truck")
     w_e = (1.0 - 1.0 / comp.n_e, comp.n_f / (n * comp.n_e)) if comp.n_e else None
     w_f = (0.0, 1.0 - 1.0 / n) if comp.n_f else None
-    present = [(t, w, m) for t, w, m in zip(TruckType, (w_e, w_f), (comp.n_e, comp.n_f)) if m]
 
-    def classes(ee, ef, dist) -> tuple:
+    def pays(ee, ef, dist) -> tuple:
         if w_e and w_f and not ee < ef:  # a mixed fleet
             raise EpsilonOrderError("closed form requires epsilon_e < epsilon_f")
-        return tuple((t, (w[0] * ee + w[1] * ef) * dist, m) for t, w, m in present)
-    return classes
+        return None, *((w[0] * ee + w[1] * ef) * dist if w else None for w in (w_e, w_f))
+    return pays
 
 
 def shapley_closed_form(
@@ -146,9 +144,7 @@ def shapley_closed_form(
     epsilon_e < epsilon_f on mixed compositions; the electric-leads rule
     baked into the valuation is only the optimum under that ordering.
     """
-    classes = _type_fair_classes(comp)(params.epsilon_e, params.epsilon_f, params.distance)
-    phis = {t: pay for t, pay, _ in classes}
-    return phis.get(TruckType.ELECTRIC), phis.get(TruckType.FUEL)
+    return _type_fair_pays(comp)(params.epsilon_e, params.epsilon_f, params.distance)[1:]
 
 
 def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
@@ -178,12 +174,12 @@ def shapley_tables(params: SavingsParams):
         if at_one is None:
             raise InvalidInput("epsilon_f x distance is too small for a money tolerance at "
                                "rate ratio 1, the tolerance of every table")
-        classes = _type_fair_classes(comp)
+        pays = _type_fair_pays(comp)
 
         def point(r: float) -> tuple:
             if not 0.0 < r <= 1.0:
                 raise InvalidInput(f"rate ratio must be in (0, 1], got {r}")
-            return classes(r * ef, ef, dist)
+            return pays(r * ef, ef, dist)
         return SweepTable(comp, at_one, point, rate_e=lambda r: r * ef)
     return table
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import NamedTuple, Sequence
 
@@ -33,6 +34,8 @@ def mean_relative_deviation(x: Allocation, phi: Allocation) -> float:
         raise InvalidInput("allocations index different fleets")
     if not x.payoffs:
         raise FleetTooSmall("need at least one truck")
+    if not all(map(math.isfinite, (*x.payoffs, *phi.payoffs))):
+        raise InvalidInput("allocations hold a payoff that is not finite")
     _check_benchmark(phi.payoffs)
     return _deviation(Counter(zip(phi.payoffs, x.payoffs)).items(), len(x.payoffs))
 

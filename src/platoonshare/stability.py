@@ -7,9 +7,10 @@ trucks of the same type paid exactly the same are interchangeable, so it
 visits the classes of such subsets and weights each by its binomial
 multiplicity, one range of picks of the largest class per row of the
 others. Sweeps along a family of allocations affine in one parameter read a
-``SweepTable`` per composition: a point is its payoff classes, one pay per
-follower type, and its count is one range of FPT counts per row of e ETs (a
-type-fair table reads rate ratios in (0, 1] only). The labeled enumeration
+``SweepTable`` per composition: a point is its pays to the leader, each ET
+follower and each FPT follower, which the table lays out as payoff classes,
+and its count is one range of FPT counts per row of e ETs (a type-fair table
+reads rate ratios in (0, 1] only). The labeled enumeration
 over all 2^N - 2 proper subsets that cross-checks both is an oracle in
 ``platoonshare.oracles``, run only on request (``method="slow"``).
 """
@@ -41,7 +42,6 @@ if TYPE_CHECKING:
 # The class scan holds one entry per pick of all payoff classes but the
 # largest, and is capped at 2^CLASS_SCAN_CAP_BITS subset classes.
 CLASS_SCAN_CAP_BITS = 20
-_FUEL = TruckType.FUEL
 
 
 class CoreReport(NamedTuple):
@@ -145,10 +145,13 @@ def _share(n_violating: int, size: int) -> float:
 class SweepTable:
     """Exact class count of a composition along allocations affine in a parameter t.
 
-    ``point(t)`` gives the member at t as its payoff classes, ``(truck type,
-    pay, count)`` triples counting ``comp``'s trucks: the first class of
-    ``leader``'s type (a ``TruckType``, or None) holds the leader, and each
-    other truck of a type is paid its type's one follower pay. The rates are
+    ``pays(t)`` gives the member at t as its pays ``(lead, pay_e, pay_f)``: the
+    leader's, None with no ``leader`` (a ``TruckType``, or None), then each ET
+    and each FPT follower's; a type with no followers may be paid anything, or
+    None. The table lays ``comp``'s trucks out once as its payoff classes
+    ``(truck type, pay, count)``, the leader's, the ET followers' and the FPT
+    followers', leaving out any of no trucks, and reads each pay only for a
+    class it holds, a follower pay it does not hold as 0. The rates are
     ``params``', but for the ET rate at t, ``rate_e(t)`` if given (the type-fair
     family's t*epsilon_f), at ``params``' distance d and one money tolerance
     tol. A point must sum to v(N) at t within tol. A class (e, f) of the m_e
@@ -162,12 +165,17 @@ class SweepTable:
     counted off suffix sums of the FPTs' binomial row.
     """
 
-    def __init__(self, comp: Composition, params: SavingsParams, point, leader=None,
+    def __init__(self, comp: Composition, params: SavingsParams, pays, leader=None,
                  rate_e=None):
         m_e = comp.n_e - (leader is TruckType.ELECTRIC)
         m_f = comp.n_f - (leader is TruckType.FUEL)
-        _check_class_cap((leader is not None, m_e, m_f))  # the leader's class still counts
-        self.comp, self.size, self.params, self._point = comp, comp.total(), params, point
+        # the trucks each pay goes to: the leader, the ET and the FPT followers
+        self._counts = int(leader is not None), m_e, m_f
+        _check_class_cap(self._counts)  # the leader's class still counts
+        self.comp, self.size, self.params, self._pays = comp, comp.total(), params, pays
+        # (index into the pays, truck type, count) of each class the table holds
+        self._layout = [(i, truck_type, count) for i, truck_type, count in zip(
+            range(3), (leader, TruckType.ELECTRIC, TruckType.FUEL), self._counts) if count]
         self._leader, self._tol, self._rate_e = leader, params.money_tol(), rate_e
         self._ways = _binomials(m_e)
         self._suffix = [*accumulate(reversed(_binomials(m_f)))][::-1] + [0]
@@ -179,19 +187,12 @@ class SweepTable:
 
     def at(self, t: float) -> tuple[tuple, int]:
         """The payoff classes at ``t`` and the labeled count of subsets blocking them."""
-        classes = self._point(t)
-        if sum(count for _, _, count in classes) != self.size:
-            raise InvalidInput(f"payoff classes do not count a fleet of {self.size}")
+        pays = self._pays(t)
+        classes = tuple([(truck_type, pays[i], count) for i, truck_type, count in self._layout])
         total, d_ee = self._at_rate(self._rate_e(t)) if self._rate_e else self._fixed_e
         _check_efficient(sum(count * pay for _, pay, count in classes), total, self._tol)
-        pays, lead = {}, self._leader  # keyed by is fuel
-        for truck_type, pay, count in classes:
-            if truck_type is lead:  # the leader's class, which may hold followers too
-                lead, count = None, count - 1
-            if count and pays.setdefault(truck_type is _FUEL, pay) != pay:
-                raise InvalidInput(f"the point pays two {truck_type.name} followers differently")
-        (a, q_a), (p, q_p), (f, q_f) = (
-            d_ee, pays.get(False, 0).as_integer_ratio(), pays.get(True, 0).as_integer_ratio())
+        _, p, f = [pay if count else 0 for pay, count in zip(pays, self._counts)]
+        (a, q_a), (p, q_p), (f, q_f) = d_ee, p.as_integer_ratio(), f.as_integer_ratio()
         q, d_ef, tol = self._fixed
         if q % q_a or q % q_p or q % q_f:  # a finer denominator than the table's
             k = math.lcm(q, q_a, q_p, q_f) // q

@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from platoonshare import (
     EpsilonOrderError,
     Fleet,
     FleetTooSmall,
+    InvalidInput,
     SavingsParams,
     XiOutOfRange,
     ZeroShapleyPayoff,
@@ -62,6 +65,15 @@ class TestMeanRelativeDeviation:
         other = shapley_allocation(Fleet.from_composition(Composition(1, 2)), params)
         with pytest.raises(ValueError):
             mean_relative_deviation(other, phi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "phi"])
+    def test_non_finite_payoffs_rejected(self, side, bad):
+        # a nan or infinite payoff on either side would make delta nan or inf
+        finite, odd = Allocation((1.0, 2.0), 0, "x"), Allocation((bad, 1.0), 0, "y")
+        x, phi = (odd, finite) if side == "x" else (finite, odd)
+        with pytest.raises(InvalidInput, match="^allocations hold a payoff that is not finite$"):
+            mean_relative_deviation(x, phi)
 
     def test_empty_allocations_rejected(self):
         empty = Allocation((), 0, "x")

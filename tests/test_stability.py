@@ -883,17 +883,20 @@ class TestBreakpoints:
             alloc = stable_allocation(fleet, params, xi)
             assert _read(scan, xi) == _expected(alloc, fleet, params)
 
-    @given(data=st.data(), comp=compositions.filter(lambda c: min(c) >= 1),
-           eps_f=fuel_rates, distance=distances, k=st.integers(-6, 9),
-           ratios=st.lists(rate_ratios, min_size=1, max_size=5))
+    @given(data=st.data(), comp=compositions, eps_f=fuel_rates, distance=distances,
+           k=st.integers(-6, 9), ratios=st.lists(rate_ratios, min_size=1, max_size=5))
+    @example(data=None, comp=(0, 5), eps_f=0.07, distance=300.0, k=0, ratios=[0.3, 0.9])
+    @example(data=None, comp=(5, 0), eps_f=0.07, distance=300.0, k=0, ratios=[0.3, 0.9])
     @settings(max_examples=150, deadline=None)
     def test_electric_rate_family(self, data, comp, eps_f, distance, k, ratios):
         # as along xi, at the rate ratio's roots and random ratios; there the
-        # per-truck allocation is shapley_allocation's at epsilon_e = r*epsilon_f
+        # per-truck allocation is shapley_allocation's at epsilon_e = r*epsilon_f.
+        # A single-type fleet's point has no pay for its absent type; an example
+        # draws no roster order, which a single-type fleet does not have
         base = SavingsParams(epsilon_f=eps_f, epsilon_e=0.5 * eps_f,
                              distance=distance * 10.0 ** k)
-        fleet = Fleet(tuple(data.draw(st.permutations(
-            Fleet.from_composition(Composition(*comp)).types))))
+        types = Fleet.from_composition(Composition(*comp)).types
+        fleet = Fleet(tuple(data.draw(st.permutations(types)) if data else types))
         comp = fleet.composition()
         scan = shapley_tables(base)(comp)
         exact = _exact_counter(scan, None)
@@ -945,22 +948,6 @@ class TestBreakpoints:
                 scan.at(1.0)
         else:
             assert scan.at(1.0)[1] == 0
-
-    def test_equal_pay_classes_merge(self, params):
-        # the point pays the leader exactly what it pays each ET follower, in
-        # two classes of one pay: the table reads one ET pay, as in_core reads
-        # one ET class of 3 off the per-truck allocation
-        fleet = Fleet.from_composition(Composition(3, 1))
-        electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
-        pay_e = 0.1 * params.epsilon_e * params.distance
-        pay_f = coalition_value(fleet.composition(), params) - 3 * pay_e
-        classes = ((electric, pay_e, 1), (electric, pay_e, 2), (fuel, pay_f, 1))
-        alloc = Allocation((pay_e,) * 3 + (pay_f,), leader_id=0, scheme="test")
-        report = in_core(alloc, fleet, params)
-        expected = sum(count for _, count in report.blocking_coalitions)
-        assert expected > 0
-        scan = stability.SweepTable(fleet.composition(), params, lambda t: classes)
-        assert scan.at(0.1)[1] == expected
 
     @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
                              ids=["stable_tables", "shapley_tables"])
@@ -1045,8 +1032,8 @@ class TestBreakpoints:
         def table(pay):
             pay_e, pay_f = (pay, coarse) if fine == "ET" else (coarse, pay)
             total = coalition_value(comp, params)
-            classes = ((E, total - pay_e - 2 * pay_f, 1), (E, pay_e, 1), (F, pay_f, 2))
-            return stability.SweepTable(comp, params, lambda t: classes, E)
+            pays = (total - pay_e - 2 * pay_f, pay_e, pay_f)
+            return stability.SweepTable(comp, params, lambda t: pays, E)
 
         scan = table(pay)
         assert scan.at(0.5)[1] == _exact_counter(scan, E)(0.5)
@@ -1078,29 +1065,18 @@ class TestBreakpoints:
             stable_tables(params)(Composition(2, 8))
 
     def test_not_efficient_raises(self, params, comp23):
-        # 2 ETs and 3 FPTs paid 1.0 each fall short of v(N); classes counting
-        # 4 trucks index another fleet, whatever they sum to; and a point may
-        # pay the followers of a type only one pay
-        total = coalition_value(comp23, params)
-        electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
-        for classes, error, match in (
-                (((electric, 1.0, 2), (fuel, 1.0, 3)), NotEfficient, None),
-                (((electric, total / 4, 2), (fuel, total / 4, 2)), ValueError,
-                 "payoff classes do not count a fleet of 5"),
-                (((electric, total / 5, 2), (fuel, total / 5 - 1.0, 2), (fuel, total / 5 + 2.0, 1)),
-                 InvalidInput, "the point pays two FUEL followers differently")):
-            scan = stability.SweepTable(comp23, params, lambda t: classes)
-            with pytest.raises(error, match=match):
-                scan.at(0.1)
+        # 2 ETs and 3 FPTs paid 1.0 each fall short of v(N)
+        scan = stability.SweepTable(comp23, params, lambda t: (None, 1.0, 1.0))
+        with pytest.raises(NotEfficient):
+            scan.at(0.1)
 
     def test_efficiency_checked_at_every_point(self, params, comp23):
         # a table holds v(N) along its family, yet checks every point against
         # it at its one money tolerance: a later point short by 2 money_tol fails
         total = coalition_value(comp23, params)
         short = {0.1: 0.0, 0.2: 2 * params.money_tol()}
-        electric, fuel = TruckType.ELECTRIC, TruckType.FUEL
         scan = stability.SweepTable(comp23, params, lambda t: (
-            (electric, (total - short[t]) / 5, 2), (fuel, (total - short[t]) / 5, 3)))
+            None, (total - short[t]) / 5, (total - short[t]) / 5))
         assert scan.at(0.1)[0][0][1] == total / 5
         with pytest.raises(NotEfficient):
             scan.at(0.2)

@@ -154,8 +154,8 @@ def _subset_sums(terms: Sequence[int]) -> list[int]:
 
 def labeled_violations(
     alloc: Allocation, fleet: Fleet, params: SavingsParams
-) -> dict[tuple[int, int], int]:
-    """Labeled scan of every non-empty proper subset, keyed like the class scan.
+) -> tuple[list[int], int]:
+    """Labeled scan of every non-empty proper subset, returned like the class scan.
 
     A subset S blocks if v(S) - x(S) > ``params.money_tol()``, exactly on the
     float inputs' values, as in the class scan: in ints from its ``_scaled``,
@@ -164,6 +164,7 @@ def labeled_violations(
     the ids, n//2 and up, are built once, and each is extended over the low
     half, so the scan holds about 2^(N/2) entries, never 2^N. Each (ET count,
     FPT count) key is valued once; the empty set and the whole fleet never block.
+    Returns the blocking count of each key, flat, and the key's width n + 1.
     """
     n = fleet.size
     if n > LABELED_SCAN_MAX_FLEET:
@@ -184,5 +185,4 @@ def labeled_violations(
         blocks = map(operator.gt, map(worth[head:].__getitem__, low_keys),
                      map(got.__add__, low_sums))
         blocking.update(map(head.__add__, compress(low_keys, blocks)))
-    # ascending (e, f), as the class scan
-    return {divmod(key, n + 1): count for key, count in sorted(blocking.items())}
+    return [blocking[key] for key in range((n + 1) ** 2)], n + 1  # ascending (e, f)

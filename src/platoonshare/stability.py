@@ -5,7 +5,7 @@ the money tolerance, decided exactly on the float inputs' values, in ints
 over one denominator (``_scaled``). One subset scan backs every verdict:
 trucks of the same type paid exactly the same are interchangeable, so it
 visits the classes of such subsets and weights each by its binomial
-multiplicity, one range of picks of the largest class per row of the
+multiplicity, one slice of picks of the largest class per row of the
 others. Sweeps along a family of allocations affine in one parameter read a
 ``SweepTable`` per composition: a point is its pays to the leader, each ET
 follower and each FPT follower, which the table lays out as payoff classes,
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import accumulate, compress, repeat
-from operator import is_, itemgetter
+from itertools import accumulate, compress, product, repeat
+from operator import is_, itemgetter, mul
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import BothTypesRequired, FleetTooLarge, InvalidInput, NotEfficient
@@ -85,7 +85,7 @@ def _scaled(params: SavingsParams, *pays) -> tuple[int, ...]:
 
 def _violations(
     classes: Mapping[tuple[bool, float], int], n: int, params: SavingsParams
-) -> dict[tuple[int, int], int]:
+) -> tuple[list[int], int]:
     """Scan of the subset classes of interchangeable trucks, weighted by count.
 
     ``classes`` maps (is fuel, pay) to its number of trucks in a fleet of
@@ -94,42 +94,47 @@ def _violations(
     float inputs' values, in ints from ``_scaled``: v(S) = v_e*e + v_f*f - lead,
     v_e = d*eps_e and v_f = d*eps_f, lead that of S's leader, so its excess is
     the sum of k*(v - pay) over its picks, less lead. One list of rows (key
-    e*(n_f + 1) + f, that sum, count) holds the picks of all classes but the
-    largest, each class extending every row by its k = 0..m trucks. Along the
+    e*(n_f + 1) + f, that sum less tol, count) holds the picks of all classes
+    but the largest: each class keeps the rows it finds, its k = 0 picks, and
+    appends each of them extended by k = 1..m of its m trucks. Along the
     largest class a row's excess is affine in k for k >= 1, where the lead is
-    fixed, so its blocking picks are one range; k = 0 is checked on its own.
-    The result lists (e, f) in ascending order.
+    fixed, so its blocking picks are a slice of one list of (key offset,
+    comb(m, k)) for k = 1..m: a suffix if the excess grows with k, a prefix
+    if it falls; k = 0 is checked on its own. Returns the blocking count of
+    each key, flat, whole fleet and empty set 0, and the keys' width n_f + 1:
+    key e*width + f, so the keys ascend in (e, f).
     """
     _check_class_cap(classes.values())
-    order = sorted(classes.items(), key=itemgetter(1))  # the largest class last
-    if not order:
-        return {}
-    n_f = sum(size for (fuel, _), size in order if fuel)
+    # the largest class last; an empty fleet scans one class of no trucks
+    order = sorted(classes.items(), key=itemgetter(1)) or [((True, 0.0), 0)]
+    n_f = sum(compress(classes.values(), map(itemgetter(0), classes)))
     _, v_e, v_f, tol, *pays = _scaled(params, *(pay for (_, pay), _ in order))
     gains = [(v_f if fuel else v_e) - pay for ((fuel, _), _), pay in zip(order, pays)]
-    rows = [(0, 0, 1)]
+    rows = [(0, -tol, 1)]  # each sum less tol
     for ((fuel, _), size), gain in zip(order[:-1], gains):
         step = 1 if fuel else n_f + 1  # a truck's step in a key
-        rows = [(key + k * step, s + k * gain, c * w)
-                for k, w in enumerate(_binomials(size)) for key, s, c in rows]
+        # the rows with k = 1..size of the class's trucks; one truck takes no binomials
+        rows += ([(key + step, s + gain, c) for key, s, c in rows] if size == 1 else
+                 [(key + k * step, s + k * gain, c * w)
+                  for k, w in enumerate(_binomials(size)[1:], 1) for key, s, c in rows])
     ((fuel, _), m), gain = order[-1], gains[-1]
-    step, ways = 1 if fuel else n_f + 1, _binomials(m)
+    step, lead = (1, v_f) if fuel else (n_f + 1, v_e)  # an FPT-led row's lead for k >= 1
+    picks = [(k * step, w) for k, w in enumerate(_binomials(m)[1:], 1)]
     blocking = [0] * ((n - n_f + 1) * (n_f + 1))
     for key, s, c in rows:  # the row holds an ET, which leads, if key > n_f
-        if s - (v_e if key > n_f else v_f) > tol:  # k = 0; the empty row never blocks
+        if s > (v_e if key > n_f else v_f):  # k = 0; the empty row never blocks
             blocking[key] += c
-        # for k >= 1 the excess less tol is rest + k*gain
-        rest = s - tol - (v_e if key > n_f or not fuel else v_f)
-        if gain > 0:
-            picks = range(max(1, -rest // gain + 1), m + 1)
-        elif gain < 0:
-            picks = range(1, min(m, (rest - 1) // -gain) + 1)
+        rest = s - (v_e if key > n_f else lead)  # for k >= 1 the excess less tol is rest + k*gain
+        if rest > 0:
+            chosen = picks[:(rest - 1) // -gain] if gain < 0 else picks
+        elif gain > 0:
+            chosen = picks[-rest // gain:]
         else:
-            picks = range(1, m + 1 if rest > 0 else 1)
-        for k in picks:
-            blocking[key + k * step] += c * ways[k]
+            continue
+        for offset, w in chosen:
+            blocking[key + offset] += c * w
     blocking[-1] = 0  # the whole fleet
-    return {divmod(key, n_f + 1): c for key, c in compress(enumerate(blocking), blocking)}
+    return blocking, n_f + 1
 
 
 def _check_efficient(paid, total: float, tol: float) -> None:
@@ -254,26 +259,27 @@ def in_core(
     Efficiency sums count*pay over the (type, pay) classes, as ``SweepTable.at``
     does. ``method`` "auto" takes the class scan, exact for any allocation;
     "slow" the labeled oracle, loaded from ``platoonshare.oracles`` only then.
-    Both decide each subset by the exact rule of ``_violations``.
+    Both decide each subset by the exact rule of ``_violations`` and return
+    its flat counts, one per (e, f) key, and the keys' width; the report's
+    pairs are built from the keys of the counts that are not 0, in order,
+    and its probability from their sum.
     """
     if method not in ("auto", "slow"):
         raise InvalidInput(f"unknown method {method!r}")
     if len(alloc.payoffs) != fleet.size:
         raise InvalidInput(f"{len(alloc.payoffs)} payoffs for a fleet of {fleet.size}")
     classes = Counter(zip(map(is_, fleet.types, repeat(TruckType.FUEL)), alloc.payoffs))
-    paid = sum(count * pay for (_, pay), count in classes.items())
+    paid = sum(map(mul, classes.values(), map(itemgetter(1), classes)))
     params.check_fleet_size(fleet.size)
     _check_efficient(paid, coalition_value(fleet.composition(), params), params.money_tol())
     if method == "slow":
         from .oracles import labeled_violations
-        violations = labeled_violations(alloc, fleet, params)
+        counts, width = labeled_violations(alloc, fleet, params)
     else:
-        violations = _violations(classes, fleet.size, params)
-
-    n_violating = sum(violations.values())
-    blocking = tuple(zip(map(tuple.__new__, repeat(Composition), violations),
-                         violations.values()))
-    return CoreReport(n_violating == 0, blocking, _share(n_violating, fleet.size))
+        counts, width = _violations(classes, fleet.size, params)
+    keys = compress(product(range(len(counts) // width), range(width)), counts)
+    blocking = tuple(zip(map(tuple.__new__, repeat(Composition), keys), filter(None, counts)))
+    return CoreReport(not blocking, blocking, _share(sum(counts), fleet.size))
 
 
 def shapley_core_condition_exact(comp: Composition, params: SavingsParams) -> bool:

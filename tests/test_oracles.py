@@ -135,13 +135,14 @@ def test_slow_method_takes_the_labeled_scan(monkeypatch, params):
 
 def per_mask_violations(alloc, fleet, params):
     """Reference loop in exact Fractions of the float inputs: each mask's sum is
-    its rest's (lowest bit dropped) plus that pay."""
+    its rest's (lowest bit dropped) plus that pay. Returned as the scans return
+    it: the blocking count of each key n_e*(n + 1) + n_f, flat, and the width n + 1."""
     n = fleet.size
     ee, ef, dist, tol = map(Fraction, (params.epsilon_e, params.epsilon_f, params.distance,
                                        params.money_tol()))
     et = [t is TruckType.ELECTRIC for t in fleet.types]
     sums, nes, sizes = [Fraction(0)] * (1 << n), [0] * (1 << n), [0] * (1 << n)
-    out = {}
+    out = [0] * (n + 1) ** 2
     for mask in range(1, (1 << n) - 1):
         idx = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << idx)
@@ -149,8 +150,8 @@ def per_mask_violations(alloc, fleet, params):
         nes[mask], sizes[mask] = nes[rest] + et[idx], sizes[rest] + 1
         n_e, n_f = nes[mask], sizes[mask] - nes[mask]
         if rate_for_counts(n_e, n_f, ee, ef) * dist - sums[mask] > tol:
-            out[n_e, n_f] = out.get((n_e, n_f), 0) + 1
-    return out
+            out[n_e * (n + 1) + n_f] += 1
+    return out, n + 1
 
 
 rates = st.builds(lambda ratio, distance: SavingsParams(epsilon_f=0.07, epsilon_e=0.07 * ratio,

@@ -261,11 +261,30 @@ def _exact_blocking(types, pays, params):
     return tuple(sorted(counts.items()))
 
 
+def _scan(classes, n, params):
+    """``_violations``' flat counts as a map of each blocking (e, f) to its count."""
+    counts, width = stability._violations(classes, n, params)
+    return {divmod(key, width): count for key, count in enumerate(counts) if count}
+
+
+def _twin_report(types, pays, params):
+    """The report each exact twin implies: ``_exact_blocking``'s pairs, which
+    ``_flat_violations`` must list too, and their share of the proper subsets."""
+    blocking = _exact_blocking(types, pays, params)
+    flat = _flat_violations(Counter(zip((t is F for t in types), pays)), len(types), params)
+    assert blocking == tuple(sorted((Composition(*key), count) for key, count in flat.items()))
+    n_blocking = sum(count for _, count in blocking)
+    share = 1.0 - n_blocking / (2 ** len(types) - 2) if n_blocking else 1.0
+    return stability.CoreReport(not blocking, blocking, share)
+
+
+RATIOS = st.sampled_from([Fraction(48, 70), Fraction(1, 2), Fraction(1), Fraction(9, 7)])
+
+
 class TestClassOrder:
     """The class scan gives one report, whatever the mapping's order or the trucks' ids."""
 
-    @given(fleet=_paid_fleets(), exact=st.booleans(),
-           ratio=st.sampled_from([Fraction(48, 70), Fraction(1, 2), Fraction(1), Fraction(9, 7)]))
+    @given(fleet=_paid_fleets(), exact=st.booleans(), ratio=RATIOS)
     @example(fleet=((F,) * 5, (3.0,) * 5), exact=False, ratio=Fraction(1))  # one class
     # the largest class ET (and a pay tied across types), FPT, and the leader's
     @example(fleet=((E,) * 6 + (F,) * 2 + (E,), (5.0,) * 8 + (40.0,)), exact=False,
@@ -284,12 +303,13 @@ class TestClassOrder:
         params = SavingsParams(epsilon_f=eps_f, epsilon_e=eps_f * num(ratio),
                                distance=num(300))
         classes = Counter(zip((t is F for t in types), map(num, pays)))
-        got = stability._violations(classes, len(types), params)
-        assert got == _flat_violations(classes, len(types), params)
-        assert list(got) == sorted(got)
-        assert all(type(count) is int and count > 0 for count in got.values())
+        counts, width = stability._violations(classes, len(types), params)
+        assert width == types.count(F) + 1
+        assert len(counts) == (types.count(E) + 1) * width
+        assert all(type(count) is int and count >= 0 for count in counts)
+        assert _scan(classes, len(types), params) == _flat_violations(classes, len(types), params)
         reordered = dict(reversed(list(classes.items())))
-        assert stability._violations(reordered, len(types), params) == got
+        assert stability._violations(reordered, len(types), params) == (counts, width)
 
     def test_relabeling_keeps_the_report(self, params):
         pays = RELABELING_PAYS
@@ -367,21 +387,45 @@ class TestOneRule:
         count = _blocking_count(shapley_allocation(fleet, at_ratio), fleet, at_ratio)
         assert shapley_tables(params)(comp).at(ratio)[1] == count
 
-    @given(fleet=_paid_fleets(max_size=10),
-           ratio=st.sampled_from([Fraction(48, 70), Fraction(1, 2), Fraction(1), Fraction(9, 7)]))
-    @example(fleet=(RELABELING_TYPES, RELABELING_PAYS), ratio=Fraction(48, 70))
+    @given(fleet=_paid_fleets(max_size=10), exact=st.booleans(), ratio=RATIOS)
+    @example(fleet=(RELABELING_TYPES, RELABELING_PAYS), exact=False, ratio=Fraction(48, 70))
+    # pays at rate ratio 1/2, so v_e = 10.5 and v_f = 21; truck 0's pay makes each
+    # efficient. The one-truck classes come first and in the middle, the largest
+    # three FPTs, whose gain 10.5 > 0 blocks some picks of a row but not all
+    @example(fleet=((E, E, F, F, F, E, E), (21.5, 10.5, 10.5, 10.5, 10.5, 10.0, 21.0)),
+             exact=True, ratio=Fraction(1, 2))
+    @example(fleet=((E, F, F, E), (-8.5, 20.0, 20.0, 21.0)), exact=True, ratio=Fraction(1, 2))
+    # every class one truck, the largest last
+    @example(fleet=((F, F, F, E, F, E), (-4.5, 28.5, 0.0, 21.0, 21.0, 28.5)), exact=True,
+             ratio=Fraction(1, 2))
+    # the largest class two ETs paid 10.5 over their saving (gain < 0): a row blocks at
+    # its first pick of them and not its second
+    @example(fleet=((F, F, E, E, E, F, E), (-7.0, 27.5, -6.0, 27.5, 21.0, 10.5, 21.0)),
+             exact=True, ratio=Fraction(1, 2))
+    # the largest class two ETs paid their saving (gain 0). Truck 0 alone, an FPT paid
+    # 0, gains nothing; with any of those ETs, one of which then leads, it blocks
+    @example(fleet=((F, F, E, F, E, E), (0.0, 21.0, 10.5, 21.0, 10.5, 21.0)), exact=True,
+             ratio=Fraction(1, 2))
     @settings(max_examples=200, deadline=None)
-    def test_verdicts_count_every_exact_excess(self, fleet, ratio):
+    def test_verdicts_count_every_exact_excess(self, fleet, exact, ratio):
+        # the whole report: pairs in ascending order, each a Composition and an
+        # int count > 0, and the probability, as both exact twins give them
         types, pays = fleet
-        params = SavingsParams(0.07, 0.07 * float(ratio), 300.0)
+        num = Fraction if exact else float
+        eps_f = num(Fraction(7, 100))
+        params = SavingsParams(eps_f, eps_f * num(ratio), num(300))
         total = coalition_value(Fleet(types).composition(), params)
-        pays = (total - math.fsum(pays[1:]), *pays[1:])  # truck 0's pay makes it efficient
-        alloc = Allocation(pays, 0, scheme="test")
+        pays = [num(pay) for pay in pays]
+        pays[0] = total - (sum(pays[1:]) if exact else math.fsum(pays[1:]))  # makes it efficient
+        alloc = Allocation(tuple(pays), 0, scheme="test")
         try:
             report = in_core(alloc, Fleet(types), params)
         except NotEfficient:  # cancelling pays whose float sum misses v(N)
             assume(False)
-        assert report.blocking_coalitions == _exact_blocking(types, pays, params)
+        assert report == _twin_report(types, pays, params)
+        assert type(report.is_member) is bool
+        assert all(type(comp) is Composition and type(count) is int and count > 0
+                   for comp, count in report.blocking_coalitions)
         assert in_core(alloc, Fleet(types), params, method="slow") == report
 
     @pytest.mark.parametrize("case", ["positive gain", "negative gain",
@@ -678,6 +722,16 @@ class TestEdgeCases:
         assert (in_core(relabeled, Fleet(fleet.types[::-1]), params)
                 == in_core(skewed, fleet, params))
 
+    @pytest.mark.parametrize("method", ["auto", "slow"])
+    @pytest.mark.parametrize("types", [(), (E,), (F,)], ids=["empty", "one ET", "one FPT"])
+    def test_fleets_with_no_proper_subset_are_in_the_core(self, params, types, method):
+        # no proper subset, so nothing blocks: the empty fleet gives the class scan
+        # no payoff class at all, and one truck is worth nothing alone
+        alloc = Allocation((0.0,) * len(types), leader_id=0, scheme="test")
+        report = in_core(alloc, Fleet(types), params, method)
+        assert report == stability.CoreReport(True, (), 1.0)
+        assert type(report.is_member) is bool
+
     def test_binomial_rows(self):
         for m in range(401):
             assert stability._binomials(m) == tuple(math.comb(m, k) for k in range(m + 1))
@@ -770,14 +824,14 @@ class TestMetamorphic:
 
 def _blocking(alloc, fleet, params):
     classes = _flagged(Counter(zip(fleet.types, alloc.payoffs)))
-    return sum(stability._violations(classes, fleet.size, params).values())
+    return sum(stability._violations(classes, fleet.size, params)[0])
 
 
 def _expected(alloc, fleet, params):
     """A table point's reading, from the per-truck allocation and the class scan,
     which sums the classes in one order whatever the roster's."""
     classes = Counter(zip(fleet.types, alloc.payoffs))
-    return classes, sum(stability._violations(_flagged(classes), fleet.size, params).values())
+    return classes, sum(stability._violations(_flagged(classes), fleet.size, params)[0])
 
 
 def _read(scan, t):

@@ -13,7 +13,7 @@ from .allocate import (
     shapley_allocation,
     shapley_closed_form,
     stable_allocation,
-    stable_tables,
+    stable_table,
     xi_upper_bound,
 )
 from .errors import (

@@ -109,13 +109,11 @@ def stable_allocation(fleet: Fleet, params: SavingsParams, xi: float) -> Allocat
     return Allocation(payoffs, leader, SCHEME_STABLE, xi=xi, within_bound=within)
 
 
-def stable_tables(params: SavingsParams):
-    """The ``SweepTable`` of ``stable_allocation`` along xi, for each
-    composition of a sweep. A table leaves out the subsets holding the
-    leader: each is paid (1 - xi)*v(S) + xi*v(N), so its excess
-    xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
-    return lambda comp: SweepTable(comp, params, _stable_pays(comp, params),
-                                   optimal_leader_type(comp))
+def stable_table(comp: Composition, params: SavingsParams) -> SweepTable:
+    """The ``SweepTable`` of ``stable_allocation`` along xi for ``comp``. It
+    leaves out the subsets holding the leader: each is paid (1 - xi)*v(S) +
+    xi*v(N), so its excess xi*(v(S) - v(N)) - tol is negative on (0, 1]."""
+    return SweepTable(comp, params, _stable_pays(comp, params), optimal_leader_type(comp))
 
 
 def _type_fair_pays(comp: Composition):
@@ -157,31 +155,26 @@ def shapley_allocation(fleet: Fleet, params: SavingsParams) -> Allocation:
     return Allocation(payoffs, _leader_id(fleet), SCHEME_SHAPLEY)
 
 
-def shapley_tables(params: SavingsParams):
+def shapley_table(comp: Composition, params: SavingsParams) -> SweepTable:
     """The ``SweepTable`` of ``shapley_allocation`` along the rate ratio r in
-    (0, 1], at epsilon_e = r*epsilon_f, for each composition of a sweep; no
-    truck is left out. The family's rates are (r*epsilon_f, epsilon_f), whatever
-    ``params``' epsilon_e, so its one money tolerance, that of ratio 1, holds at
-    every r; the factory builds and checks those params once."""
-    ef, dist = params.epsilon_f, params.distance
-    try:  # at ratio 1 only the money tolerance can fail, as epsilon_e takes epsilon_f
-        at_one = params._replace(epsilon_e=ef)
-    except InvalidInput:
-        at_one = None
-
-    def table(comp: Composition) -> SweepTable:
-        _check_fleet_size(comp.total(), params)
-        if at_one is None:
+    (0, 1], at epsilon_e = r*epsilon_f, for ``comp``; no truck is left out. The
+    family's rates are (r*epsilon_f, epsilon_f), whatever ``params``' epsilon_e,
+    so its one money tolerance, that of ratio 1, holds at every r; the table
+    reads params at ratio 1, ``params`` themselves if they are."""
+    _check_fleet_size(comp.total(), params)
+    ef, dist, pays = params.epsilon_f, params.distance, _type_fair_pays(comp)
+    if params.epsilon_e != ef:  # at ratio 1 only the money tolerance can fail
+        try:
+            params = params._replace(epsilon_e=ef)
+        except InvalidInput:
             raise InvalidInput("epsilon_f x distance is too small for a money tolerance at "
-                               "rate ratio 1, the tolerance of every table")
-        pays = _type_fair_pays(comp)
+                               "rate ratio 1, the tolerance of every table") from None
 
-        def point(r: float) -> tuple:
-            if not 0.0 < r <= 1.0:
-                raise InvalidInput(f"rate ratio must be in (0, 1], got {r}")
-            return pays(r * ef, ef, dist)
-        return SweepTable(comp, at_one, point, rate_e=lambda r: r * ef)
-    return table
+    def point(r: float) -> tuple:
+        if not 0.0 < r <= 1.0:
+            raise InvalidInput(f"rate ratio must be in (0, 1], got {r}")
+        return pays(r * ef, ef, dist)
+    return SweepTable(comp, params, point, rate_e=lambda r: r * ef)
 
 
 def even_split(fleet: Fleet, params: SavingsParams) -> Allocation:

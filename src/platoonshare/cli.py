@@ -7,7 +7,8 @@ declared once, in a table: options in ``OPTIONS``, and subcommands, schemes
 and sweeps in ``COMMANDS``, ``SCHEMES`` and ``SWEEPS``. ``build_config``
 resolves and checks a run's inputs once; each runner takes its checked
 params and composition. ``cmd_sweep``, the one sweep driver, checks a sweep's
-class budget, builds its table factory once and joins its compositions' rows.
+class budget and joins its compositions' rows, each built from that
+composition's own table.
 ``parse_args`` and ``usage`` read the command line and write the help from
 ``OPTIONS`` and ``COMMANDS`` alone, without argparse, whose import a one-shot
 command would pay; each usage error is one ``error:`` line, exit code 2.
@@ -96,7 +97,7 @@ def parse_config_file(path: str, command: str) -> dict:
 def build_config(args: dict) -> tuple[game.SavingsParams, game.Composition]:
     """Resolve every option into ``args``, by precedence defaults < sweep
     preset < config file < flags, and return the checked ``(params, comp)``."""
-    preset, swept = SWEEPS[args["kind"]][5:] if "kind" in args else ({}, None)
+    preset, swept = SWEEPS[args["kind"]][4:] if "kind" in args else ({}, None)
     values = parse_config_file(args["config"], args["command"]) if "config" in args else {}
     values.update((o.name, args[o.name]) for o in OPTIONS if args.get(o.name) is not None)
     if swept in values:
@@ -227,28 +228,29 @@ def _fuel_compositions(n: int):
     return (game.Composition(0, m) for m in range(2, n + 1))
 
 
-def _probability_rows(key, points, tail):
-    """One composition's rows: ``key(comp)``, then the stability probability at
-    each (label, table parameter) of the list ``points``, then ``tail(comp, params)``."""
+def _probability_rows(table, key, points, tail):
+    """One composition's rows: ``key(comp)``, then the stability probability of
+    ``table(comp, params)`` at each (label, table parameter) of the list
+    ``points``, then ``tail(comp, params)``."""
 
-    def rows(comp: game.Composition, params: game.SavingsParams, tables) -> list:
+    def rows(comp: game.Composition, params: game.SavingsParams) -> list:
         head, last = key(comp), ratio6(tail(comp, params))
-        scan = tables(comp)
+        scan = table(comp, params)
         return [[*head, label, ratio6(scan.probability(t)), last] for label, t in points]
     return rows
 
 
-def _deviation_rows(comp: game.Composition, params: game.SavingsParams, tables) -> list:
+def _deviation_rows(comp: game.Composition, params: game.SavingsParams) -> list:
     """One composition's rows: delta and the core verdict along its xi grid."""
     grid = fairness.default_xi_grid(comp, params)  # ends at xi*
-    curve = fairness.deviation_curve(tables(comp), grid)
+    curve = fairness.deviation_curve(alloc_mod.stable_table(comp, params), grid)
     xi_star, delta_star = ratio6(curve[-1].xi), ratio6(curve[-1].delta)
     return [[*comp, ratio6(xi), ratio6(delta), str(in_core).lower(), xi_star, delta_star]
             for xi, delta, in_core in curve]
 
 
-# kind -> (comment line, header, table factory, compositions of size {n},
-# rows of one composition, preset, swept field). A preset holds starting option
+# kind -> (comment line, header, compositions of size {n}, rows of one
+# composition, preset, swept field). A preset holds starting option
 # values: the config file and the flags override it. The swept field, if any,
 # they may not set.
 SWEEPS = {
@@ -256,16 +258,16 @@ SWEEPS = {
         "# leader-share allocation in mixed fleets of size {n}: stability "
         "probability per (n_e, xi); xi_upper_bound is the certified threshold",
         ["n_e", "n_f", "xi", "stability_probability", "xi_upper_bound"],
-        alloc_mod.stable_tables, _mixed_compositions,
-        _probability_rows(tuple, _XI_LABELS, alloc_mod.xi_upper_bound),
+        _mixed_compositions, _probability_rows(
+            alloc_mod.stable_table, tuple, _XI_LABELS, alloc_mod.xi_upper_bound),
         {}, None,
     ),
     "fig3": (
         "# leader-share allocation in all-FPT fleets: stability probability "
         "per (fleet size n, xi); xi_upper_bound = 1/(n-1)",
         ["n", "xi", "stability_probability", "xi_upper_bound"],
-        alloc_mod.stable_tables, _fuel_compositions,
-        _probability_rows(lambda c: (c.total(),), _XI_LABELS, alloc_mod.xi_upper_bound),
+        _fuel_compositions, _probability_rows(
+            alloc_mod.stable_table, lambda c: (c.total(),), _XI_LABELS, alloc_mod.xi_upper_bound),
         {}, None,
     ),
     "fig5": (
@@ -273,8 +275,8 @@ SWEEPS = {
         "probability per (n_e, rate ratio); certified when ratio >= "
         "ratio_threshold = n_f/n",
         ["n_e", "n_f", "ratio", "stability_probability", "ratio_threshold"],
-        alloc_mod.shapley_tables, _mixed_compositions,
-        _probability_rows(tuple, _RATIO_LABELS, lambda c, p: c.n_f / c.total()),
+        _mixed_compositions, _probability_rows(
+            alloc_mod.shapley_table, tuple, _RATIO_LABELS, lambda c, p: c.n_f / c.total()),
         {}, "epsilon_e",  # the rate ratio times epsilon_f
     ),
     "fig6": (
@@ -282,7 +284,7 @@ SWEEPS = {
         "{n}: delta per (n_e, xi); xi_star is the certified bound where delta "
         "is smallest",
         ["n_e", "n_f", "xi", "delta", "in_core", "xi_star", "delta_at_xi_star"],
-        alloc_mod.stable_tables, _mixed_compositions, _deviation_rows,
+        _mixed_compositions, _deviation_rows,
         # the deviation sweep is about a failing ratio condition
         {"epsilon_f": 0.72}, None,
     ),
@@ -291,16 +293,15 @@ SWEEPS = {
 
 def cmd_sweep(params: game.SavingsParams, comp: game.Composition, args: dict) -> str:
     """The one sweep driver: check the class budget before any table is built,
-    then build the factory once and join each composition's rows."""
-    comment, columns, tables, compositions, rows = SWEEPS[args["kind"]][:5]
+    then join each composition's rows."""
+    comment, columns, compositions, rows = SWEEPS[args["kind"]][:4]
     n, classes = params.max_platoon_size, 0
     for c in compositions(n):  # each table's (n_e + 1)(n_f + 1) subset classes
         classes += (c.n_e + 1) * (c.n_f + 1)
         if classes > SWEEP_CLASS_BUDGET:
             raise FleetTooLarge(f"sweep capped at {SWEEP_CLASS_BUDGET} subset classes in all")
-    scans = tables(params)  # one per sweep, shared by its fleets
     return _csv_text(comment.format(n=n), columns,
-                     chain.from_iterable(rows(c, params, scans) for c in compositions(n)))
+                     chain.from_iterable(rows(c, params) for c in compositions(n)))
 
 
 # command -> (run, help, extra arguments); run(params, comp, args) returns the

@@ -24,7 +24,7 @@ from platoonshare import (
     shapley_core_condition_exact,
     shapley_core_condition_ratio,
     stable_allocation,
-    stable_tables,
+    stable_table,
     xi_upper_bound,
 )
 from platoonshare.cli import main
@@ -209,7 +209,7 @@ def test_criterion_07_deviation_minimizing_regime():
         delta_star = mean_relative_deviation(alloc, phi)
         if not delta_star < 1.0:
             failures.append(f"n_e={n_e}: delta {delta_star} >= 1")
-        curve = deviation_curve(stable_tables(params)(comp), default_xi_grid(comp, params))
+        curve = deviation_curve(stable_table(comp, params), default_xi_grid(comp, params))
         deltas = [p.delta for p in curve]
         if not all(b < a for a, b in zip(deltas, deltas[1:])):
             failures.append(f"n_e={n_e}: deviation not strictly decreasing")

@@ -914,14 +914,14 @@ def test_sweep_rows_read_their_tables(kind, cap, epsilon_f, share, distance):
                  curve[-1][3])}
         return
     if kind == "fig5":  # the table reads the rate ratio itself
-        tables, grid = allocate.shapley_tables(params), _RATIO_GRID
+        build, grid = allocate.shapley_table, _RATIO_GRID
     else:
-        tables, grid = allocate.stable_tables(params), _XI_GRID
+        build, grid = allocate.stable_table, _XI_GRID
     expected = []
     for comp in comps:
         head = (comp.total(),) if kind == "fig3" else tuple(comp)
         tail = comp.n_f / comp.total() if kind == "fig5" else allocate.xi_upper_bound(comp, params)
-        table = tables(comp)
+        table = build(comp, params)
         expected += [[*map(str, head), ratio6(t), ratio6(table.probability(t)), ratio6(tail)]
                      for t in grid]
     assert rows == expected
@@ -959,3 +959,11 @@ def readme_examples():
 def test_readme_examples_print_their_line(command, line):
     code, out, err = run(shlex.split(command)[1:])
     assert line in (out + err).splitlines()
+
+
+def test_readme_library_example_runs():
+    # the README's library example, run as written on the package under test
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library example\n+```python\n(.*?)^```$", text, re.M | re.S)
+    assert block is not None
+    exec(compile(block[1], "README.md", "exec"), {})

@@ -29,10 +29,10 @@ from platoonshare import (
     shapley_allocation,
     shapley_closed_form,
     stable_allocation,
-    stable_tables,
+    stable_table,
     xi_upper_bound,
 )
-from platoonshare.allocate import shapley_tables
+from platoonshare.allocate import shapley_table
 from platoonshare.cli import main
 from platoonshare.oracles import (
     check_superadditivity,
@@ -132,11 +132,11 @@ def test_public_functions_raise_only_game_errors(rates, cap, counts, t, grid, sk
         attempt(function, comp, params)
     for leader in TruckType:
         attempt(coalition_value_with_leader, comp, leader, params)
-    table = attempt(stable_tables(params), comp)
+    table = attempt(stable_table, comp, params)
     if table is not None:
         attempt(table.at, t)
         attempt(deviation_curve, table, grid)
-    table = attempt(shapley_tables(params), comp)
+    table = attempt(shapley_table, comp, params)
     if table is not None:
         attempt(table.at, t)
     allocations = [

@@ -23,7 +23,7 @@ from platoonshare import (
     stable_allocation,
     xi_upper_bound,
 )
-from platoonshare.allocate import stable_tables
+from platoonshare.allocate import stable_table
 
 
 @pytest.fixture
@@ -85,14 +85,14 @@ class TestDeviationCurve:
     def test_zero_benchmark_guard(self):
         # 2 FPTs at the least subnormal rate: phi_f and v(N) round to 0
         params = SavingsParams(epsilon_f=5e-324, epsilon_e=1.0, distance=0.5)
-        table = stable_tables(params)(Composition(0, 2))
+        table = stable_table(Composition(0, 2), params)
         with pytest.raises(ZeroShapleyPayoff):
             deviation_curve(table, [0.1, 0.2])
 
     def test_strictly_decreasing_on_feasible_interval(self, skewed_params):
         comp = Composition(1, 14)
         grid = default_xi_grid(comp, skewed_params)
-        curve = deviation_curve(stable_tables(skewed_params)(comp), grid)
+        curve = deviation_curve(stable_table(comp, skewed_params), grid)
         deltas = [p.delta for p in curve]
         assert all(b < a for a, b in zip(deltas, deltas[1:]))
         assert all(p.in_core for p in curve)
@@ -103,14 +103,14 @@ class TestDeviationCurve:
         alloc, xi_star = deviation_minimizing_allocation(fleet, skewed_params)
         phi = shapley_allocation(fleet, skewed_params)
         grid = default_xi_grid(comp, skewed_params)
-        curve = deviation_curve(stable_tables(skewed_params)(comp), grid)
+        curve = deviation_curve(stable_table(comp, skewed_params), grid)
         assert curve[-1].xi == xi_star
         assert curve[-1].delta == pytest.approx(
             mean_relative_deviation(alloc, phi), abs=1e-12
         )
 
     def test_grid_validation(self, skewed_params):
-        table = stable_tables(skewed_params)(Composition(1, 14))
+        table = stable_table(Composition(1, 14), skewed_params)
         with pytest.raises(XiOutOfRange):
             deviation_curve(table, [0.0, 0.001])
         with pytest.raises(XiOutOfRange):
@@ -124,7 +124,7 @@ class TestDeviationCurve:
         # the table's params, here another distance, value both x(xi) and phi
         other = params._replace(distance=301.0)
         grid = [0.01, 0.1, xi_upper_bound(comp23, other), 0.5]
-        curve = deviation_curve(stable_tables(other)(comp23), grid)
+        curve = deviation_curve(stable_table(comp23, other), grid)
         phi = shapley_allocation(fleet23, other)
         assert [p.delta for p in curve] == [
             mean_relative_deviation(stable_allocation(fleet23, other, xi), phi)
@@ -133,7 +133,7 @@ class TestDeviationCurve:
     def test_points_beyond_bound_reported(self, params, fleet23, comp23):
         bound = xi_upper_bound(comp23, params)
         grid = [bound / 2, bound, min(1.0, bound * 2)]
-        curve = deviation_curve(stable_tables(params)(comp23), grid)
+        curve = deviation_curve(stable_table(comp23, params), grid)
         assert len(curve) == 3
         assert curve[0].in_core and curve[1].in_core
 
@@ -141,7 +141,7 @@ class TestDeviationCurve:
         # on a single-ET fleet the type-fair payoff equals the leader-share
         # allocation at xi = 1/n, so delta hits zero exactly there
         comp = Composition(1, 4)
-        curve = deviation_curve(stable_tables(params)(comp), [0.1, 0.2, 0.3])
+        curve = deviation_curve(stable_table(comp, params), [0.1, 0.2, 0.3])
         assert all(p.delta >= 0.0 for p in curve)
         assert curve[1].delta == pytest.approx(0.0, abs=1e-12)
         assert curve[0].delta > 0.0
@@ -228,8 +228,8 @@ class TestScaleFree:
         else:
             scaled = params._replace(distance=distance * factor)
         grid = [i / 20 for i in range(1, 21)]
-        base = deviation_curve(stable_tables(params)(comp), grid)
-        moved = deviation_curve(stable_tables(scaled)(comp), grid)
+        base = deviation_curve(stable_table(comp, params), grid)
+        moved = deviation_curve(stable_table(comp, scaled), grid)
         assert [p.delta for p in moved] == pytest.approx([p.delta for p in base],
                                                          rel=1e-9, abs=1e-9)
         assert [p.in_core for p in moved] == [p.in_core for p in base]

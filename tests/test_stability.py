@@ -34,7 +34,7 @@ from platoonshare import (
     xi_upper_bound,
 )
 from platoonshare import allocate, game, stability
-from platoonshare.allocate import shapley_tables, stable_tables
+from platoonshare.allocate import shapley_table, stable_table
 from platoonshare.cli import _RATIO_GRID, _XI_GRID, main
 from platoonshare.game import REL_TOL
 from platoonshare.oracles import LABELED_SCAN_MAX_FLEET
@@ -368,13 +368,13 @@ class TestOneRule:
 
     @given(comp=RULE_COMPS, params=RULE_PARAMS, data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_stable_tables_count_what_in_core_counts(self, comp, params, data):
+    def test_leader_share_tables_count_what_in_core_counts(self, comp, params, data):
         xi_star = xi_upper_bound(comp, params)
         xi = data.draw(st.sampled_from(
             [*_XI_GRID, xi_star, math.nextafter(xi_star, 0), math.nextafter(xi_star, 1)]))
         fleet = Fleet.from_composition(comp)
         count = _blocking_count(stable_allocation(fleet, params, xi), fleet, params)
-        assert stable_tables(params)(comp).at(xi)[1] == count
+        assert stable_table(comp, params).at(xi)[1] == count
 
     @given(comp=RULE_COMPS, params=RULE_PARAMS, data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -385,7 +385,7 @@ class TestOneRule:
         at_ratio = params._replace(epsilon_e=ratio * params.epsilon_f)
         fleet = Fleet.from_composition(comp)
         count = _blocking_count(shapley_allocation(fleet, at_ratio), fleet, at_ratio)
-        assert shapley_tables(params)(comp).at(ratio)[1] == count
+        assert shapley_table(comp, params).at(ratio)[1] == count
 
     @given(fleet=_paid_fleets(max_size=10), exact=st.booleans(), ratio=RATIOS)
     @example(fleet=(RELABELING_TYPES, RELABELING_PAYS), exact=False, ratio=Fraction(48, 70))
@@ -928,7 +928,7 @@ class TestBreakpoints:
             Fleet.from_composition(Composition(*comp)).types))))
         comp = fleet.composition()
         leader = game.optimal_leader_type(comp)
-        scan = stable_tables(params)(comp)
+        scan = stable_table(comp, params)
         exact = _exact_counter(scan, leader)
         for xi in sorted(_probes(_exact_roots(comp, params, leader)) | set(xis)):
             if 0.0 < xi <= 1.0:
@@ -952,7 +952,7 @@ class TestBreakpoints:
         types = Fleet.from_composition(Composition(*comp)).types
         fleet = Fleet(tuple(data.draw(st.permutations(types)) if data else types))
         comp = fleet.composition()
-        scan = shapley_tables(base)(comp)
+        scan = shapley_table(comp, base)
         exact = _exact_counter(scan, None)
         for r in sorted(_probes(_exact_roots(comp, base, None)) | set(ratios)):
             if 0.0 < r * eps_f < eps_f:  # the table's own rate
@@ -962,15 +962,15 @@ class TestBreakpoints:
             alloc = shapley_allocation(fleet, params)
             assert _read(scan, r) == _expected(alloc, fleet, params)
 
-    @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
-                             ids=["stable_tables", "shapley_tables"])
-    def test_exact_params_read_exact_counts(self, tables):
+    @pytest.mark.parametrize("table", [stable_table, shapley_table],
+                             ids=["stable_table", "shapley_table"])
+    def test_exact_params_read_exact_counts(self, table):
         # with Fraction rates and distance, every root is read at itself, where
         # the excess equals the tolerance and so does not block, and just off it
         params = SavingsParams(Fraction(7, 100), Fraction(6, 125), Fraction(300))
         comp = Composition(3, 12)
-        leader = game.optimal_leader_type(comp) if tables is stable_tables else None
-        scan = tables(params)(comp)
+        leader = game.optimal_leader_type(comp) if table is stable_table else None
+        scan = table(comp, params)
         eps = Fraction(1, 10**12)
         points = {t + d for t in _exact_roots(comp, params, leader) for d in (-eps, 0, eps)}
         readings = [(t, scan.at(t)[1]) for t in sorted(points) if 0 < t < 1]
@@ -979,7 +979,7 @@ class TestBreakpoints:
 
     def test_reads_the_thresholds_away_from_them(self, monkeypatch, params):
         fleet = Fleet.from_composition(Composition(3, 12))
-        scan = stable_tables(params)(fleet.composition())
+        scan = stable_table(fleet.composition(), params)
         expected = [_blocking(stable_allocation(fleet, params, xi), fleet, params)
                     for xi in (0.01, 0.1, 0.5)]
         monkeypatch.setattr(stability, "_violations", None)  # no table scans classes
@@ -993,7 +993,7 @@ class TestBreakpoints:
         # a type-fair table reads rate ratios in (0, 1], where its one money
         # tolerance, that of ratio 1, holds; any other ratio raises, whatever
         # the fleet. At ratio 1 a mixed fleet breaks the closed form's order
-        scan = shapley_tables(params)(comp)
+        scan = shapley_table(comp, params)
         for r in (-0.4, 0.0, 1.5, math.nan):
             with pytest.raises(InvalidInput, match=r"^rate ratio must be in \(0, 1\], got"):
                 scan.at(r)
@@ -1003,14 +1003,27 @@ class TestBreakpoints:
         else:
             assert scan.at(1.0)[1] == 0
 
-    @pytest.mark.parametrize("tables", [stable_tables, shapley_tables],
-                             ids=["stable_tables", "shapley_tables"])
-    def test_fleet_checks(self, tables, params):
+    @pytest.mark.parametrize("epsilon_e", [0.048, 0.07, 0.09], ids=["below", "equal", "above"])
+    def test_type_fair_tables_read_only_epsilon_f(self, epsilon_e, params):
+        # a type-fair table's rates are (r*epsilon_f, epsilon_f) whatever the
+        # params' epsilon_e: it reads as the table of the params at ratio 1,
+        # which it reuses when the params are at ratio 1 and copies otherwise
+        params = params._replace(epsilon_e=epsilon_e)
+        at_one = params._replace(epsilon_e=params.epsilon_f)
+        for comp in (Composition(2, 3), Composition(7, 8), Composition(4, 0), Composition(0, 5)):
+            scan, reference = shapley_table(comp, params), shapley_table(comp, at_one)
+            assert (scan.params is params) == (epsilon_e == params.epsilon_f)
+            assert scan.params == at_one
+            assert [scan.at(r) for r in _RATIO_GRID] == [reference.at(r) for r in _RATIO_GRID]
+
+    @pytest.mark.parametrize("table", [stable_table, shapley_table],
+                             ids=["stable_table", "shapley_table"])
+    def test_fleet_checks(self, table, params):
         for comp in (Composition(0, 0), Composition(0, 1)):
             with pytest.raises(FleetTooSmall):
-                tables(params)(comp)
+                table(comp, params)
         with pytest.raises(FleetTooLarge):
-            tables(params)(Composition(8, 8))
+            table(Composition(8, 8), params)
 
     @pytest.mark.parametrize("epsilon_e", [0.048, 0.08])  # with and without a bound
     def test_leader_subsets_left_out(self, epsilon_e, params):
@@ -1025,7 +1038,7 @@ class TestBreakpoints:
         for n in range(2, 16):
             for n_e in range(n + 1):
                 roster = Fleet.from_composition(Composition(n_e, n - n_e))
-                scan = stable_tables(params)(roster.composition())
+                scan = stable_table(roster.composition(), params)
                 exact = _exact_counter(scan, game.optimal_leader_type(roster.composition()))
                 for xi in (5e-324, 1e-17, 1e-12, 1.0):
                     assert scan.at(xi)[1] == exact(xi)
@@ -1044,7 +1057,7 @@ class TestBreakpoints:
         params = params._replace(**change)
         for comp in (Composition(0, 2), Composition(1, 1), Composition(3, 12)):
             leader = game.optimal_leader_type(comp)
-            scan = stable_tables(params)(comp)
+            scan = stable_table(comp, params)
             for xi in (5e-324, 1e-17, 0.5, 1.0):
                 assert scan.at(xi)[1] == _exact_counter(scan, leader)(xi)
         out = tmp_path / "fig6.csv"
@@ -1101,7 +1114,7 @@ class TestBreakpoints:
         for n in range(2, 16):
             for n_e in range(1, n):
                 comp = Composition(n_e, n - n_e)
-                scan = shapley_tables(params)(comp)
+                scan = shapley_table(comp, params)
                 exact = _exact_counter(scan, None)
                 for r in _probes(_exact_roots(comp, params, None)):
                     if 0.0 < r * epsilon_f < epsilon_f:
@@ -1111,12 +1124,12 @@ class TestBreakpoints:
         # 2 * 1000 * 701 classes with the leader's, 1000 * 701 without: over 2^20
         big = params._replace(max_platoon_size=1700)
         with pytest.raises(FleetTooLarge, match="subset classes"):
-            stable_tables(big)(Composition(1000, 700))
+            stable_table(Composition(1000, 700), big)
         # at a cap of 2^5, 2 * 2 * 8 classes fit and 2 * 2 * 9 do not
         monkeypatch.setattr(stability, "CLASS_SCAN_CAP_BITS", 5)
-        stable_tables(params)(Composition(2, 7))
+        stable_table(Composition(2, 7), params)
         with pytest.raises(FleetTooLarge, match="2\\^5 subset classes"):
-            stable_tables(params)(Composition(2, 8))
+            stable_table(Composition(2, 8), params)
 
     def test_not_efficient_raises(self, params, comp23):
         # 2 ETs and 3 FPTs paid 1.0 each fall short of v(N)
@@ -1167,46 +1180,48 @@ class TestBreakpoints:
         assert built == []
 
     def test_tables_share_each_rates_params(self, params, comp23, monkeypatch):
-        # two tables of one factory share its one set of params, built at
-        # ratio 1, epsilon_e = epsilon_f; reads at a ratio build none, and
-        # each table reads as a table of a fresh factory
+        # tables of params at ratio 1, epsilon_e = epsilon_f, as fig5's run
+        # holds, share those params and build none; other params build their
+        # copy at ratio 1 once per table. Reads at a ratio build none
         comps = [comp23, Composition(3, 4)]
-        ratio = 0.4
-        expected = [shapley_tables(params)(comp).at(ratio) for comp in comps]
+        ratio, at_one = 0.4, params._replace(epsilon_e=params.epsilon_f)
+        expected = [shapley_table(comp, params).at(ratio) for comp in comps]
         built = []
         check = SavingsParams._check
         monkeypatch.setattr(SavingsParams, "_check",
                             lambda self: built.append(self) or check(self))
-        tables = shapley_tables(params)
-        scans = [tables(comp) for comp in comps]
-        assert [(at.epsilon_e, at.epsilon_f) for at in built] == [(params.epsilon_f,) * 2]
+        scans = [shapley_table(comp, at_one) for comp in comps]
+        assert built == [] and all(scan.params is at_one for scan in scans)
         assert [scan.at(ratio) for scan in scans] == expected
         assert [scan.at(ratio) for scan in scans] == expected
-        assert len(built) == 1
+        assert built == []
         for scan in scans:  # a ratio the family refuses is refused at every read
             with pytest.raises(InvalidInput, match=r"^rate ratio must be in \(0, 1\]"):
                 scan.at(-ratio)
-        assert len(built) == 1
+        assert built == []
+        for comp in comps:
+            shapley_table(comp, params)
+        assert built == [at_one, at_one]
 
     def test_type_fair_tables_name_rate_ratio_one(self):
         # valid params, but at rate ratio 1 the money tolerance underflows
-        tables = shapley_tables(SavingsParams(1e-320, 0.048, 300.0, 10**30))
+        params = SavingsParams(1e-320, 0.048, 300.0, 10**30)
         with pytest.raises(InvalidInput, match=(
                 r"^epsilon_f x distance is too small for a money tolerance at rate ratio 1, "
                 r"the tolerance of every table$")):
-            tables(Composition(4, 2))
+            shapley_table(Composition(4, 2), params)
 
     def test_fig5_validates_params_per_table_not_per_point(self, monkeypatch, tmp_path):
         # size 40: 39 tables of 19 points each validate no params of their
-        # own; the run's, built by the config at epsilon_e = epsilon_f, and
-        # the factory's params at rate ratio 1 are the only two
+        # own; the run's, built by the config at epsilon_e = epsilon_f, the
+        # rate ratio 1 that every table reads, are the only ones
         built = []
         check = SavingsParams._check
         monkeypatch.setattr(SavingsParams, "_check",
                             lambda self: built.append(self) or check(self))
         out = tmp_path / "fig5.csv"
         assert main(["sweep", "fig5", "--max-platoon-size", "40", "--out", str(out)]) == 0
-        assert len(built) == 2
+        assert len(built) == 1
         assert all(at.epsilon_e == at.epsilon_f for at in built)
 
     def test_default_sweeps_never_rescan(self, monkeypatch, tmp_path):
